@@ -5,10 +5,16 @@ its per-token scores plus one end-of-sequence score, whether the model closed
 it or the length cap forced it shut. Hypotheses that finish early keep their
 beam slot and compete with open ones on total score. Ties break
 lexicographically by token sequence so runs are reproducible everywhere.
+
+The unconstrained search prunes exactly: a child scoring strictly below the
+k-th best is never built; order and ties are unchanged. The comparison is on
+the same float sum the child would carry, so children that tie the k-th best
+after rounding are still built and ranked by tokens.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import unicodedata
 from abc import ABC, abstractmethod
@@ -158,8 +164,10 @@ class NoisyChannelToy(ScoringModel):
         self._smoothing_vocab = len(vocab) + 1
         self.floor = float(floor)
         self._best_for_source = lru_cache(maxsize=512)(self._best_lexical)
-        # the step distribution depends on the prefix only via its last token
-        self._step_cache: dict[tuple[tuple[str, ...], str], dict[str, float]] = {}
+        # the step distribution depends on the prefix only via its last token;
+        # only the current source's steps are held, so the cache stays bounded
+        self._step_source: tuple[str, ...] | None = None
+        self._step_cache: dict[str, dict[str, float]] = {}
 
     @classmethod
     def from_files(cls, lexical_path: str | Path, corpus_path: str | Path,
@@ -203,14 +211,18 @@ class NoisyChannelToy(ScoringModel):
         return best
 
     def next_scores(self, source: Sequence[str], prefix: Sequence[str]) -> Mapping[str, float]:
+        if source is not self._step_source:
+            source = tuple(source)
+            if source != self._step_source:
+                self._step_cache = {}
+            self._step_source = source
         prev = prefix[-1] if prefix else BOS
-        key = (tuple(source), prev)
-        cached = self._step_cache.get(key)
+        cached = self._step_cache.get(prev)
         if cached is None:
-            best = self._best_for_source(key[0])
+            best = self._best_for_source(self._step_source)
             cached = {target: lp + self.bigram_logprob(prev, target) for target, lp in best.items()}
             cached[EOS] = self.bigram_logprob(prev, EOS)
-            self._step_cache[key] = cached
+            self._step_cache[prev] = cached
         return cached
 
     def prepare_source(self, source: Sequence[str]) -> None:
@@ -280,17 +292,6 @@ class BeamConfig:
         object.__setattr__(self, "nbest", nbest)
 
 
-class _Item(NamedTuple):
-    tokens: tuple[str, ...]
-    score: float
-    closed: bool
-
-
-def _item_key(item: _Item) -> tuple:
-    # higher score first; ties lexicographic by tokens, closed before open
-    return (-item.score, item.tokens, not item.closed)
-
-
 def beam_search(
     model: ScoringModel,
     source: Sequence[str],
@@ -302,29 +303,43 @@ def beam_search(
     if not source:
         raise DecodeError(f"source {source_id}: source sentence is empty")
     model.prepare_source(source)
-    beam = [_Item((), 0.0, False)]
-    while beam and any(not it.closed and len(it.tokens) < cfg.max_len for it in beam):
-        candidates: list[_Item] = []
+    width, max_len = cfg.beam_width, cfg.max_len
+    # an item is (-score, tokens, is_open), so tuple order is beam order:
+    # higher score first, ties lexicographic by tokens, closed before open
+    beam: list[tuple[float, tuple[str, ...], bool]] = [(-0.0, (), True)]
+    while any(is_open and len(tokens) < max_len for _, tokens, is_open in beam):
+        candidates = []
+        # min-heap of the width best scores built so far; its root is the
+        # threshold, and a child strictly below it is never built
+        best = [-math.inf] * width
         for item in beam:
-            if item.closed or len(item.tokens) >= cfg.max_len:
+            neg, tokens, is_open = item
+            if not is_open or len(tokens) >= max_len:
                 candidates.append(item)
+                heapq.heappushpop(best, -neg)
                 continue
-            for token, lp in model.next_scores(source, item.tokens).items():
+            base = -neg
+            threshold = best[0]
+            for token, lp in model.next_scores(source, tokens).items():
+                score = base + lp
+                if score < threshold:
+                    continue
                 if token == EOS:
-                    candidates.append(_Item(item.tokens, item.score + lp, True))
+                    candidates.append((-score, tokens, False))
                 else:
-                    candidates.append(_Item((*item.tokens, token), item.score + lp, False))
-        candidates.sort(key=_item_key)
-        beam = candidates[: cfg.beam_width]
-    finished = [
-        item if item.closed
-        else _Item(item.tokens, item.score + model.score_token(source, item.tokens, EOS), True)
-        for item in beam
-    ]
-    finished.sort(key=_item_key)
+                    candidates.append((-score, (*tokens, token), True))
+                heapq.heappushpop(best, score)
+                threshold = best[0]
+        candidates.sort()
+        beam = candidates[:width]
+    finished = sorted(
+        (-(-neg + model.score_token(source, tokens, EOS)), tokens, False) if is_open
+        else (neg, tokens, False)
+        for neg, tokens, is_open in beam
+    )
     if not finished:
         raise DecodeError(f"source {source_id}: no completed hypothesis within max_len {cfg.max_len}")
-    return NBestList(source_id, [Hypothesis(it.tokens, it.score) for it in finished[: cfg.nbest]])
+    return NBestList(source_id, [Hypothesis(tokens, -neg) for neg, tokens, _ in finished[: cfg.nbest]])
 
 
 class _LatticeItem(NamedTuple):

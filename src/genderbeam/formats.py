@@ -8,6 +8,7 @@ built-in stage. All readers normalize to NFC; errors carry path and
 
 from __future__ import annotations
 
+import math
 import unicodedata
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -60,6 +61,8 @@ def parse_nbest(path) -> dict[int, NBestList]:
             raise FormatError(
                 f"{path}:{lineno}: loglik must be a number, got {fields[2]!r}"
             ) from None
+        if not math.isfinite(loglik):
+            raise FormatError(f"{path}:{lineno}: loglik must be finite, got {fields[2]!r}")
         groups.setdefault(sent_id, []).append(Hypothesis(tokens, loglik))
     return {sent_id: NBestList(sent_id, hyps) for sent_id, hyps in groups.items()}
 

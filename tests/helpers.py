@@ -3,7 +3,8 @@
 import hashlib
 import itertools
 
-from genderbeam.decode import EOS, Hypothesis, ScoringModel, rescore
+from genderbeam.decode import EOS, Hypothesis, NBestList, ScoringModel, rescore
+from genderbeam.errors import DecodeError
 from genderbeam.lattice import HypothesisLattice, LatticeArc
 
 
@@ -42,6 +43,44 @@ def oracle_nbest(model, source, lattice, nbest):
     scored = [Hypothesis(tokens, rescore(model, source, tokens)) for tokens in realizations(lattice)]
     scored.sort(key=lambda h: (-h.loglik, h.tokens))
     return scored[:nbest]
+
+
+def reference_beam_search(model, source, cfg, source_id=0):
+    """Full-sort reference for beam_search: every child of every parent is
+    built, all of them are sorted by (-score, tokens, open), the first
+    beam_width kept."""
+
+    def key(item):
+        tokens, score, closed = item
+        return (-score, tokens, not closed)
+
+    source = tuple(source)
+    if not source:
+        raise DecodeError(f"source {source_id}: source sentence is empty")
+    model.prepare_source(source)
+    beam = [((), 0.0, False)]
+    while beam and any(not closed and len(tokens) < cfg.max_len for tokens, _, closed in beam):
+        candidates = []
+        for tokens, score, closed in beam:
+            if closed or len(tokens) >= cfg.max_len:
+                candidates.append((tokens, score, closed))
+                continue
+            for token, lp in model.next_scores(source, tokens).items():
+                if token == EOS:
+                    candidates.append((tokens, score + lp, True))
+                else:
+                    candidates.append(((*tokens, token), score + lp, False))
+        candidates.sort(key=key)
+        beam = candidates[: cfg.beam_width]
+    finished = [
+        (tokens, score, True) if closed
+        else (tokens, score + model.score_token(source, tokens, EOS), True)
+        for tokens, score, closed in beam
+    ]
+    finished.sort(key=key)
+    if not finished:
+        raise DecodeError(f"source {source_id}: no completed hypothesis within max_len {cfg.max_len}")
+    return NBestList(source_id, [Hypothesis(tokens, score) for tokens, score, _ in finished[: cfg.nbest]])
 
 
 def random_lattice(rng, max_positions=4, max_arcs=3, multi_token=True):

@@ -1,9 +1,13 @@
+import itertools
 import math
 import random
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import HashScorer, oracle_nbest, random_lattice, realizations
+from helpers import HashScorer, oracle_nbest, random_lattice, realizations, reference_beam_search
 
 from genderbeam.decode import (
     BOS,
@@ -196,6 +200,72 @@ class TestBeamSearch:
         assert first == second
 
 
+# Score grid for the reference property test. Sums tie exactly (0.0 and
+# -0.0), tie in the reals but not after rounding (-0.1 + -0.2 against -0.3),
+# and tie only after rounding (-1e16 + -0.5 against -1e16 + -1.0). None
+# leaves the entry out of the step map, which is how maps go without EOS.
+SCORE_GRID = (None, 0.0, -0.0, -0.1, -0.2, -0.3, -0.5, -1.0, -1e16)
+
+
+def grid_table(vocab, values, salt, max_len):
+    """TableModel over every prefix up to max_len, so that forced closes at
+    max_len read a listed EOS score or the floor alike. Each entry is a
+    deterministic pick from values."""
+    entries = {}
+    for length in range(max_len + 1):
+        for prefix in itertools.product(vocab, repeat=length):
+            prefix_key = " ".join(prefix) if prefix else BOS
+            scores = {}
+            for token in (*vocab, EOS):
+                pick = zlib.crc32(f"{salt}|{prefix_key}|{token}".encode()) % len(values)
+                if values[pick] is not None:
+                    scores[token] = values[pick]
+            entries[("s", prefix_key)] = scores
+    return TableModel(entries)
+
+
+def run_or_error(search, model, cfg):
+    try:
+        return [(h.tokens, repr(h.loglik)) for h in search(model, ("s",), cfg)]
+    except DecodeError as exc:
+        return str(exc)
+
+
+class TestBeamSearchMatchesReference:
+    @settings(max_examples=400)
+    @given(
+        vocab_size=st.integers(1, 3),
+        values=st.lists(st.sampled_from(SCORE_GRID), min_size=1, max_size=10),
+        salt=st.integers(0, 2**16),
+        width=st.integers(1, 6),
+        max_len=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_equals_full_sort_reference(self, vocab_size, values, salt, width, max_len, data):
+        vocab = ("a", "b", "c")[:vocab_size]
+        cfg = BeamConfig(width, data.draw(st.integers(1, width)), max_len)
+        model = grid_table(vocab, values, salt, max_len)
+        assert run_or_error(beam_search, model, cfg) == run_or_error(reference_beam_search, model, cfg)
+
+    @pytest.mark.parametrize(
+        "entries, max_len, expected",
+        [
+            # "c" fills the width-1 beam first; "b" and "a" tie it, and "a"
+            # must win on tokens, not on arrival order
+            ({("s", BOS): {"c": -0.3, "b": -0.3, "a": -0.3}, ("s", "a"): {EOS: 0.0}}, 1,
+             Hypothesis(("a",), -0.3)),
+            # -1e16 + -0.5 and -1e16 + -1.0 are the same float, so they tie
+            ({("s", BOS): {"x": -1e16}, ("s", "x"): {"b": -0.5, "a": -1.0}}, 2,
+             Hypothesis(("x", "a"), -1e16 - 20.0)),
+        ],
+    )
+    def test_ties_at_threshold_go_to_tokens(self, entries, max_len, expected):
+        model, cfg = TableModel(entries), BeamConfig(1, max_len=max_len)
+        result = beam_search(model, ("s",), cfg)
+        assert result == reference_beam_search(model, ("s",), cfg)
+        assert result[0] == expected
+
+
 class TestNoisyChannelToy:
     def build(self):
         lexical = {"the": {"la": -0.2}, "doctor": {"médica": -0.3, "la": -5.0}}
@@ -243,6 +313,17 @@ class TestNoisyChannelToy:
         corpus.write_text("la\n", encoding="utf-8")
         with pytest.raises(FormatError, match=r":1:"):
             NoisyChannelToy.from_files(lex, corpus)
+
+    def test_step_cache_holds_only_current_source(self):
+        other = ("doctor",)
+        model = self.build()
+        first = beam_search(model, other, BeamConfig(3, max_len=3))
+        second = beam_search(model, SRC, BeamConfig(3, max_len=3))
+        fresh = self.build()
+        assert beam_search(fresh, SRC, BeamConfig(3, max_len=3)) == second
+        assert beam_search(self.build(), other, BeamConfig(3, max_len=3)) == first
+        assert model._step_source == SRC
+        assert model._step_cache.keys() == fresh._step_cache.keys()
 
 
 class TestConstrainedSearch:

@@ -57,6 +57,13 @@ class TestNBestFiles:
         with pytest.raises(FormatError, match="loglik"):
             parse_nbest(path)
 
+    @pytest.mark.parametrize("loglik", ["nan", "inf", "-inf", "-Infinity", "NaN"])
+    def test_non_finite_loglik_rejected(self, tmp_path, loglik):
+        path = tmp_path / "nbest.txt"
+        path.write_text(f"0 ||| a b ||| -1.0\n0 ||| c d ||| {loglik}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"nbest\.txt:2: loglik must be finite"):
+            parse_nbest(path)
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "nbest.txt"
         path.write_text("# comment\n\n0 ||| a ||| -1.0\n", encoding="utf-8")

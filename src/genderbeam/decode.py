@@ -6,10 +6,13 @@ it or the length cap forced it shut. Hypotheses that finish early keep their
 beam slot and compete with open ones on total score. Ties break
 lexicographically by token sequence so runs are reproducible everywhere.
 
-The unconstrained search prunes exactly: a child scoring strictly below the
-k-th best is never built; order and ties are unchanged. The comparison is on
-the same float sum the child would carry, so children that tie the k-th best
-after rounding are still built and ranked by tokens.
+Both passes run one beam loop. The constrained pass compiles its lattice into
+a token automaton first and restricts each item's children to the moves of
+its automaton state; items with the same score and tokens then break ties by
+state. The loop prunes exactly: a child scoring strictly below the k-th best
+is never built; order and ties are unchanged. The comparison is on the same
+float sum the child would carry, so children that tie the k-th best after
+rounding are still built and ranked by tokens.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ class ScoringModel(ABC):
     next_scores returns a finite token -> log probability map for one step;
     it may include EOS. Tokens outside the map score the model's floor.
     Implementations must be deterministic for identical inputs.
+
+    Search reads next_scores and floor. It calls score_token only for the
+    EOS that closes a first-pass hypothesis at max_len, and rescore calls it
+    for every token, so an override of score_token must equal
+    next_scores(source, prefix).get(token, floor).
     """
 
     floor: float = DEFAULT_FLOOR
@@ -56,9 +64,6 @@ class ScoringModel(ABC):
 
     def score_token(self, source: Sequence[str], prefix: Sequence[str], token: str) -> float:
         return self.next_scores(source, prefix).get(token, self.floor)
-
-    def eos_score(self, source: Sequence[str], prefix: Sequence[str]) -> float:
-        return self.score_token(source, prefix, EOS)
 
     def prepare_source(self, source: Sequence[str]) -> None:
         """Optional hook for per-source work reusable across passes. No-op by default."""
@@ -146,20 +151,24 @@ class NoisyChannelToy(ScoringModel):
             }
             for source, targets in lexical.items()
         }
-        bigrams: dict[tuple[str, str], int] = {}
-        contexts: dict[str, int] = {}
+        # followers[prev][token] counts the bigram (prev, token)
+        followers: dict[str, dict[str, int]] = {}
         vocab: set[str] = set()
         for line in corpus:
             prev = BOS
             for token in line:
                 vocab.add(token)
-                bigrams[(prev, token)] = bigrams.get((prev, token), 0) + 1
-                contexts[prev] = contexts.get(prev, 0) + 1
+                row = followers.get(prev)
+                if row is None:
+                    row = followers[prev] = {}
+                row[token] = row.get(token, 0) + 1
                 prev = token
-            bigrams[(prev, EOS)] = bigrams.get((prev, EOS), 0) + 1
-            contexts[prev] = contexts.get(prev, 0) + 1
-        self._bigrams = bigrams
-        self._contexts = contexts
+            row = followers.get(prev)
+            if row is None:
+                row = followers[prev] = {}
+            row[EOS] = row.get(EOS, 0) + 1
+        self._followers = followers
+        self._contexts = {prev: sum(row.values()) for prev, row in followers.items()}
         # +1 for the EOS event, which shares the smoothing mass
         self._smoothing_vocab = len(vocab) + 1
         self.floor = float(floor)
@@ -198,7 +207,7 @@ class NoisyChannelToy(ScoringModel):
         return cls(lexical, corpus, floor=floor)
 
     def bigram_logprob(self, prev: str, token: str) -> float:
-        count = self._bigrams.get((prev, token), 0)
+        count = self._followers.get(prev, {}).get(token, 0)
         context = self._contexts.get(prev, 0)
         return math.log((count + 1) / (context + self._smoothing_vocab))
 
@@ -219,11 +228,23 @@ class NoisyChannelToy(ScoringModel):
         prev = prefix[-1] if prefix else BOS
         cached = self._step_cache.get(prev)
         if cached is None:
-            best = self._best_for_source(self._step_source)
-            cached = {target: lp + self.bigram_logprob(prev, target) for target, lp in best.items()}
-            cached[EOS] = self.bigram_logprob(prev, EOS)
-            self._step_cache[prev] = cached
+            cached = self._step_cache[prev] = self._build_step(prev)
         return cached
+
+    def _build_step(self, prev: str) -> dict[str, float]:
+        """The current source's step map after prev. Each value is the float
+        expression bigram_logprob computes, with the context's denominator
+        and the unseen-bigram log taken once."""
+        best = self._best_for_source(self._step_source)
+        row = self._followers.get(prev, {})
+        denom = self._contexts.get(prev, 0) + self._smoothing_vocab
+        unseen = math.log(1 / denom)
+        step = {target: lp + unseen for target, lp in best.items()}
+        for target, count in row.items():
+            if target in step:
+                step[target] = best[target] + math.log((count + 1) / denom)
+        step[EOS] = math.log((row.get(EOS, 0) + 1) / denom)
+        return step
 
     def prepare_source(self, source: Sequence[str]) -> None:
         self._best_for_source(tuple(source))
@@ -299,60 +320,7 @@ def beam_search(
     source_id: int = 0,
 ) -> NBestList:
     """Length-unnormalized beam search; returns the top-nbest closed hypotheses."""
-    source = tuple(source)
-    if not source:
-        raise DecodeError(f"source {source_id}: source sentence is empty")
-    model.prepare_source(source)
-    width, max_len = cfg.beam_width, cfg.max_len
-    # an item is (-score, tokens, is_open), so tuple order is beam order:
-    # higher score first, ties lexicographic by tokens, closed before open
-    beam: list[tuple[float, tuple[str, ...], bool]] = [(-0.0, (), True)]
-    while any(is_open and len(tokens) < max_len for _, tokens, is_open in beam):
-        candidates = []
-        # min-heap of the width best scores built so far; its root is the
-        # threshold, and a child strictly below it is never built
-        best = [-math.inf] * width
-        for item in beam:
-            neg, tokens, is_open = item
-            if not is_open or len(tokens) >= max_len:
-                candidates.append(item)
-                heapq.heappushpop(best, -neg)
-                continue
-            base = -neg
-            threshold = best[0]
-            for token, lp in model.next_scores(source, tokens).items():
-                score = base + lp
-                if score < threshold:
-                    continue
-                if token == EOS:
-                    candidates.append((-score, tokens, False))
-                else:
-                    candidates.append((-score, (*tokens, token), True))
-                heapq.heappushpop(best, score)
-                threshold = best[0]
-        candidates.sort()
-        beam = candidates[:width]
-    finished = sorted(
-        (-(-neg + model.score_token(source, tokens, EOS)), tokens, False) if is_open
-        else (neg, tokens, False)
-        for neg, tokens, is_open in beam
-    )
-    if not finished:
-        raise DecodeError(f"source {source_id}: no completed hypothesis within max_len {cfg.max_len}")
-    return NBestList(source_id, [Hypothesis(tokens, -neg) for neg, tokens, _ in finished[: cfg.nbest]])
-
-
-class _LatticeItem(NamedTuple):
-    tokens: tuple[str, ...]
-    score: float
-    closed: bool
-    state: int
-    arc_index: int  # -1 at a state boundary, else index into arcs_at(state)
-    offset: int     # arc tokens already emitted
-
-
-def _lattice_item_key(item: _LatticeItem) -> tuple:
-    return (-item.score, item.tokens, not item.closed, item.state, item.arc_index, item.offset)
+    return _search(model, source, cfg, source_id)
 
 
 def constrained_beam_search(
@@ -368,53 +336,114 @@ def constrained_beam_search(
     so constrained and unconstrained log likelihoods stay comparable. Items
     reaching the final state close by the model's EOS score.
     """
+    return _search(model, source, cfg, source_id, _lattice_moves(lattice))
+
+
+_Moves = list[tuple[tuple[str, int], ...]]
+
+
+def _lattice_moves(lattice: HypothesisLattice) -> _Moves:
+    """Compile a lattice into a token automaton: moves[state] lists
+    (token, next_state) in arc order.
+
+    Each lattice state is an automaton state, followed by one state per
+    token already emitted inside each of its multi-token arcs, so state ids
+    increase in (lattice state, arc index, offset) order. The last state is
+    the final one; its only move is EOS, back to itself.
+    """
+    moves: _Moves = []
+    for position in range(lattice.num_positions):
+        arcs = lattice.arcs_at(position)
+        boundary = len(moves)
+        after = boundary + 1 + sum(len(arc.model_tokens) - 1 for arc in arcs)
+        moves.append(())
+        first = []
+        for arc in arcs:
+            tokens = arc.model_tokens
+            first.append((tokens[0], len(moves) if len(tokens) > 1 else after))
+            for offset in range(1, len(tokens)):
+                moves.append(((tokens[offset], len(moves) + 1 if offset + 1 < len(tokens) else after),))
+        moves[boundary] = tuple(first)
+    moves.append(((EOS, len(moves)),))
+    return moves
+
+
+def _search(
+    model: ScoringModel,
+    source: Sequence[str],
+    cfg: BeamConfig,
+    source_id: int,
+    moves: _Moves | None = None,
+) -> NBestList:
+    """The beam loop of both passes.
+
+    Without moves every token of the step map is a child, and open items at
+    max_len are carried, then closed by their EOS score. With moves an item
+    expands only by its state's moves, reading tokens outside the step map
+    at the floor; an item at max_len outside the final state is dropped.
+    """
     source = tuple(source)
     if not source:
         raise DecodeError(f"source {source_id}: source sentence is empty")
     model.prepare_source(source)
-    final_state = lattice.final_state
-    beam = [_LatticeItem((), 0.0, False, 0, -1, 0)]
-    while beam and any(not it.closed for it in beam):
-        candidates: list[_LatticeItem] = []
+    width, max_len, floor = cfg.beam_width, cfg.max_len, model.floor
+    final = -1 if moves is None else len(moves) - 1
+    # an item is (-score, tokens, is_open, state), so tuple order is beam
+    # order: higher score first, ties lexicographic by tokens, closed before
+    # open, then by automaton state (always 0 without moves)
+    beam: list[tuple[float, tuple[str, ...], bool, int]] = [(-0.0, (), True, 0)]
+    while any(is_open and (len(tokens) < max_len or moves is not None) for _, tokens, is_open, _ in beam):
+        candidates = []
+        # min-heap of the width best scores built so far; its root is the
+        # threshold, and a child strictly below it is never built
+        best = [-math.inf] * width
         for item in beam:
-            if item.closed:
+            neg, tokens, is_open, state = item
+            if not is_open or (moves is None and len(tokens) >= max_len):
                 candidates.append(item)
+                heapq.heappushpop(best, -neg)
                 continue
-            at_final = item.state == final_state and item.arc_index < 0
-            if at_final:
-                lp = model.score_token(source, item.tokens, EOS)
-                candidates.append(item._replace(score=item.score + lp, closed=True))
-                continue
-            if len(item.tokens) >= cfg.max_len:
+            if len(tokens) >= max_len and state != final:
                 continue  # mid-lattice at the length cap: cannot become a complete path
-            if item.arc_index >= 0:
-                arc = lattice.arcs_at(item.state)[item.arc_index]
-                token = arc.model_tokens[item.offset]
-                lp = model.score_token(source, item.tokens, token)
-                tokens = (*item.tokens, token)
-                if item.offset + 1 == len(arc.model_tokens):
-                    candidates.append(_LatticeItem(tokens, item.score + lp, False, arc.to_state, -1, 0))
-                else:
-                    candidates.append(
-                        _LatticeItem(tokens, item.score + lp, False, item.state, item.arc_index, item.offset + 1)
-                    )
+            scores = model.next_scores(source, tokens)
+            base = -neg
+            threshold = best[0]
+            if moves is None:
+                for token, lp in scores.items():
+                    score = base + lp
+                    if score < threshold:
+                        continue
+                    if token == EOS:
+                        candidates.append((-score, tokens, False, 0))
+                    else:
+                        candidates.append((-score, (*tokens, token), True, 0))
+                    heapq.heappushpop(best, score)
+                    threshold = best[0]
                 continue
-            for arc_index, arc in enumerate(lattice.arcs_at(item.state)):
-                token = arc.model_tokens[0]
-                lp = model.score_token(source, item.tokens, token)
-                tokens = (*item.tokens, token)
-                if len(arc.model_tokens) == 1:
-                    candidates.append(_LatticeItem(tokens, item.score + lp, False, arc.to_state, -1, 0))
+            for token, to_state in moves[state]:
+                score = base + scores.get(token, floor)
+                if score < threshold:
+                    continue
+                if state == final:
+                    candidates.append((-score, tokens, False, state))
                 else:
-                    candidates.append(_LatticeItem(tokens, item.score + lp, False, item.state, arc_index, 1))
-        candidates.sort(key=_lattice_item_key)
-        beam = candidates[: cfg.beam_width]
-    closed = sorted((it for it in beam if it.closed), key=_lattice_item_key)
-    if not closed:
-        raise DecodeError(
-            f"source {source_id}: constrained beam exhausted before reaching the final lattice state"
-        )
-    return NBestList(source_id, [Hypothesis(it.tokens, it.score) for it in closed[: cfg.nbest]])
+                    candidates.append((-score, (*tokens, token), True, to_state))
+                heapq.heappushpop(best, score)
+                threshold = best[0]
+        candidates.sort()
+        beam = candidates[:width]
+    finished = sorted(
+        (-(-neg + model.score_token(source, tokens, EOS)), tokens, False, state) if is_open
+        else (neg, tokens, False, state)
+        for neg, tokens, is_open, state in beam
+    )
+    if not finished:
+        if moves is not None:
+            raise DecodeError(
+                f"source {source_id}: constrained beam exhausted before reaching the final lattice state"
+            )
+        raise DecodeError(f"source {source_id}: no completed hypothesis within max_len {cfg.max_len}")
+    return NBestList(source_id, [Hypothesis(tokens, -neg) for neg, tokens, _, _ in finished[: cfg.nbest]])
 
 
 def two_pass_decode(

@@ -269,25 +269,27 @@ def beam_sweep(
 ) -> list[tuple[int, float]]:
     """(width, accuracy) rows under constrained decoding with oracle reranking.
 
-    One full pipeline run per width, widths strictly ascending.
+    Widths strictly ascending. Each sentence runs at every width before the
+    next one starts, so a model's per-source step cache serves all widths.
     """
     widths = [int(w) for w in widths]
     if not widths:
         raise ValueError("widths must be nonempty")
     if any(b <= a for a, b in zip(widths, widths[1:])):
         raise ValueError(f"widths must be strictly ascending, got {widths}")
-    rows = []
-    for width in widths:
-        report = evaluate_pipeline(
-            testset,
-            model,
-            pairs,
-            lexicon,
-            constrain=True,
-            rerank_mode="oracle",
-            cfg=BeamConfig(width, width, max_len),
-            segmenter=segmenter,
-            aligner=aligner,
-        )
-        rows.append((width, report.accuracy))
-    return rows
+    records: dict[int, list[EvalRecord]] = {width: [] for width in widths}
+    for sentence in testset:
+        for width in widths:
+            (outcome,) = run_pipeline(
+                [sentence],
+                model,
+                pairs,
+                lexicon,
+                constrain=True,
+                rerank_mode="oracle",
+                cfg=BeamConfig(width, width, max_len),
+                segmenter=segmenter,
+                aligner=aligner,
+            )
+            records[width].append(outcome.record)
+    return [(width, score_records(records[width]).accuracy) for width in widths]

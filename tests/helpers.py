@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from typing import NamedTuple
 
 from genderbeam.decode import EOS, Hypothesis, NBestList, ScoringModel, rescore
 from genderbeam.errors import DecodeError
@@ -81,6 +82,72 @@ def reference_beam_search(model, source, cfg, source_id=0):
     if not finished:
         raise DecodeError(f"source {source_id}: no completed hypothesis within max_len {cfg.max_len}")
     return NBestList(source_id, [Hypothesis(tokens, score) for tokens, score, _ in finished[: cfg.nbest]])
+
+
+class _LatticeItem(NamedTuple):
+    tokens: tuple
+    score: float
+    closed: bool
+    state: int
+    arc_index: int  # -1 at a state boundary, else index into arcs_at(state)
+    offset: int     # arc tokens already emitted
+
+
+def _lattice_item_key(item):
+    return (-item.score, item.tokens, not item.closed, item.state, item.arc_index, item.offset)
+
+
+def reference_constrained_beam_search(model, source, lattice, cfg, source_id=0):
+    """Full-sort reference for constrained_beam_search: items walk the arcs
+    with (state, arc_index, offset) sub-state, each child is scored with
+    score_token, and all candidates are sorted by a key function."""
+    source = tuple(source)
+    if not source:
+        raise DecodeError(f"source {source_id}: source sentence is empty")
+    model.prepare_source(source)
+    final_state = lattice.final_state
+    beam = [_LatticeItem((), 0.0, False, 0, -1, 0)]
+    while beam and any(not it.closed for it in beam):
+        candidates = []
+        for item in beam:
+            if item.closed:
+                candidates.append(item)
+                continue
+            at_final = item.state == final_state and item.arc_index < 0
+            if at_final:
+                lp = model.score_token(source, item.tokens, EOS)
+                candidates.append(item._replace(score=item.score + lp, closed=True))
+                continue
+            if len(item.tokens) >= cfg.max_len:
+                continue  # mid-lattice at the length cap: cannot become a complete path
+            if item.arc_index >= 0:
+                arc = lattice.arcs_at(item.state)[item.arc_index]
+                token = arc.model_tokens[item.offset]
+                lp = model.score_token(source, item.tokens, token)
+                tokens = (*item.tokens, token)
+                if item.offset + 1 == len(arc.model_tokens):
+                    candidates.append(_LatticeItem(tokens, item.score + lp, False, arc.to_state, -1, 0))
+                else:
+                    candidates.append(
+                        _LatticeItem(tokens, item.score + lp, False, item.state, item.arc_index, item.offset + 1)
+                    )
+                continue
+            for arc_index, arc in enumerate(lattice.arcs_at(item.state)):
+                token = arc.model_tokens[0]
+                lp = model.score_token(source, item.tokens, token)
+                tokens = (*item.tokens, token)
+                if len(arc.model_tokens) == 1:
+                    candidates.append(_LatticeItem(tokens, item.score + lp, False, arc.to_state, -1, 0))
+                else:
+                    candidates.append(_LatticeItem(tokens, item.score + lp, False, item.state, arc_index, 1))
+        candidates.sort(key=_lattice_item_key)
+        beam = candidates[: cfg.beam_width]
+    closed = sorted((it for it in beam if it.closed), key=_lattice_item_key)
+    if not closed:
+        raise DecodeError(
+            f"source {source_id}: constrained beam exhausted before reaching the final lattice state"
+        )
+    return NBestList(source_id, [Hypothesis(it.tokens, it.score) for it in closed[: cfg.nbest]])
 
 
 def random_lattice(rng, max_positions=4, max_arcs=3, multi_token=True):

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import HashScorer, oracle_nbest, random_lattice, realizations, reference_beam_search
+from helpers import (
+    HashScorer,
+    oracle_nbest,
+    random_lattice,
+    realizations,
+    reference_beam_search,
+    reference_constrained_beam_search,
+)
 
 from genderbeam.decode import (
     BOS,
@@ -16,6 +23,7 @@ from genderbeam.decode import (
     Hypothesis,
     NBestList,
     NoisyChannelToy,
+    ScoringModel,
     TableModel,
     beam_search,
     constrained_beam_search,
@@ -23,7 +31,7 @@ from genderbeam.decode import (
     two_pass_decode,
 )
 from genderbeam.errors import DecodeError, FormatError
-from genderbeam.lattice import compose_lattice
+from genderbeam.lattice import HypothesisLattice, LatticeArc, compose_lattice
 from genderbeam.morpho import FEMININE, MASCULINE, ReinflectionPairSet
 from genderbeam.segment import SubwordTable
 
@@ -224,9 +232,9 @@ def grid_table(vocab, values, salt, max_len):
     return TableModel(entries)
 
 
-def run_or_error(search, model, cfg):
+def run_or_error(search, model, *args):
     try:
-        return [(h.tokens, repr(h.loglik)) for h in search(model, ("s",), cfg)]
+        return [(h.tokens, repr(h.loglik)) for h in search(model, ("s",), *args)]
     except DecodeError as exc:
         return str(exc)
 
@@ -264,6 +272,12 @@ class TestBeamSearchMatchesReference:
         result = beam_search(model, ("s",), cfg)
         assert result == reference_beam_search(model, ("s",), cfg)
         assert result[0] == expected
+
+
+SOURCES = ("s1", "s2", "s3")
+# "c" never gets lexical support, "lexonly" never occurs in the corpus
+TARGETS = ("a", "b", "c")
+LEXICAL_LPS = (0.0, -0.0, -0.1, -0.2, -0.3, -1.5, -7.0)
 
 
 class TestNoisyChannelToy:
@@ -324,6 +338,42 @@ class TestNoisyChannelToy:
         assert beam_search(self.build(), other, BeamConfig(3, max_len=3)) == first
         assert model._step_source == SRC
         assert model._step_cache.keys() == fresh._step_cache.keys()
+
+    @settings(max_examples=300)
+    @given(
+        corpus=st.lists(st.lists(st.sampled_from(TARGETS), max_size=5), max_size=6),
+        lexical=st.dictionaries(
+            st.sampled_from(SOURCES),
+            st.dictionaries(st.sampled_from((*TARGETS, "lexonly", EOS)), st.sampled_from(LEXICAL_LPS),
+                            max_size=4),
+            max_size=3,
+        ),
+        source=st.lists(st.sampled_from(SOURCES), min_size=1, max_size=3),
+        prev=st.sampled_from((BOS, *TARGETS, "unseen")),
+    )
+    def test_step_map_is_bit_exact(self, corpus, lexical, source, prev):
+        """next_scores equals, value by value and in order, best lexical plus
+        log((count + 1) / (context + V)) counted straight from the corpus."""
+        bigrams, contexts, vocab = {}, {}, set()
+        for line in corpus:
+            vocab.update(line)
+            for pair in zip((BOS, *line), (*line, EOS)):
+                bigrams[pair] = bigrams.get(pair, 0) + 1
+                contexts[pair[0]] = contexts.get(pair[0], 0) + 1
+        denom = contexts.get(prev, 0) + len(vocab) + 1
+        best = {}
+        for word in source:
+            for target, lp in lexical.get(word, {}).items():
+                if target not in best or lp > best[target]:
+                    best[target] = lp
+        naive = {t: lp + math.log((bigrams.get((prev, t), 0) + 1) / denom) for t, lp in best.items()}
+        naive[EOS] = math.log((bigrams.get((prev, EOS), 0) + 1) / denom)
+        model = NoisyChannelToy(lexical, corpus)
+        scores = model.next_scores(source, () if prev == BOS else ("x", prev))
+        assert [(t, repr(lp)) for t, lp in scores.items()] == [(t, repr(lp)) for t, lp in naive.items()]
+        for token in (*TARGETS, EOS):
+            assert repr(model.bigram_logprob(prev, token)) == repr(
+                math.log((bigrams.get((prev, token), 0) + 1) / denom))
 
 
 class TestConstrainedSearch:
@@ -403,6 +453,74 @@ class TestConstrainedSearch:
         constrained = constrained_beam_search(model, ("s",), permissive, cfg)
         unconstrained = beam_search(model, ("s",), cfg)
         assert constrained == unconstrained
+
+
+# Lattice tokens are drawn from a small alphabet, so arcs at one position
+# share first tokens, whole token sequences, and prefixes with arcs of
+# other lengths; "c" is outside the scorer's vocabulary and always floors.
+LATTICE_TOKENS = ("a", "b", "c")
+
+
+class GridScorer(ScoringModel):
+    """Step maps over ("a", "b", EOS) picked from a value grid by a hash of
+    (salt, prefix, token); None leaves the token out, so it scores the floor."""
+
+    def __init__(self, values, salt):
+        self.values, self.salt = values, salt
+
+    def next_scores(self, source, prefix):
+        scores = {}
+        for token in ("a", "b", EOS):
+            pick = self.values[zlib.crc32(f"{self.salt}|{' '.join(prefix)}|{token}".encode()) % len(self.values)]
+            if pick is not None:
+                scores[token] = pick
+        return scores
+
+
+@st.composite
+def token_lattices(draw):
+    arcs = []
+    for position in range(draw(st.integers(1, 3))):
+        for variant in range(draw(st.integers(1, 3))):
+            tokens = draw(st.lists(st.sampled_from(LATTICE_TOKENS), min_size=1, max_size=3))
+            arcs.append(LatticeArc(position, position + 1, f"w{position}v{variant}", tuple(tokens)))
+    return HypothesisLattice(arcs)
+
+
+class TestConstrainedSearchMatchesReference:
+    @settings(max_examples=500)
+    @given(
+        lattice=token_lattices(),
+        values=st.lists(st.sampled_from(SCORE_GRID), min_size=1, max_size=6),
+        salt=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_equals_arc_walking_reference(self, lattice, values, salt, data):
+        shortest = sum(min(len(arc.model_tokens) for arc in lattice.arcs_at(i))
+                       for i in range(lattice.num_positions))
+        longest = sum(max(len(arc.model_tokens) for arc in lattice.arcs_at(i))
+                      for i in range(lattice.num_positions))
+        width = data.draw(st.integers(1, lattice.path_count + 1))
+        max_len = data.draw(st.integers(max(1, shortest - 1), longest + 1))
+        cfg = BeamConfig(width, data.draw(st.integers(1, width)), max_len)
+        model = GridScorer(values, salt)
+        assert (run_or_error(constrained_beam_search, model, lattice, cfg)
+                == run_or_error(reference_constrained_beam_search, model, lattice, cfg))
+
+    def test_shared_prefix_ties_break_by_state(self):
+        # every token scores the floor, so the first "a" of arcs p and q
+        # ties; p's inner state is numbered first, so it wins width 1 and
+        # the result is the shorter, better path
+        lattice = HypothesisLattice([
+            LatticeArc(0, 1, "p", ("a", "x")),
+            LatticeArc(0, 1, "q", ("a", "x", "b")),
+            LatticeArc(1, 2, "r", ("a",)),
+        ])
+        model = TableModel({}, floor=-1.0)
+        for width in (1, 2, 3):
+            cfg = BeamConfig(width, 1)
+            result = constrained_beam_search(model, ("s",), lattice, cfg)
+            assert result == reference_constrained_beam_search(model, ("s",), lattice, cfg)
 
 
 class TestTwoPass:

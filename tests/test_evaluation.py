@@ -1,6 +1,7 @@
 """Metric arithmetic and end-to-end pipeline behavior."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from genderbeam.morpho import (
     build_reinflection_pairs,
 )
 from genderbeam.rerank import AlignmentMap, EntitySpec, NearestPrecedingNounResolver, rerank
+from genderbeam.synth import build_benchmark
 
 
 def record(sent_id, gold, predicted):
@@ -288,6 +290,28 @@ class TestBeamSweep:
             [fem_row()], doctor_model(), DOCTOR_PAIRS, DOCTOR_LEXICON, [1, 2], max_len=8
         )
         assert rows == [(1, 0.0), (2, 1.0)]
+
+    def test_each_step_built_once_across_widths(self, monkeypatch):
+        bench = build_benchmark(0)
+        testset, widths = bench.testset[:6], [2, 4, 8]
+        expected = [
+            (width, evaluate_pipeline(testset, build_benchmark(0).model, bench.pairs, bench.lexicon,
+                                      constrain=True, rerank_mode="oracle",
+                                      cfg=BeamConfig(width, width, 16)).accuracy)
+            for width in widths
+        ]
+        model, builds = bench.model, Counter()
+        build_step = model._build_step
+
+        def counting(prev):
+            builds[(model._step_source, prev)] += 1
+            return build_step(prev)
+
+        monkeypatch.setattr(model, "_build_step", counting)
+        rows = beam_sweep(testset, model, bench.pairs, bench.lexicon, widths, max_len=16)
+        assert rows == expected
+        assert len({source for source, _ in builds}) == len(testset)
+        assert set(builds.values()) == {1}
 
     def test_widths_must_ascend(self):
         args = ([fem_row()], doctor_model(), DOCTOR_PAIRS, DOCTOR_LEXICON)

@@ -6,190 +6,24 @@ constrained beam search over the lattice to get an n-best list of gendered
 variants, then pick the variant whose gendered words agree with the entities
 required by the source sentence. Evaluation utilities score gender accuracy
 and the masculine/feminine F1 gap on labelled test sets.
+
+The package root exports the names of the README's Python API example;
+everything else is imported from its submodule, e.g. genderbeam.evaluation
+or genderbeam.formats.
 """
 
-from .decode import (
-    BOS,
-    EOS,
-    BeamConfig,
-    Hypothesis,
-    NBestList,
-    NoisyChannelToy,
-    ScoringModel,
-    TableModel,
-    beam_search,
-    constrained_beam_search,
-    rescore,
-    two_pass_decode,
-)
-from .errors import (
-    DecodeError,
-    FormatError,
-    GenderBeamError,
-    LatticeError,
-    LexiconError,
-    PairSetError,
-    PatternError,
-    RerankError,
-)
-from .evaluation import (
-    EvalRecord,
-    MetricReport,
-    PipelineOutcome,
-    TestSentence,
-    beam_sweep,
-    diagonal_aligner,
-    evaluate_pipeline,
-    extract_predicted_gender,
-    label_f1,
-    run_pipeline,
-    score_records,
-)
-from .formats import (
-    parse_alignments,
-    parse_nbest,
-    read_entities,
-    read_pronoun_table,
-    read_sentences,
-    read_testset,
-    read_word_list,
-    write_alignments,
-    write_entities,
-    write_nbest,
-    write_testset,
-)
-from .lattice import (
-    HypothesisLattice,
-    LatticeArc,
-    compose_lattice,
-    deserialize_lattice,
-    enumerate_paths,
-    iter_paths,
-    serialize_lattice,
-)
-from .morpho import (
-    BUILTIN_LABELS,
-    FEMININE,
-    MASCULINE,
-    NEUTER,
-    NONE,
-    GenderLabel,
-    GenderLexicon,
-    LexiconEntry,
-    PlaceholderPattern,
-    ReinflectionPairSet,
-    analyze_gender,
-    build_reinflection_pairs,
-    load_lexicon,
-    read_pairs,
-    read_patterns,
-    register_placeholder_patterns,
-    write_lexicon,
-    write_pairs,
-    write_patterns,
-)
-from .rerank import (
-    AlignmentMap,
-    CoreferenceResolver,
-    EntitySpec,
-    NearestPrecedingNounResolver,
-    RerankResult,
-    agreement_score,
-    get_entity,
-    inject_placeholder,
-    pronoun_and_gender,
-    rerank,
-    rerank_named_entity,
-)
-from .segment import Segmenter, SubwordTable, WholeWordSegmenter
-from .synth import SynthBenchmark, build_benchmark, write_benchmark
+from .decode import BeamConfig, TableModel, two_pass_decode
+from .morpho import FEMININE, MASCULINE, GenderLexicon, LexiconEntry, build_reinflection_pairs
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOS",
-    "BUILTIN_LABELS",
-    "EOS",
     "FEMININE",
     "MASCULINE",
-    "NEUTER",
-    "NONE",
-    "AlignmentMap",
     "BeamConfig",
-    "CoreferenceResolver",
-    "DecodeError",
-    "EntitySpec",
-    "EvalRecord",
-    "FormatError",
-    "GenderBeamError",
-    "GenderLabel",
     "GenderLexicon",
-    "Hypothesis",
-    "HypothesisLattice",
-    "LatticeArc",
-    "LatticeError",
     "LexiconEntry",
-    "LexiconError",
-    "MetricReport",
-    "NBestList",
-    "NearestPrecedingNounResolver",
-    "NoisyChannelToy",
-    "PairSetError",
-    "PatternError",
-    "PipelineOutcome",
-    "PlaceholderPattern",
-    "ReinflectionPairSet",
-    "RerankError",
-    "RerankResult",
-    "ScoringModel",
-    "Segmenter",
-    "SubwordTable",
-    "SynthBenchmark",
     "TableModel",
-    "TestSentence",
-    "WholeWordSegmenter",
-    "agreement_score",
-    "analyze_gender",
-    "beam_search",
-    "beam_sweep",
-    "build_benchmark",
     "build_reinflection_pairs",
-    "compose_lattice",
-    "constrained_beam_search",
-    "deserialize_lattice",
-    "diagonal_aligner",
-    "enumerate_paths",
-    "evaluate_pipeline",
-    "extract_predicted_gender",
-    "get_entity",
-    "inject_placeholder",
-    "iter_paths",
-    "label_f1",
-    "load_lexicon",
-    "parse_alignments",
-    "parse_nbest",
-    "pronoun_and_gender",
-    "read_entities",
-    "read_pairs",
-    "read_patterns",
-    "read_pronoun_table",
-    "read_sentences",
-    "read_testset",
-    "read_word_list",
-    "register_placeholder_patterns",
-    "rerank",
-    "rerank_named_entity",
-    "rescore",
-    "run_pipeline",
-    "score_records",
-    "serialize_lattice",
     "two_pass_decode",
-    "write_alignments",
-    "write_benchmark",
-    "write_entities",
-    "write_lexicon",
-    "write_nbest",
-    "write_pairs",
-    "write_patterns",
-    "write_testset",
 ]

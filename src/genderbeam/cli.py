@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from .decode import BeamConfig, NBestList, NoisyChannelToy, TableModel, beam_search, two_pass_decode
-from .errors import GenderBeamError
-from .evaluation import MetricReport, beam_sweep, evaluate_pipeline
+from .errors import FormatError, GenderBeamError
+from .evaluation import MetricReport, beam_sweep, run_pipeline, score_records
 from .formats import (
     parse_alignments,
     parse_nbest,
@@ -97,16 +97,24 @@ def _cmd_lattice(args) -> int:
     return 0
 
 
+def _decode_file(args, decode) -> int:
+    """Run decode(source, sent_id) on each sentence of --src; ids are 0-based
+    line numbers and blank lines get no row."""
+    lists, blank = [], 0
+    for sent_id, source in enumerate(read_sentences(args.src)):
+        if source:
+            lists.append(decode(source, sent_id))
+        else:
+            blank += 1
+    write_nbest(lists, args.out)
+    print(f"decoded {len(lists)} sentences to {args.out}, skipped {blank} blank lines")
+    return 0
+
+
 def _cmd_decode(args) -> int:
     model = _load_model(args)
     cfg = _beam_config(args)
-    lists = {
-        sent_id: beam_search(model, source, cfg, source_id=sent_id)
-        for sent_id, source in enumerate(read_sentences(args.src))
-    }
-    write_nbest(lists.values(), args.out)
-    print(f"decoded {len(lists)} sentences to {args.out}")
-    return 0
+    return _decode_file(args, lambda source, sent_id: beam_search(model, source, cfg, source_id=sent_id))
 
 
 def _cmd_two_pass(args) -> int:
@@ -114,13 +122,8 @@ def _cmd_two_pass(args) -> int:
     pairs = _load_pairs(args)
     lexicon = _load_lexicon(args) if args.lexicon is not None else None
     cfg = _beam_config(args)
-    lists = {
-        sent_id: two_pass_decode(model, source, pairs, None, cfg, cfg, lexicon=lexicon, source_id=sent_id)
-        for sent_id, source in enumerate(read_sentences(args.src))
-    }
-    write_nbest(lists.values(), args.out)
-    print(f"decoded {len(lists)} sentences to {args.out}")
-    return 0
+    return _decode_file(args, lambda source, sent_id: two_pass_decode(
+        model, source, pairs, None, cfg, cfg, lexicon=lexicon, source_id=sent_id))
 
 
 def _cmd_rerank(args) -> int:
@@ -128,19 +131,21 @@ def _cmd_rerank(args) -> int:
     alignments = parse_alignments(args.align)
     entities = read_entities(args.entities)
     lexicon = _load_lexicon(args)
-    empty = AlignmentMap(())
-    selected: dict[int, NBestList] = {}
+    no_links = AlignmentMap(())
+    selected: list[NBestList] = []
     for sent_id in sorted(lists):
         nbest = lists[sent_id]
         specs = entities.get(sent_id, [])
-        if not specs:
-            # no entity evidence for this sentence: keep the likelihood winner
-            selected[sent_id] = NBestList(sent_id, [nbest[0]])
-            continue
-        aligns = [alignments.get((sent_id, rank), empty) for rank in range(len(nbest))]
+        # with no entities every agreement score is 0, so no alignment is read
+        try:
+            aligns = ([alignments[sent_id, rank] for rank in range(len(nbest))] if specs
+                      else [no_links] * len(nbest))
+        except KeyError as exc:
+            raise FormatError(f"{args.align}: no alignment for sent_id {sent_id} "
+                              f"rank {exc.args[0][1]}") from None
         result = rerank(nbest, aligns, specs, lexicon)
-        selected[sent_id] = NBestList(sent_id, [result.selected_hypothesis])
-    write_nbest(selected.values(), args.out)
+        selected.append(NBestList(sent_id, [result.selected_hypothesis]))
+    write_nbest(selected, args.out)
     print(f"selected 1 hypothesis for each of {len(selected)} sentences to {args.out}")
     return 0
 
@@ -158,11 +163,12 @@ def _write_report(report: MetricReport, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _load_eval_inputs(args):
+    return read_testset(args.testset), _load_model(args), _load_pairs(args), _load_lexicon(args)
+
+
 def _cmd_eval(args) -> int:
-    testset = read_testset(args.testset)
-    model = _load_model(args)
-    pairs = _load_pairs(args)
-    lexicon = _load_lexicon(args)
+    testset, model, pairs, lexicon = _load_eval_inputs(args)
     extra = {}
     if args.rerank == "inferred":
         if args.pronouns is None or args.nouns is None:
@@ -171,13 +177,14 @@ def _cmd_eval(args) -> int:
             "pronoun_table": read_pronoun_table(args.pronouns),
             "resolver": NearestPrecedingNounResolver(read_word_list(args.nouns)),
         }
-    report = evaluate_pipeline(
+    outcomes = run_pipeline(
         testset, model, pairs, lexicon,
         constrain=args.constrain == "on",
         rerank_mode=args.rerank,
         cfg=_beam_config(args),
         **extra,
     )
+    report = score_records([outcome.record for outcome in outcomes])
     _write_report(report, args.report)
     print(f"sentences: {len(testset)}")
     for name in ("accuracy", "f1_masculine", "f1_feminine", "delta_g"):
@@ -186,10 +193,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    testset = read_testset(args.testset)
-    model = _load_model(args)
-    pairs = _load_pairs(args)
-    lexicon = _load_lexicon(args)
+    testset, model, pairs, lexicon = _load_eval_inputs(args)
     widths = [int(field) for field in args.widths.split(",") if field.strip()]
     rows = beam_sweep(testset, model, pairs, lexicon, widths, max_len=args.max_len)
     lines = ["beam_width,accuracy"]
@@ -230,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     decode_p = sub.add_parser("decode", help="unconstrained beam search over a source file")
     _add_model_flags(decode_p)
-    decode_p.add_argument("--src", required=True, help="one tokenized sentence per line")
+    decode_p.add_argument("--src", required=True, help="one tokenized sentence per line; ids are 0-based line numbers")
     _add_beam_flags(decode_p)
     decode_p.add_argument("--out", required=True)
     decode_p.set_defaults(handler=_cmd_decode)
@@ -238,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     two_pass_p = sub.add_parser("two-pass", help="1-best decode, then constrained search over its gendered lattice")
     _add_model_flags(two_pass_p)
     two_pass_p.add_argument("--pairs", required=True)
-    two_pass_p.add_argument("--src", required=True, help="one tokenized sentence per line")
+    two_pass_p.add_argument("--src", required=True, help="one tokenized sentence per line; ids are 0-based line numbers")
     two_pass_p.add_argument("--lexicon", default=None, help="optional, analyzes identity-arc gender")
     _add_patterns_flag(two_pass_p)
     _add_beam_flags(two_pass_p)

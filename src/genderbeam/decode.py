@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import unicodedata
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DecodeError, FormatError
 from .lattice import HypothesisLattice, compose_lattice
-from .morpho import GenderLexicon, ReinflectionPairSet
+from .morpho import GenderLexicon, ReinflectionPairSet, read_rows, read_sentences
 from .segment import Segmenter, WholeWordSegmenter
 
 BOS = "<s>"
@@ -41,6 +40,13 @@ def _check_logprob(value: float, where: str) -> float:
     if not math.isfinite(value) or value > 0:
         raise ValueError(f"{where}: log probability must be finite and <= 0, got {value}")
     return value
+
+
+def _parse_logprob(text: str, path, lineno: int) -> float:
+    try:
+        return _check_logprob(float(text), f"{path}:{lineno}")
+    except ValueError as exc:
+        raise FormatError(f"{path}:{lineno}: bad logprob {text!r}") from exc
 
 
 class ScoringModel(ABC):
@@ -106,22 +112,9 @@ class TableModel(ScoringModel):
     @classmethod
     def from_file(cls, path: str | Path, floor: float = DEFAULT_FLOOR) -> "TableModel":
         """Parse lines `source_key ||| prefix_key ||| token ||| logprob`."""
-        path = Path(path)
         rows: list[tuple[str, str, str, float]] = []
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = unicodedata.normalize("NFC", raw.rstrip("\n"))
-                if not line.strip() or line.startswith("#"):
-                    continue
-                fields = line.split(" ||| ")
-                if len(fields) != 4:
-                    raise FormatError(f"{path}:{lineno}: expected 4 '|||'-separated fields")
-                source_key, prefix_key, token, raw_lp = fields
-                try:
-                    lp = _check_logprob(float(raw_lp), f"{path}:{lineno}")
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: bad logprob {raw_lp!r}") from exc
-                rows.append((source_key, prefix_key, token, lp))
+        for lineno, (source_key, prefix_key, token, raw_lp) in read_rows(path, " ||| ", 4, FormatError):
+            rows.append((source_key, prefix_key, token, _parse_logprob(raw_lp, path, lineno)))
         return cls.from_rows(rows, floor=floor)
 
     def next_scores(self, source: Sequence[str], prefix: Sequence[str]) -> Mapping[str, float]:
@@ -182,29 +175,10 @@ class NoisyChannelToy(ScoringModel):
     def from_files(cls, lexical_path: str | Path, corpus_path: str | Path,
                    floor: float = DEFAULT_FLOOR) -> "NoisyChannelToy":
         """Lexical TSV `src<TAB>tgt<TAB>logprob` plus a plain-text target corpus."""
-        lexical_path = Path(lexical_path)
         lexical: dict[str, dict[str, float]] = {}
-        with open(lexical_path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = unicodedata.normalize("NFC", raw.rstrip("\n"))
-                if not line.strip() or line.startswith("#"):
-                    continue
-                columns = line.split("\t")
-                if len(columns) != 3:
-                    raise FormatError(f"{lexical_path}:{lineno}: expected 3 tab-separated columns")
-                source, target, raw_lp = columns
-                try:
-                    lp = _check_logprob(float(raw_lp), f"{lexical_path}:{lineno}")
-                except ValueError as exc:
-                    raise FormatError(f"{lexical_path}:{lineno}: bad logprob {raw_lp!r}") from exc
-                lexical.setdefault(source, {})[target] = lp
-        corpus: list[tuple[str, ...]] = []
-        with open(corpus_path, encoding="utf-8") as handle:
-            for raw in handle:
-                tokens = unicodedata.normalize("NFC", raw).split()
-                if tokens:
-                    corpus.append(tuple(tokens))
-        return cls(lexical, corpus, floor=floor)
+        for lineno, (source, target, raw_lp) in read_rows(lexical_path, "\t", 3, FormatError):
+            lexical.setdefault(source, {})[target] = _parse_logprob(raw_lp, lexical_path, lineno)
+        return cls(lexical, filter(None, read_sentences(corpus_path)), floor=floor)
 
     def bigram_logprob(self, prev: str, token: str) -> float:
         count = self._followers.get(prev, {}).get(token, 0)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .decode import BeamConfig, NBestList, ScoringModel, beam_search, two_pass_decode
 from .morpho import (
@@ -29,11 +29,8 @@ from .rerank import (
     pronoun_and_gender,
     rerank,
 )
-from .segment import Segmenter
 
 RERANK_MODES = ("off", "oracle", "inferred")
-
-Aligner = Callable[[Sequence[str], Sequence[str]], Iterable[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -163,6 +160,8 @@ def _entities_for(
     pronoun_table: Mapping[str, GenderLabel] | None,
     resolver: CoreferenceResolver | None,
 ) -> list[EntitySpec]:
+    if mode == "off":
+        return []
     if mode == "oracle":
         return [EntitySpec(sentence.trigger_index, sentence.gold_gender, sentence.entity_indices)]
     assert mode == "inferred" and pronoun_table is not None and resolver is not None
@@ -183,15 +182,15 @@ def run_pipeline(
     constrain: bool,
     rerank_mode: str,
     cfg: BeamConfig,
-    segmenter: Segmenter | None = None,
-    aligner: Aligner = diagonal_aligner,
     pronoun_table: Mapping[str, GenderLabel] | None = None,
     resolver: CoreferenceResolver | None = None,
 ) -> list[PipelineOutcome]:
-    """Decode, optionally rerank, and extract a predicted gender per sentence.
+    """Decode, rerank, and extract a predicted gender per sentence.
 
-    The prediction always uses the test row's own entity indices, whatever
+    Rerank mode "off" reranks with no entities, which keeps the 1-best. The
+    prediction always uses the test row's own entity indices, whatever
     evidence the reranker ran on, so modes stay comparable record for record.
+    Score the records with score_records.
     """
     if rerank_mode not in RERANK_MODES:
         raise ValueError(f"rerank mode must be one of {RERANK_MODES}, got {rerank_mode!r}")
@@ -201,59 +200,20 @@ def run_pipeline(
     for sentence in testset:
         if constrain:
             nbest = two_pass_decode(
-                model,
-                sentence.source,
-                pairs,
-                segmenter,
-                cfg,
-                cfg,
-                lexicon=lexicon,
-                source_id=sentence.sent_id,
+                model, sentence.source, pairs, None, cfg, cfg,
+                lexicon=lexicon, source_id=sentence.sent_id,
             )
         else:
             nbest = beam_search(model, sentence.source, cfg, source_id=sentence.sent_id)
-        alignments = [AlignmentMap(aligner(sentence.source, hyp.tokens)) for hyp in nbest]
-        if rerank_mode == "off":
-            selected = 0
-        else:
-            entities = _entities_for(sentence, rerank_mode, pronoun_table, resolver)
-            selected = rerank(nbest, alignments, entities, lexicon).selected_index
+        alignments = [AlignmentMap(diagonal_aligner(sentence.source, hyp.tokens)) for hyp in nbest]
+        entities = _entities_for(sentence, rerank_mode, pronoun_table, resolver)
+        selected = rerank(nbest, alignments, entities, lexicon).selected_index
         predicted = extract_predicted_gender(
             nbest[selected].tokens, alignments[selected], sentence.entity_indices, lexicon
         )
         record = EvalRecord(sentence.sent_id, sentence.gold_gender, predicted)
         outcomes.append(PipelineOutcome(record, nbest, selected))
     return outcomes
-
-
-def evaluate_pipeline(
-    testset: Sequence[TestSentence],
-    model: ScoringModel,
-    pairs: ReinflectionPairSet,
-    lexicon: GenderLexicon,
-    *,
-    constrain: bool,
-    rerank_mode: str,
-    cfg: BeamConfig,
-    segmenter: Segmenter | None = None,
-    aligner: Aligner = diagonal_aligner,
-    pronoun_table: Mapping[str, GenderLabel] | None = None,
-    resolver: CoreferenceResolver | None = None,
-) -> MetricReport:
-    outcomes = run_pipeline(
-        testset,
-        model,
-        pairs,
-        lexicon,
-        constrain=constrain,
-        rerank_mode=rerank_mode,
-        cfg=cfg,
-        segmenter=segmenter,
-        aligner=aligner,
-        pronoun_table=pronoun_table,
-        resolver=resolver,
-    )
-    return score_records([outcome.record for outcome in outcomes])
 
 
 def beam_sweep(
@@ -264,8 +224,6 @@ def beam_sweep(
     widths: Sequence[int],
     *,
     max_len: int = 128,
-    segmenter: Segmenter | None = None,
-    aligner: Aligner = diagonal_aligner,
 ) -> list[tuple[int, float]]:
     """(width, accuracy) rows under constrained decoding with oracle reranking.
 
@@ -288,8 +246,6 @@ def beam_sweep(
                 constrain=True,
                 rerank_mode="oracle",
                 cfg=BeamConfig(width, width, max_len),
-                segmenter=segmenter,
-                aligner=aligner,
             )
             records[width].append(outcome.record)
     return [(width, score_records(records[width]).accuracy) for width in widths]

@@ -2,38 +2,24 @@
 
 These files are the stage boundaries of the pipeline, so external tools
 (real translation systems, aligners, coreference models) can replace any
-built-in stage. All readers normalize to NFC; errors carry path and
-1-based line number.
+built-in stage. Every reader goes through the line rule in `morpho`: NFC,
+blank lines and `#` comments skipped, errors carrying path and 1-based line
+number. Plain-text sentence files are read by `read_sentences`, which has
+no comment syntax.
 """
 
 from __future__ import annotations
 
 import math
-import unicodedata
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .decode import Hypothesis, NBestList
 from .errors import FormatError, GenderBeamError
 from .evaluation import TestSentence
-from .morpho import GenderLabel
+from .morpho import GenderLabel, data_lines, read_rows, read_sentences
 from .rerank import AlignmentMap, EntitySpec
 
 NBEST_SEPARATOR = " ||| "
-
-
-def read_text(path) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return unicodedata.normalize("NFC", handle.read())
-
-
-def _data_lines(path) -> Iterator[tuple[int, str]]:
-    """(lineno, line) pairs, NFC-normalized, blank and #-comment lines skipped."""
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = unicodedata.normalize("NFC", raw.rstrip("\n"))
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield lineno, line
 
 
 def _parse_int(text: str, path, lineno: int, what: str) -> int:
@@ -46,13 +32,7 @@ def _parse_int(text: str, path, lineno: int, what: str) -> int:
 def parse_nbest(path) -> dict[int, NBestList]:
     """Moses-style lines `sent_id ||| token sequence ||| loglik`, grouped by id."""
     groups: dict[int, list[Hypothesis]] = {}
-    for lineno, line in _data_lines(path):
-        fields = line.split(NBEST_SEPARATOR)
-        if len(fields) != 3:
-            raise FormatError(
-                f"{path}:{lineno}: expected 3 fields separated by '{NBEST_SEPARATOR}', "
-                f"got {len(fields)}"
-            )
+    for lineno, fields in read_rows(path, NBEST_SEPARATOR, 3, FormatError):
         sent_id = _parse_int(fields[0].strip(), path, lineno, "sent_id")
         tokens = tuple(fields[1].split())
         try:
@@ -79,10 +59,7 @@ def write_nbest(lists: Iterable[NBestList], path) -> None:
 def parse_alignments(path) -> dict[tuple[int, int], AlignmentMap]:
     """Pharaoh lines `sent_id<TAB>hyp_rank<TAB>0-0 1-2 ...`; links deduplicated."""
     result: dict[tuple[int, int], AlignmentMap] = {}
-    for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+    for lineno, fields in read_rows(path, "\t", 3, FormatError):
         sent_id = _parse_int(fields[0], path, lineno, "sent_id")
         rank = _parse_int(fields[1], path, lineno, "hyp_rank")
         links = []
@@ -119,10 +96,7 @@ def read_entities(path) -> dict[int, list[EntitySpec]]:
     lines per sentence accumulate in file order.
     """
     result: dict[int, list[EntitySpec]] = {}
-    for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise FormatError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
+    for lineno, fields in read_rows(path, "\t", 4, FormatError):
         sent_id = _parse_int(fields[0], path, lineno, "sent_id")
         trigger = None if fields[2] == "-" else _parse_int(fields[2], path, lineno, "trigger_index")
         indices = _parse_indices(fields[3], path, lineno)
@@ -146,10 +120,7 @@ def write_entities(entities: Mapping[int, Sequence[EntitySpec]], path) -> None:
 def read_pronoun_table(path) -> dict[str, GenderLabel]:
     """Pronoun-to-gender TSV `pronoun<TAB>gender`; later rows win on repeats."""
     table: dict[str, GenderLabel] = {}
-    for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}")
+    for lineno, fields in read_rows(path, "\t", 2, FormatError):
         try:
             table[fields[0]] = GenderLabel(fields[1])
         except (GenderBeamError, ValueError) as exc:
@@ -159,24 +130,13 @@ def read_pronoun_table(path) -> dict[str, GenderLabel]:
 
 def read_word_list(path) -> tuple[str, ...]:
     """One word per data line; used for known-noun lists."""
-    return tuple(line.strip() for _, line in _data_lines(path))
-
-
-def read_sentences(path) -> list[tuple[str, ...]]:
-    """One whitespace-tokenized sentence per data line.
-
-    Sentence ids are assigned by data-line order, starting at 0.
-    """
-    return [tuple(line.split()) for _, line in _data_lines(path)]
+    return tuple(line.strip() for _, line in data_lines(path))
 
 
 def read_testset(path) -> list[TestSentence]:
     """Rows `sent_id<TAB>gold_gender<TAB>source sentence<TAB>trigger<TAB>i,j,...`."""
     sentences = []
-    for lineno, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise FormatError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(fields)}")
+    for lineno, fields in read_rows(path, "\t", 5, FormatError):
         sent_id = _parse_int(fields[0], path, lineno, "sent_id")
         trigger = None if fields[3] == "-" else _parse_int(fields[3], path, lineno, "trigger_index")
         indices = _parse_indices(fields[4], path, lineno)

@@ -4,6 +4,7 @@ The lexicon is surface-form based: each entry ties one surface form to a
 lemma, an opaque feature string, and a gender label. Reinflection pairs are
 derived from entries that share (lemma, features) but differ in gender.
 Placeholder patterns extend gender lookup to tokens absent from the lexicon.
+The line readers that every file format shares are here too.
 """
 
 from __future__ import annotations
@@ -232,14 +233,42 @@ def register_placeholder_patterns(
     return GenderLexicon(lexicon.all_entries(), lexicon.patterns + tuple(patterns))
 
 
-def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
-    # NFC on read: reinflections often differ only in accented characters.
+# The line rule of every file the package reads lives here because morpho
+# imports no other package module, so decode and formats can both use it.
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """(lineno, line) for every line of a UTF-8 file, counted from 1, without
+    its newline and NFC-normalized: reinflections often differ only in
+    accented characters."""
     with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = unicodedata.normalize("NFC", raw.rstrip("\n"))
-            if not line.strip() or line.startswith("#"):
-                continue
+        for lineno, raw in enumerate(handle, 1):
+            yield lineno, unicodedata.normalize("NFC", raw.rstrip("\n"))
+
+
+def data_lines(path) -> Iterator[tuple[int, str]]:
+    """read_lines of an annotated file: blank lines and lines whose first
+    non-blank character is '#' are skipped."""
+    for lineno, line in read_lines(path):
+        if line.strip() and not line.lstrip().startswith("#"):
             yield lineno, line
+
+
+def read_rows(path, sep: str, count: int, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
+    """(lineno, fields) for each data line split on sep; a line with other
+    than count fields raises error naming path and line."""
+    name = "tab" if sep == "\t" else f"'{sep.strip()}'"
+    for lineno, line in data_lines(path):
+        fields = line.split(sep)
+        if len(fields) != count:
+            raise error(f"{path}:{lineno}: expected {count} {name}-separated fields, got {len(fields)}")
+        yield lineno, fields
+
+
+def read_sentences(path) -> Iterator[tuple[str, ...]]:
+    """The whitespace tokens of each line of a plain-text sentence file, in
+    line order, so a sentence's id is its 0-based line number; a blank line
+    yields the empty tuple. Plain text has no comment syntax."""
+    for _, line in read_lines(path):
+        yield tuple(line.split())
 
 
 def _parse_gender(tag: str, allowed: frozenset[str], where: str) -> GenderLabel:
@@ -251,18 +280,13 @@ def _parse_gender(tag: str, allowed: frozenset[str], where: str) -> GenderLabel:
 def load_lexicon(path: str | Path, user_labels: Iterable[str] = ()) -> GenderLexicon:
     """Load a lexicon TSV: surface<TAB>lemma<TAB>features<TAB>gender.
 
-    Lines starting with '#' and blank lines are skipped. Gender tags outside
-    the built-ins must be declared via user_labels.
+    Gender tags outside the built-ins must be declared via user_labels.
     """
     path = Path(path)
     allowed = _allowed_tags(user_labels)
     entries: list[LexiconEntry] = []
     lemma_for: dict[tuple[str, str, GenderLabel], tuple[str, int]] = {}
-    for lineno, line in _data_lines(path):
-        columns = line.split("\t")
-        if len(columns) != 4:
-            raise LexiconError(f"{path}:{lineno}: expected 4 tab-separated columns, got {len(columns)}")
-        surface, lemma, features, tag = columns
+    for lineno, (surface, lemma, features, tag) in read_rows(path, "\t", 4, LexiconError):
         gender = _parse_gender(tag, allowed, f"{path}:{lineno}")
         try:
             entry = LexiconEntry(surface, lemma, features, gender)
@@ -293,11 +317,7 @@ def read_pairs(path: str | Path, user_labels: Iterable[str] = ()) -> Reinflectio
     path = Path(path)
     allowed = _allowed_tags(user_labels)
     pairs: set[tuple[str, str, GenderLabel]] = set()
-    for lineno, line in _data_lines(path):
-        columns = line.split("\t")
-        if len(columns) != 3:
-            raise PairSetError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(columns)}")
-        source, target, tag = columns
+    for lineno, (source, target, tag) in read_rows(path, "\t", 3, PairSetError):
         try:
             gender = _parse_gender(tag, allowed, f"{path}:{lineno}")
         except LexiconError as exc:
@@ -320,11 +340,7 @@ def read_patterns(path: str | Path) -> tuple[PlaceholderPattern, ...]:
     """
     path = Path(path)
     patterns: list[PlaceholderPattern] = []
-    for lineno, line in _data_lines(path):
-        columns = line.split("\t")
-        if len(columns) != 3:
-            raise PatternError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(columns)}")
-        kind, text, tag = columns
+    for lineno, (kind, text, tag) in read_rows(path, "\t", 3, PatternError):
         try:
             patterns.append(PlaceholderPattern(kind, text, GenderLabel(tag)))
         except (PatternError, ValueError) as exc:

@@ -176,7 +176,6 @@ def inject_placeholder(nbest: NBestList, placeholder: Sequence[str]) -> NBestLis
 def rerank_named_entity(
     nbest: NBestList,
     alignments: Sequence[AlignmentMap],
-    mention_indices: Iterable[int],
     coref_indices: Iterable[int],
     known_gender: GenderLabel,
     lexicon: GenderLexicon,
@@ -184,11 +183,9 @@ def rerank_named_entity(
     """Rerank with an externally known gender for a named entity.
 
     Agreement is scored on the coreferent words (relative pronouns and the
-    like); mention_indices records where the name itself sits and is kept for
-    reporting only, since the name's tokens are identical in every hypothesis
+    like), not on the name, whose tokens are identical in every hypothesis
     and cannot discriminate. Empty coref_indices degrades to loglik selection.
     """
-    del mention_indices
     coref = frozenset(coref_indices)
     entities = [EntitySpec(None, known_gender, coref)] if coref else []
     return rerank(nbest, alignments, entities, lexicon)

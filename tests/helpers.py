@@ -6,6 +6,7 @@ from typing import NamedTuple
 
 from genderbeam.decode import EOS, Hypothesis, NBestList, ScoringModel, rescore
 from genderbeam.errors import DecodeError
+from genderbeam.evaluation import run_pipeline, score_records
 from genderbeam.lattice import HypothesisLattice, LatticeArc
 
 
@@ -162,3 +163,8 @@ def random_lattice(rng, max_positions=4, max_arcs=3, multi_token=True):
                 tokens = (word,)
             arcs.append(LatticeArc(position, position + 1, word, tokens))
     return HypothesisLattice(arcs)
+
+
+def pipeline_report(*args, **kwargs):
+    """score_records over the records of run_pipeline(*args, **kwargs)."""
+    return score_records([outcome.record for outcome in run_pipeline(*args, **kwargs)])

@@ -22,7 +22,7 @@ from genderbeam.decode import (
     constrained_beam_search,
     rescore,
 )
-from genderbeam.evaluation import EvalRecord, beam_sweep, evaluate_pipeline, score_records
+from genderbeam.evaluation import EvalRecord, beam_sweep, run_pipeline, score_records
 from genderbeam.formats import (
     parse_alignments,
     parse_nbest,
@@ -282,10 +282,11 @@ def test_criterion_5_benchmark_accuracy_ordering(bench):
     cfg = BeamConfig(20, 20, 16)
 
     def run(constrain, mode):
-        return evaluate_pipeline(
+        outcomes = run_pipeline(
             bench.testset, bench.model, bench.pairs, bench.lexicon,
             constrain=constrain, rerank_mode=mode, cfg=cfg,
         )
+        return score_records([outcome.record for outcome in outcomes])
 
     baseline = run(False, "off")
     reranked = run(False, "oracle")

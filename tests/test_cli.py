@@ -85,6 +85,29 @@ class TestDecodeCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("genderbeam: ")
 
+    @pytest.mark.parametrize("command", ["decode", "two-pass"])
+    def test_ids_are_line_numbers(self, bench_dir, tmp_path, capsys, command):
+        # a blank line gets no row and shifts no id; plain text has no comments
+        first, second = (" ".join(s.source) for s in read_testset(bench_dir / "testset.tsv")[:2])
+        extra = [] if command == "decode" else [
+            "--pairs", str(bench_dir / "pairs.tsv"), "--lexicon", str(bench_dir / "lexicon.tsv")]
+
+        def decode(text, name):
+            src, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.nbest"
+            src.write_text(text, encoding="utf-8")
+            code = main([command, *bench_args(bench_dir), *extra,
+                         "--src", str(src), "--beam", "4", "--max-len", "16", "--out", str(out)])
+            assert code == 0
+            return parse_nbest(out), capsys.readouterr().out
+
+        lists, summary = decode(f"{first}\n\n# {second}\n", "mixed")
+        assert sorted(lists) == [0, 2]
+        assert "decoded 2 sentences" in summary and "skipped 1 blank lines" in summary
+        alone, _ = decode(f"# {second}\n", "alone")
+        assert lists[2].hypotheses == alone[0].hypotheses
+        alone, _ = decode(f"{first}\n", "first")
+        assert lists[0].hypotheses == alone[0].hypotheses
+
 
 class TestRerankCommand:
     def write_two_pass(self, bench_dir, tmp_path, rows):
@@ -154,6 +177,28 @@ class TestRerankCommand:
         for sent_id, nbest in selected.items():
             assert len(nbest) == 1
             assert nbest[0] == originals[sent_id][0]
+
+    def test_missing_alignment_is_an_error(self, bench_dir, tmp_path, capsys):
+        testset, tp = self.write_two_pass(bench_dir, tmp_path, range(3))
+        align = tmp_path / "align.txt"
+        align.write_text(
+            "".join(f"{s.sent_id}\t{rank}\t0-0\n" for s in testset for rank in range(20)
+                    if (s.sent_id, rank) != (testset[1].sent_id, 5)),
+            encoding="utf-8",
+        )
+        entities = tmp_path / "entities.tsv"
+        entities.write_text(
+            "".join(f"{s.sent_id}\t{s.gold_gender}\t-\t0\n" for s in testset), encoding="utf-8"
+        )
+        code = main([
+            "rerank", "--nbest", str(tp), "--align", str(align),
+            "--entities", str(entities), "--lexicon", str(bench_dir / "lexicon.tsv"),
+            "--out", str(tmp_path / "sel.nbest"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"genderbeam: {align}: ")
+        assert f"sent_id {testset[1].sent_id} rank 5" in err
 
 
 class TestEvalCommand:

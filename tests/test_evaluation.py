@@ -12,7 +12,6 @@ from genderbeam.evaluation import (
     TestSentence,
     beam_sweep,
     diagonal_aligner,
-    evaluate_pipeline,
     extract_predicted_gender,
     label_f1,
     run_pipeline,
@@ -29,6 +28,7 @@ from genderbeam.morpho import (
 )
 from genderbeam.rerank import AlignmentMap, EntitySpec, NearestPrecedingNounResolver, rerank
 from genderbeam.synth import build_benchmark
+from helpers import pipeline_report
 
 
 def record(sent_id, gold, predicted):
@@ -246,11 +246,11 @@ class TestRunPipeline:
             pronoun_table={"she": FEMININE},
             resolver=NearestPrecedingNounResolver(["doctor"]),
         )
-        inferred = evaluate_pipeline(
+        inferred = pipeline_report(
             [fem_row()], doctor_model(), DOCTOR_PAIRS, DOCTOR_LEXICON,
             rerank_mode="inferred", **kwargs,
         )
-        oracle = evaluate_pipeline(
+        oracle = pipeline_report(
             [fem_row()], doctor_model(), DOCTOR_PAIRS, DOCTOR_LEXICON,
             rerank_mode="oracle", **kwargs,
         )
@@ -273,7 +273,7 @@ class TestRunPipeline:
 
     def test_agreeing_first_best_identical_in_all_modes(self):
         reports = [
-            evaluate_pipeline(
+            pipeline_report(
                 [masc_row()], doctor_model(), DOCTOR_PAIRS, DOCTOR_LEXICON,
                 constrain=constrain, rerank_mode=mode, cfg=CFG,
             )
@@ -295,9 +295,9 @@ class TestBeamSweep:
         bench = build_benchmark(0)
         testset, widths = bench.testset[:6], [2, 4, 8]
         expected = [
-            (width, evaluate_pipeline(testset, build_benchmark(0).model, bench.pairs, bench.lexicon,
-                                      constrain=True, rerank_mode="oracle",
-                                      cfg=BeamConfig(width, width, 16)).accuracy)
+            (width, pipeline_report(testset, build_benchmark(0).model, bench.pairs, bench.lexicon,
+                                    constrain=True, rerank_mode="oracle",
+                                    cfg=BeamConfig(width, width, 16)).accuracy)
             for width in widths
         ]
         model, builds = bench.model, Counter()

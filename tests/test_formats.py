@@ -1,11 +1,12 @@
 """Interchange format parsing, writing, and round-trip identity."""
 
 import random
+import unicodedata
 
 import pytest
 
-from genderbeam.decode import Hypothesis, NBestList
-from genderbeam.errors import FormatError
+from genderbeam.decode import Hypothesis, NBestList, NoisyChannelToy, TableModel
+from genderbeam.errors import FormatError, LexiconError, PairSetError, PatternError
 from genderbeam.evaluation import TestSentence
 from genderbeam.formats import (
     parse_alignments,
@@ -14,14 +15,21 @@ from genderbeam.formats import (
     read_pronoun_table,
     read_sentences,
     read_testset,
-    read_text,
     read_word_list,
     write_alignments,
     write_entities,
     write_nbest,
     write_testset,
 )
-from genderbeam.morpho import FEMININE, MASCULINE, NEUTER, GenderLabel
+from genderbeam.morpho import (
+    FEMININE,
+    MASCULINE,
+    NEUTER,
+    GenderLabel,
+    load_lexicon,
+    read_pairs,
+    read_patterns,
+)
 from genderbeam.rerank import AlignmentMap, EntitySpec
 
 
@@ -205,9 +213,12 @@ class TestWordList:
         assert read_word_list(path) == ("doctor", "nurse")
 
     def test_sentences(self, tmp_path):
+        # plain text has no comments; ids are 0-based line numbers
         path = tmp_path / "src.txt"
         path.write_text("# sources\nthe doctor left\n\nshe stayed\n", encoding="utf-8")
-        assert read_sentences(path) == [("the", "doctor", "left"), ("she", "stayed")]
+        assert list(read_sentences(path)) == [
+            ("#", "sources"), ("the", "doctor", "left"), (), ("she", "stayed"),
+        ]
 
 
 class TestTestsetFiles:
@@ -246,8 +257,61 @@ class TestTestsetFiles:
         assert read_testset(path) == rows
 
 
-class TestReadText:
-    def test_nfc(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("médica\n", encoding="utf-8")
-        assert read_text(path) == "médica\n"
+def _noisy_lexical(path):
+    corpus = path.with_suffix(".corpus")
+    corpus.write_text("", encoding="utf-8")
+    return NoisyChannelToy.from_files(path, corpus)
+
+
+MEDICA = "m\u00e9dica"  # NFC; the files below hold it decomposed
+
+# reader, its error class, a valid row mentioning MEDICA, a row with a
+# wrong field count, and where MEDICA lands in what the valid row reads to
+# (None where the row alone cannot be read: a pair needs its reverse)
+ANNOTATED_READERS = [
+    (parse_nbest, FormatError, f"0 ||| la {MEDICA} ||| -1.0", "1 ||| la",
+     lambda r: r[0][0].tokens[1]),
+    (parse_alignments, FormatError, "0\t0\t0-0", "0\t0\t0-0\t1-1", None),
+    (read_entities, FormatError, f"0\t{MEDICA}\t-\t0", "0\tfeminine\t0",
+     lambda r: r[0][0].required_gender.tag),
+    (read_pronoun_table, FormatError, f"{MEDICA}\tfeminine", "ella\tfeminine\tx",
+     lambda r: next(iter(r))),
+    (read_testset, FormatError, f"0\tfeminine\tla {MEDICA}\t-\t1", "1\tfeminine\tla",
+     lambda r: r[0].source[1]),
+    (load_lexicon, LexiconError, f"{MEDICA}\tm\u00e9dico\tNOUN.sg\tfeminine", "la\tel\tART.sg",
+     lambda r: next(r.all_entries()).surface),
+    (read_pairs, PairSetError, f"m\u00e9dico\t{MEDICA}\tfeminine", "la\tel", None),
+    (read_patterns, PatternError, f"suffix\t{MEDICA}\tfeminine", "prefix\tel",
+     lambda r: r[0].text),
+    (TableModel.from_file, FormatError, f"s ||| <s> ||| {MEDICA} ||| -1.0", "s ||| <s> ||| la",
+     lambda r: next(iter(r.next_scores(("s",), ())))),
+    (_noisy_lexical, FormatError, f"s\t{MEDICA}\t-1.0", "s\tla",
+     lambda r: next(iter(r.next_scores(("s",), ())))),
+]
+PROBED_READERS = [case for case in ANNOTATED_READERS if case[-1] is not None]
+
+
+def _annotated_file(tmp_path, rows):
+    path = tmp_path / "data.txt"
+    text = "\n".join(["  # an indented comment", "", *rows]) + "\n"
+    path.write_text(unicodedata.normalize("NFD", text), encoding="utf-8")
+    return path
+
+
+class TestLineRule:
+    @pytest.mark.parametrize("reader, error, valid, bad, probe", ANNOTATED_READERS,
+                             ids=[case[0].__qualname__ for case in ANNOTATED_READERS])
+    def test_bad_field_count_names_line_4(self, tmp_path, reader, error, valid, bad, probe):
+        path = _annotated_file(tmp_path, [valid, bad])
+        message = r"data\.txt:4: expected \d ('\|\|\|'|tab)-separated fields, got \d$"
+        with pytest.raises(error, match=message) as info:
+            reader(path)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("reader, error, valid, bad, probe", PROBED_READERS,
+                             ids=[case[0].__qualname__ for case in PROBED_READERS])
+    def test_comments_skipped_and_text_nfc(self, tmp_path, reader, error, valid, bad, probe):
+        assert probe(reader(_annotated_file(tmp_path, [valid]))) == MEDICA
+
+    def test_word_list_follows_the_rule(self, tmp_path):
+        assert read_word_list(_annotated_file(tmp_path, [MEDICA])) == (MEDICA,)

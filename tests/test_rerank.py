@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from genderbeam.decode import Hypothesis, NBestList
 from genderbeam.errors import RerankError
@@ -365,24 +367,39 @@ class TestInjectPlaceholder:
         assert result.agreement_scores == (0, 2, 0)
 
 
+# mostly a small pool, so lists tie often, -0.0 and 0.0 among them
+LOGLIKS = st.one_of(
+    st.sampled_from([-0.0, 0.0, -1.0, -1.5, -2.0, -1e-300]),
+    st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestNoEntities:
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(["a", "b"]), max_size=3), LOGLIKS),
+                    min_size=1, max_size=8))
+    def test_keeps_the_1_best(self, rows):
+        # rerank mode off and sentences without entities rely on this
+        nbest = NBestList(0, [Hypothesis(tuple(tokens), loglik) for tokens, loglik in rows])
+        alignments = [AlignmentMap({(0, 0)}) for _ in nbest]
+        result = rerank(nbest, alignments, [], GERMAN_LEXICON)
+        assert result.selected_index == 0
+        assert result.selected_hypothesis is nbest[0]
+
+
 class TestNamedEntityMode:
     def test_known_feminine_selects_second(self):
         nbest, alignments = relative_clause_list()
-        result = rerank_named_entity(
-            nbest, alignments, {2}, {3}, FEMININE, GERMAN_LEXICON
-        )
+        result = rerank_named_entity(nbest, alignments, {3}, FEMININE, GERMAN_LEXICON)
         assert result.selected_index == 1
 
     def test_known_masculine_keeps_first(self):
         nbest, alignments = relative_clause_list()
-        result = rerank_named_entity(
-            nbest, alignments, {2}, {3}, MASCULINE, GERMAN_LEXICON
-        )
+        result = rerank_named_entity(nbest, alignments, {3}, MASCULINE, GERMAN_LEXICON)
         assert result.selected_index == 0
 
     def test_empty_coref_degrades_to_loglik(self):
         nbest, alignments = relative_clause_list()
-        result = rerank_named_entity(nbest, alignments, {2}, set(), FEMININE, GERMAN_LEXICON)
+        result = rerank_named_entity(nbest, alignments, set(), FEMININE, GERMAN_LEXICON)
         assert result.selected_index == 0
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from genderbeam.decode import BeamConfig, NoisyChannelToy, beam_search, two_pass_decode
-from genderbeam.evaluation import beam_sweep, evaluate_pipeline
+from genderbeam.evaluation import beam_sweep
 from genderbeam.formats import read_pronoun_table, read_testset, read_word_list
 from genderbeam.morpho import FEMININE, MASCULINE, analyze_gender, load_lexicon, read_pairs
 from genderbeam.rerank import NearestPrecedingNounResolver
@@ -16,6 +16,7 @@ from genderbeam.synth import (
     build_benchmark,
     write_benchmark,
 )
+from helpers import pipeline_report
 
 WIDE = BeamConfig(20, 20, max_len=16)
 
@@ -100,7 +101,7 @@ class TestRankCalibration:
 
 class TestExpectedMetrics:
     def test_baseline(self, bench):
-        report = evaluate_pipeline(
+        report = pipeline_report(
             bench.testset, bench.model, bench.pairs, bench.lexicon,
             constrain=False, rerank_mode="off", cfg=WIDE,
         )
@@ -108,14 +109,14 @@ class TestExpectedMetrics:
         assert report.delta_g == pytest.approx(2 / 3, abs=1e-9)
 
     def test_oracle_rerank(self, bench):
-        report = evaluate_pipeline(
+        report = pipeline_report(
             bench.testset, bench.model, bench.pairs, bench.lexicon,
             constrain=False, rerank_mode="oracle", cfg=WIDE,
         )
         assert report.accuracy == pytest.approx(0.84, abs=1e-12)
 
     def test_constrain_plus_oracle(self, bench):
-        report = evaluate_pipeline(
+        report = pipeline_report(
             bench.testset, bench.model, bench.pairs, bench.lexicon,
             constrain=True, rerank_mode="oracle", cfg=WIDE,
         )
@@ -133,12 +134,12 @@ class TestExpectedMetrics:
     def test_inferred_matches_oracle_here(self, bench):
         cfg = BeamConfig(8, 8, 16)
         resolver = NearestPrecedingNounResolver(bench.noun_words)
-        inferred = evaluate_pipeline(
+        inferred = pipeline_report(
             bench.testset, bench.model, bench.pairs, bench.lexicon,
             constrain=True, rerank_mode="inferred", cfg=cfg,
             pronoun_table=bench.pronoun_table, resolver=resolver,
         )
-        oracle = evaluate_pipeline(
+        oracle = pipeline_report(
             bench.testset, bench.model, bench.pairs, bench.lexicon,
             constrain=True, rerank_mode="oracle", cfg=cfg,
         )

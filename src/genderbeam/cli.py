@@ -30,25 +30,29 @@ from .rerank import AlignmentMap, NearestPrecedingNounResolver, rerank
 from .synth import build_benchmark, write_benchmark
 
 
-def _pattern_args(args) -> tuple[tuple, frozenset[str]]:
-    """Placeholder patterns plus the user gender labels they introduce."""
-    if getattr(args, "patterns", None) is None:
-        return (), frozenset()
-    patterns = read_patterns(args.patterns)
-    return patterns, frozenset(str(pattern.gender) for pattern in patterns)
+def _read_patterns(args) -> tuple:
+    """The --patterns file's placeholder patterns; () without the flag."""
+    return () if args.patterns is None else read_patterns(args.patterns)
 
 
-def _load_lexicon(args):
-    patterns, labels = _pattern_args(args)
-    lexicon = load_lexicon(args.lexicon, user_labels=labels)
+def _user_labels(patterns) -> frozenset[str]:
+    return frozenset(str(pattern.gender) for pattern in patterns)
+
+
+def _load_lexicon(args, patterns):
+    lexicon = load_lexicon(args.lexicon, user_labels=_user_labels(patterns))
     if patterns:
         lexicon = register_placeholder_patterns(lexicon, patterns)
     return lexicon
 
 
-def _load_pairs(args):
-    _, labels = _pattern_args(args)
-    return read_pairs(args.pairs, user_labels=labels)
+def _load_pairs_and_lexicon(args):
+    """The pair set and the lexicon (None without --lexicon), reading
+    --patterns once for both."""
+    patterns = _read_patterns(args)
+    pairs = read_pairs(args.pairs, user_labels=_user_labels(patterns))
+    lexicon = None if args.lexicon is None else _load_lexicon(args, patterns)
+    return pairs, lexicon
 
 
 def _load_model(args):
@@ -81,7 +85,7 @@ def _add_patterns_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_pairs(args) -> int:
-    lexicon = _load_lexicon(args)
+    lexicon = _load_lexicon(args, _read_patterns(args))
     pairs = build_reinflection_pairs(lexicon)
     write_pairs(pairs, args.out)
     print(f"wrote {len(pairs.pairs)} reinflection pairs to {args.out}")
@@ -89,8 +93,7 @@ def _cmd_pairs(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    pairs = _load_pairs(args)
-    lexicon = _load_lexicon(args) if args.lexicon is not None else None
+    pairs, lexicon = _load_pairs_and_lexicon(args)
     lattice = compose_lattice(pairs, tuple(args.hyp.split()), lexicon=lexicon)
     Path(args.out).write_text(serialize_lattice(lattice), encoding="utf-8")
     print(f"wrote lattice with {lattice.path_count} paths to {args.out}")
@@ -119,8 +122,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_two_pass(args) -> int:
     model = _load_model(args)
-    pairs = _load_pairs(args)
-    lexicon = _load_lexicon(args) if args.lexicon is not None else None
+    pairs, lexicon = _load_pairs_and_lexicon(args)
     cfg = _beam_config(args)
     return _decode_file(args, lambda source, sent_id: two_pass_decode(
         model, source, pairs, None, cfg, cfg, lexicon=lexicon, source_id=sent_id))
@@ -130,7 +132,7 @@ def _cmd_rerank(args) -> int:
     lists = parse_nbest(args.nbest)
     alignments = parse_alignments(args.align)
     entities = read_entities(args.entities)
-    lexicon = _load_lexicon(args)
+    lexicon = _load_lexicon(args, _read_patterns(args))
     no_links = AlignmentMap(())
     selected: list[NBestList] = []
     for sent_id in sorted(lists):
@@ -164,7 +166,7 @@ def _write_report(report: MetricReport, path) -> None:
 
 
 def _load_eval_inputs(args):
-    return read_testset(args.testset), _load_model(args), _load_pairs(args), _load_lexicon(args)
+    return (read_testset(args.testset), _load_model(args), *_load_pairs_and_lexicon(args))
 
 
 def _cmd_eval(args) -> int:

@@ -21,7 +21,6 @@ import heapq
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -52,14 +51,11 @@ def _parse_logprob(text: str, path, lineno: int) -> float:
 class ScoringModel(ABC):
     """Pluggable per-step scorer.
 
-    next_scores returns a finite token -> log probability map for one step;
-    it may include EOS. Tokens outside the map score the model's floor.
-    Implementations must be deterministic for identical inputs.
-
-    Search reads next_scores and floor. It calls score_token only for the
-    EOS that closes a first-pass hypothesis at max_len, and rescore calls it
-    for every token, so an override of score_token must equal
-    next_scores(source, prefix).get(token, floor).
+    A scorer implements next_scores and floor, and search and rescore read
+    nothing else. next_scores returns a finite token -> log probability map
+    for one step; it may include EOS. Tokens outside the map score the
+    model's floor. Implementations must be deterministic for identical
+    inputs.
     """
 
     floor: float = DEFAULT_FLOOR
@@ -67,12 +63,6 @@ class ScoringModel(ABC):
     @abstractmethod
     def next_scores(self, source: Sequence[str], prefix: Sequence[str]) -> Mapping[str, float]:
         raise NotImplementedError
-
-    def score_token(self, source: Sequence[str], prefix: Sequence[str], token: str) -> float:
-        return self.next_scores(source, prefix).get(token, self.floor)
-
-    def prepare_source(self, source: Sequence[str]) -> None:
-        """Optional hook for per-source work reusable across passes. No-op by default."""
 
 
 class TableModel(ScoringModel):
@@ -99,23 +89,12 @@ class TableModel(ScoringModel):
         self.floor = float(floor)
 
     @classmethod
-    def from_rows(
-        cls,
-        rows: Iterable[tuple[str, str, str, float]],
-        floor: float = DEFAULT_FLOOR,
-    ) -> "TableModel":
-        entries: dict[tuple[str, str], dict[str, float]] = {}
-        for source_key, prefix_key, token, lp in rows:
-            entries.setdefault((source_key, prefix_key), {})[token] = lp
-        return cls(entries, floor=floor)
-
-    @classmethod
     def from_file(cls, path: str | Path, floor: float = DEFAULT_FLOOR) -> "TableModel":
         """Parse lines `source_key ||| prefix_key ||| token ||| logprob`."""
-        rows: list[tuple[str, str, str, float]] = []
+        entries: dict[tuple[str, str], dict[str, float]] = {}
         for lineno, (source_key, prefix_key, token, raw_lp) in read_rows(path, " ||| ", 4, FormatError):
-            rows.append((source_key, prefix_key, token, _parse_logprob(raw_lp, path, lineno)))
-        return cls.from_rows(rows, floor=floor)
+            entries.setdefault((source_key, prefix_key), {})[token] = _parse_logprob(raw_lp, path, lineno)
+        return cls(entries, floor=floor)
 
     def next_scores(self, source: Sequence[str], prefix: Sequence[str]) -> Mapping[str, float]:
         prefix_key = " ".join(prefix) if prefix else BOS
@@ -165,10 +144,11 @@ class NoisyChannelToy(ScoringModel):
         # +1 for the EOS event, which shares the smoothing mass
         self._smoothing_vocab = len(vocab) + 1
         self.floor = float(floor)
-        self._best_for_source = lru_cache(maxsize=512)(self._best_lexical)
-        # the step distribution depends on the prefix only via its last token;
-        # only the current source's steps are held, so the cache stays bounded
+        # only the current source is cached: its best lexical logprob per
+        # target, and its step maps keyed by the last prefix token, which is
+        # all a step depends on
         self._step_source: tuple[str, ...] | None = None
+        self._best: dict[str, float] = {}
         self._step_cache: dict[str, dict[str, float]] = {}
 
     @classmethod
@@ -185,19 +165,16 @@ class NoisyChannelToy(ScoringModel):
         context = self._contexts.get(prev, 0)
         return math.log((count + 1) / (context + self._smoothing_vocab))
 
-    def _best_lexical(self, source: tuple[str, ...]) -> dict[str, float]:
-        best: dict[str, float] = {}
-        for token in source:
-            for target, lp in self._lexical.get(token, {}).items():
-                if target not in best or lp > best[target]:
-                    best[target] = lp
-        return best
-
     def next_scores(self, source: Sequence[str], prefix: Sequence[str]) -> Mapping[str, float]:
         if source is not self._step_source:
             source = tuple(source)
             if source != self._step_source:
-                self._step_cache = {}
+                best: dict[str, float] = {}
+                for token in source:
+                    for target, lp in self._lexical.get(token, {}).items():
+                        if target not in best or lp > best[target]:
+                            best[target] = lp
+                self._best, self._step_cache = best, {}
             self._step_source = source
         prev = prefix[-1] if prefix else BOS
         cached = self._step_cache.get(prev)
@@ -209,7 +186,7 @@ class NoisyChannelToy(ScoringModel):
         """The current source's step map after prev. Each value is the float
         expression bigram_logprob computes, with the context's denominator
         and the unseen-bigram log taken once."""
-        best = self._best_for_source(self._step_source)
+        best = self._best
         row = self._followers.get(prev, {})
         denom = self._contexts.get(prev, 0) + self._smoothing_vocab
         unseen = math.log(1 / denom)
@@ -219,9 +196,6 @@ class NoisyChannelToy(ScoringModel):
                 step[target] = best[target] + math.log((count + 1) / denom)
         step[EOS] = math.log((row.get(EOS, 0) + 1) / denom)
         return step
-
-    def prepare_source(self, source: Sequence[str]) -> None:
-        self._best_for_source(tuple(source))
 
 
 class Hypothesis(NamedTuple):
@@ -359,7 +333,6 @@ def _search(
     source = tuple(source)
     if not source:
         raise DecodeError(f"source {source_id}: source sentence is empty")
-    model.prepare_source(source)
     width, max_len, floor = cfg.beam_width, cfg.max_len, model.floor
     final = -1 if moves is None else len(moves) - 1
     # an item is (-score, tokens, is_open, state), so tuple order is beam
@@ -407,7 +380,7 @@ def _search(
         candidates.sort()
         beam = candidates[:width]
     finished = sorted(
-        (-(-neg + model.score_token(source, tokens, EOS)), tokens, False, state) if is_open
+        (-(-neg + model.next_scores(source, tokens).get(EOS, floor)), tokens, False, state) if is_open
         else (neg, tokens, False, state)
         for neg, tokens, is_open, state in beam
     )
@@ -433,6 +406,8 @@ def two_pass_decode(
     """First pass 1-best -> lattice of its gendered variants -> constrained pass."""
     segmenter = segmenter if segmenter is not None else WholeWordSegmenter()
     first = beam_search(model, source, cfg_first, source_id=source_id)
+    if not first[0].tokens:
+        raise DecodeError(f"source {source_id}: first-pass 1-best is empty")
     words = segmenter.words(first[0].tokens)
     variants = compose_lattice(pairs, words, segmenter=segmenter, lexicon=lexicon)
     return constrained_beam_search(model, source, variants, cfg_second, source_id=source_id)
@@ -443,7 +418,7 @@ def rescore(model: ScoringModel, source: Sequence[str], tokens: Sequence[str]) -
     source = tuple(source)
     prefix: tuple[str, ...] = ()
     total = 0.0
-    for token in tokens:
-        total += model.score_token(source, prefix, token)
+    for token in (*tokens, EOS):
+        total += model.next_scores(source, prefix).get(token, model.floor)
         prefix = (*prefix, token)
-    return total + model.score_token(source, prefix, EOS)
+    return total

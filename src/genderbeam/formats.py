@@ -29,6 +29,11 @@ def _parse_int(text: str, path, lineno: int, what: str) -> int:
         raise FormatError(f"{path}:{lineno}: {what} must be an integer, got {text!r}") from None
 
 
+def _is_index(text: str) -> bool:
+    """ASCII digits only: str.isdigit also accepts '²', which int rejects."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_nbest(path) -> dict[int, NBestList]:
     """Moses-style lines `sent_id ||| token sequence ||| loglik`, grouped by id."""
     groups: dict[int, list[Hypothesis]] = {}
@@ -65,7 +70,7 @@ def parse_alignments(path) -> dict[tuple[int, int], AlignmentMap]:
         links = []
         for pair in fields[2].split():
             left, sep, right = pair.partition("-")
-            if not sep or not left.isdigit() or not right.isdigit():
+            if not sep or not _is_index(left) or not _is_index(right):
                 raise FormatError(f"{path}:{lineno}: malformed alignment pair {pair!r}")
             links.append((int(left), int(right)))
         result[(sent_id, rank)] = AlignmentMap(links)
@@ -83,7 +88,7 @@ def _parse_indices(text: str, path, lineno: int) -> frozenset[int]:
     indices = set()
     for part in text.split(","):
         part = part.strip()
-        if not part.isdigit():
+        if not _is_index(part):
             raise FormatError(f"{path}:{lineno}: malformed token index {part!r}")
         indices.add(int(part))
     return frozenset(indices)

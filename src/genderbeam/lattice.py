@@ -75,10 +75,6 @@ class HypothesisLattice:
         return len(self._arcs_by_position)
 
     @property
-    def start_state(self) -> int:
-        return 0
-
-    @property
     def final_state(self) -> int:
         return self.num_positions
 
@@ -198,7 +194,8 @@ def deserialize_lattice(text: str) -> HypothesisLattice:
             raise LatticeError(f"line {lineno}: content after the FINAL line")
         columns = line.split("\t")
         if columns[0] == "FINAL":
-            if len(columns) != 2 or not columns[1].isdigit():
+            # ASCII digits only: str.isdigit also accepts '²', which int rejects
+            if len(columns) != 2 or not (columns[1].isascii() and columns[1].isdigit()):
                 raise LatticeError(f"line {lineno}: malformed FINAL line")
             final_state = int(columns[1])
             continue

@@ -59,7 +59,6 @@ def reference_beam_search(model, source, cfg, source_id=0):
     source = tuple(source)
     if not source:
         raise DecodeError(f"source {source_id}: source sentence is empty")
-    model.prepare_source(source)
     beam = [((), 0.0, False)]
     while beam and any(not closed and len(tokens) < cfg.max_len for tokens, _, closed in beam):
         candidates = []
@@ -76,7 +75,7 @@ def reference_beam_search(model, source, cfg, source_id=0):
         beam = candidates[: cfg.beam_width]
     finished = [
         (tokens, score, True) if closed
-        else (tokens, score + model.score_token(source, tokens, EOS), True)
+        else (tokens, score + model.next_scores(source, tokens).get(EOS, model.floor), True)
         for tokens, score, closed in beam
     ]
     finished.sort(key=key)
@@ -100,12 +99,11 @@ def _lattice_item_key(item):
 
 def reference_constrained_beam_search(model, source, lattice, cfg, source_id=0):
     """Full-sort reference for constrained_beam_search: items walk the arcs
-    with (state, arc_index, offset) sub-state, each child is scored with
-    score_token, and all candidates are sorted by a key function."""
+    with (state, arc_index, offset) sub-state, each child is scored with its
+    own next_scores lookup, and all candidates are sorted by a key function."""
     source = tuple(source)
     if not source:
         raise DecodeError(f"source {source_id}: source sentence is empty")
-    model.prepare_source(source)
     final_state = lattice.final_state
     beam = [_LatticeItem((), 0.0, False, 0, -1, 0)]
     while beam and any(not it.closed for it in beam):
@@ -116,7 +114,7 @@ def reference_constrained_beam_search(model, source, lattice, cfg, source_id=0):
                 continue
             at_final = item.state == final_state and item.arc_index < 0
             if at_final:
-                lp = model.score_token(source, item.tokens, EOS)
+                lp = model.next_scores(source, item.tokens).get(EOS, model.floor)
                 candidates.append(item._replace(score=item.score + lp, closed=True))
                 continue
             if len(item.tokens) >= cfg.max_len:
@@ -124,7 +122,7 @@ def reference_constrained_beam_search(model, source, lattice, cfg, source_id=0):
             if item.arc_index >= 0:
                 arc = lattice.arcs_at(item.state)[item.arc_index]
                 token = arc.model_tokens[item.offset]
-                lp = model.score_token(source, item.tokens, token)
+                lp = model.next_scores(source, item.tokens).get(token, model.floor)
                 tokens = (*item.tokens, token)
                 if item.offset + 1 == len(arc.model_tokens):
                     candidates.append(_LatticeItem(tokens, item.score + lp, False, arc.to_state, -1, 0))
@@ -135,7 +133,7 @@ def reference_constrained_beam_search(model, source, lattice, cfg, source_id=0):
                 continue
             for arc_index, arc in enumerate(lattice.arcs_at(item.state)):
                 token = arc.model_tokens[0]
-                lp = model.score_token(source, item.tokens, token)
+                lp = model.next_scores(source, item.tokens).get(token, model.floor)
                 tokens = (*item.tokens, token)
                 if len(arc.model_tokens) == 1:
                     candidates.append(_LatticeItem(tokens, item.score + lp, False, arc.to_state, -1, 0))

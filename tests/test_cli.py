@@ -4,12 +4,13 @@ from pathlib import Path
 
 import pytest
 
+import genderbeam.cli
 from genderbeam.cli import main
 from genderbeam.decode import BeamConfig
 from genderbeam.evaluation import run_pipeline
 from genderbeam.formats import parse_nbest, read_testset
 from genderbeam.lattice import compose_lattice, deserialize_lattice
-from genderbeam.morpho import build_reinflection_pairs, load_lexicon, read_pairs
+from genderbeam.morpho import build_reinflection_pairs, load_lexicon, read_pairs, read_patterns
 from genderbeam.synth import build_benchmark, write_benchmark
 
 DATA = Path(__file__).parent / "data"
@@ -107,6 +108,20 @@ class TestDecodeCommands:
         assert lists[2].hypotheses == alone[0].hypotheses
         alone, _ = decode(f"{first}\n", "first")
         assert lists[0].hypotheses == alone[0].hypotheses
+
+    def test_empty_first_best_names_the_sentence(self, bench_dir, tmp_path, capsys):
+        # at "empty" the BOS step prefers EOS, so the first-pass 1-best is empty
+        model, src = tmp_path / "model.txt", tmp_path / "src.txt"
+        model.write_text(
+            "ok ||| <s> ||| ok ||| -0.1\nok ||| ok ||| </s> ||| -0.1\n"
+            "empty ||| <s> ||| </s> ||| -0.1\nempty ||| <s> ||| ok ||| -1.0\n",
+            encoding="utf-8",
+        )
+        src.write_text("ok\nempty\n", encoding="utf-8")
+        code = main(["two-pass", "--model", str(model), "--pairs", str(bench_dir / "pairs.tsv"),
+                     "--src", str(src), "--beam", "2", "--out", str(tmp_path / "out.nbest")])
+        assert code == 1
+        assert capsys.readouterr().err == "genderbeam: source 1: first-pass 1-best is empty\n"
 
 
 class TestRerankCommand:
@@ -221,6 +236,21 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "sentences: 200" in out
         assert "accuracy: 0.92" in out
+
+    def test_patterns_read_once(self, bench_dir, tmp_path, monkeypatch):
+        patterns = tmp_path / "patterns.tsv"
+        patterns.write_text("suffix\t-x\tneutral-new\n", encoding="utf-8")
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return read_patterns(path)
+
+        monkeypatch.setattr(genderbeam.cli, "read_patterns", counting)
+        args = self.eval_args(bench_dir, tmp_path / "report.csv", constrain="off", rerank="off")
+        args[args.index("--beam") + 1] = "1"
+        assert main([*args, "--patterns", str(patterns)]) == 0
+        assert calls == [str(patterns)]
 
     def test_inferred_requires_tables(self, bench_dir, tmp_path, capsys):
         report = tmp_path / "report.csv"

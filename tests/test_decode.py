@@ -305,7 +305,7 @@ class TestNoisyChannelToy:
     def test_unsupported_target_floors(self):
         model = self.build()
         assert "zzz" not in model.next_scores(SRC, ())
-        assert model.score_token(SRC, (), "zzz") == model.floor
+        assert rescore(model, SRC, ("zzz",)) == model.floor + model.next_scores(SRC, ("zzz",))[EOS]
 
     def test_rescore_hand_sum(self):
         model = self.build()
@@ -348,32 +348,43 @@ class TestNoisyChannelToy:
                             max_size=4),
             max_size=3,
         ),
-        source=st.lists(st.sampled_from(SOURCES), min_size=1, max_size=3),
-        prev=st.sampled_from((BOS, *TARGETS, "unseen")),
+        sources=st.lists(st.lists(st.sampled_from(SOURCES), min_size=1, max_size=3), min_size=1, max_size=3),
+        queries=st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from(("held", "copy", "list")),
+                      st.sampled_from((BOS, *TARGETS, "unseen"))),
+            min_size=1, max_size=8,
+        ),
     )
-    def test_step_map_is_bit_exact(self, corpus, lexical, source, prev):
-        """next_scores equals, value by value and in order, best lexical plus
-        log((count + 1) / (context + V)) counted straight from the corpus."""
+    def test_step_map_is_bit_exact(self, corpus, lexical, sources, queries):
+        """One model answers a sequence of sources, switching back and forth
+        and passed as the held tuple, an equal copy or a list. Each answer
+        equals, value by value and in order, best lexical plus
+        log((count + 1) / (context + V)) counted straight from the corpus for
+        that source."""
         bigrams, contexts, vocab = {}, {}, set()
         for line in corpus:
             vocab.update(line)
             for pair in zip((BOS, *line), (*line, EOS)):
                 bigrams[pair] = bigrams.get(pair, 0) + 1
                 contexts[pair[0]] = contexts.get(pair[0], 0) + 1
-        denom = contexts.get(prev, 0) + len(vocab) + 1
-        best = {}
-        for word in source:
-            for target, lp in lexical.get(word, {}).items():
-                if target not in best or lp > best[target]:
-                    best[target] = lp
-        naive = {t: lp + math.log((bigrams.get((prev, t), 0) + 1) / denom) for t, lp in best.items()}
-        naive[EOS] = math.log((bigrams.get((prev, EOS), 0) + 1) / denom)
+        held = [tuple(source) for source in sources]
         model = NoisyChannelToy(lexical, corpus)
-        scores = model.next_scores(source, () if prev == BOS else ("x", prev))
-        assert [(t, repr(lp)) for t, lp in scores.items()] == [(t, repr(lp)) for t, lp in naive.items()]
-        for token in (*TARGETS, EOS):
-            assert repr(model.bigram_logprob(prev, token)) == repr(
-                math.log((bigrams.get((prev, token), 0) + 1) / denom))
+        for index, form, prev in queries:
+            source = held[index % len(held)]
+            denom = contexts.get(prev, 0) + len(vocab) + 1
+            best = {}
+            for word in source:
+                for target, lp in lexical.get(word, {}).items():
+                    if target not in best or lp > best[target]:
+                        best[target] = lp
+            naive = {t: lp + math.log((bigrams.get((prev, t), 0) + 1) / denom) for t, lp in best.items()}
+            naive[EOS] = math.log((bigrams.get((prev, EOS), 0) + 1) / denom)
+            asked = {"held": source, "copy": tuple(list(source)), "list": list(source)}[form]
+            scores = model.next_scores(asked, () if prev == BOS else ("x", prev))
+            assert [(t, repr(lp)) for t, lp in scores.items()] == [(t, repr(lp)) for t, lp in naive.items()]
+            for token in (*TARGETS, EOS):
+                assert repr(model.bigram_logprob(prev, token)) == repr(
+                    math.log((bigrams.get((prev, token), 0) + 1) / denom))
 
 
 class TestConstrainedSearch:
@@ -550,6 +561,13 @@ class TestTwoPass:
         result = two_pass_decode(model, SRC, ReinflectionPairSet([]), None, BeamConfig(2), BeamConfig(4))
         assert len(result) == 1
         assert result[0] == first[0]
+
+    def test_empty_first_best_names_the_source(self):
+        # the BOS step prefers EOS, so the first pass's 1-best is empty
+        model = TableModel({(SRC_KEY, BOS): {EOS: -0.1, "el": -1.0}, (SRC_KEY, "el"): {EOS: -0.1}})
+        assert beam_search(model, SRC, BeamConfig(2))[0].tokens == ()
+        with pytest.raises(DecodeError, match=r"^source 7: first-pass 1-best is empty$"):
+            two_pass_decode(model, SRC, TOY_PAIRS, None, BeamConfig(2), BeamConfig(2), source_id=7)
 
     def test_biased_model_still_yields_all_variants_masculine_first(self):
         result = two_pass_decode(

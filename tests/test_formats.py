@@ -129,9 +129,11 @@ class TestAlignmentFiles:
 
     def test_non_numeric_pair_rejected(self, tmp_path):
         path = tmp_path / "align.txt"
-        path.write_text("0\t0\t2-x\n", encoding="utf-8")
-        with pytest.raises(FormatError, match=r"align\.txt:1.*2-x"):
-            parse_alignments(path)
+        # '²' passes str.isdigit but not int
+        for pair in ("2-x", "2-\u00b2", "\u00b2-2"):
+            path.write_text(f"0\t0\t{pair}\n", encoding="utf-8")
+            with pytest.raises(FormatError, match=rf"align\.txt:1: malformed alignment pair '{pair}'"):
+                parse_alignments(path)
 
     def test_field_count_checked(self, tmp_path):
         path = tmp_path / "align.txt"
@@ -177,9 +179,10 @@ class TestEntityFiles:
 
     def test_rejects_bad_index(self, tmp_path):
         path = tmp_path / "ents.tsv"
-        path.write_text("0\tfeminine\t0\t1,x\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="token index"):
-            read_entities(path)
+        for index in ("x", "\u00b2"):
+            path.write_text(f"0\tfeminine\t0\t1,{index}\n", encoding="utf-8")
+            with pytest.raises(FormatError, match=rf"ents\.tsv:1: malformed token index '{index}'"):
+                read_entities(path)
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ents.tsv"
@@ -240,6 +243,13 @@ class TestTestsetFiles:
         path.write_text("0\tfeminine\ta b\t0\n", encoding="utf-8")
         with pytest.raises(FormatError, match="5 tab-separated"):
             read_testset(path)
+
+    def test_rejects_bad_index(self, tmp_path):
+        path = tmp_path / "test.tsv"
+        for index in ("x", "\u00b2"):
+            path.write_text(f"0\tfeminine\ta b\t0\t1,{index}\n", encoding="utf-8")
+            with pytest.raises(FormatError, match=rf"test\.tsv:1: malformed token index '{index}'"):
+                read_testset(path)
 
     def test_out_of_range_entity_index(self, tmp_path):
         path = tmp_path / "test.tsv"

@@ -219,6 +219,10 @@ class TestSerialization:
         text = "0\t1\tel\tel\tnone\nbogus line\nFINAL\t1\n"
         with pytest.raises(LatticeError, match="line 2"):
             deserialize_lattice(text)
+        # '²' passes str.isdigit but not int
+        for final in ("x", "\u00b2"):
+            with pytest.raises(LatticeError, match="line 2: malformed FINAL line"):
+                deserialize_lattice(f"0\t1\tel\tel\tnone\nFINAL\t{final}\n")
 
     def test_ungrouped_arcs_rejected(self):
         text = "1\t2\tb\tb\tnone\n0\t1\ta\ta\tnone\nFINAL\t2\n"

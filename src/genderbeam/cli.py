@@ -128,6 +128,20 @@ def _cmd_two_pass(args) -> int:
         model, source, pairs, None, cfg, cfg, lexicon=lexicon, source_id=sent_id))
 
 
+def _alignment_for(alignments, path, sent_id: int, rank: int, tokens) -> AlignmentMap:
+    """The alignment of one hypothesis; a missing one, or one with a link
+    past the hypothesis, raises FormatError."""
+    try:
+        alignment = alignments[sent_id, rank]
+    except KeyError:
+        raise FormatError(f"{path}: no alignment for sent_id {sent_id} rank {rank}") from None
+    if alignment.target_end > len(tokens):
+        s, t = min(link for link in alignment.links if link[1] >= len(tokens))
+        raise FormatError(f"{path}: sent_id {sent_id} rank {rank}: link {s}-{t} is past "
+                          f"the hypothesis of {len(tokens)} tokens")
+    return alignment
+
+
 def _cmd_rerank(args) -> int:
     lists = parse_nbest(args.nbest)
     alignments = parse_alignments(args.align)
@@ -139,12 +153,9 @@ def _cmd_rerank(args) -> int:
         nbest = lists[sent_id]
         specs = entities.get(sent_id, [])
         # with no entities every agreement score is 0, so no alignment is read
-        try:
-            aligns = ([alignments[sent_id, rank] for rank in range(len(nbest))] if specs
-                      else [no_links] * len(nbest))
-        except KeyError as exc:
-            raise FormatError(f"{args.align}: no alignment for sent_id {sent_id} "
-                              f"rank {exc.args[0][1]}") from None
+        aligns = ([_alignment_for(alignments, args.align, sent_id, rank, hyp.tokens)
+                   for rank, hyp in enumerate(nbest)] if specs
+                  else [no_links] * len(nbest))
         result = rerank(nbest, aligns, specs, lexicon)
         selected.append(NBestList(sent_id, [result.selected_hypothesis]))
     write_nbest(selected, args.out)

@@ -11,6 +11,7 @@ no comment syntax.
 from __future__ import annotations
 
 import math
+import re
 from typing import Iterable, Mapping, Sequence
 
 from .decode import Hypothesis, NBestList
@@ -22,23 +23,25 @@ from .rerank import AlignmentMap, EntitySpec
 NBEST_SEPARATOR = " ||| "
 
 
-def _parse_int(text: str, path, lineno: int, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise FormatError(f"{path}:{lineno}: {what} must be an integer, got {text!r}") from None
-
-
 def _is_index(text: str) -> bool:
     """ASCII digits only: str.isdigit also accepts '²', which int rejects."""
     return text.isascii() and text.isdigit()
+
+
+def _parse_int(text: str, path, lineno: int, what: str) -> int:
+    """An id, rank or trigger field: ASCII digits, surrounding blanks allowed.
+    int() alone would also take '1_0', '١', '-1' and '+2'."""
+    text = text.strip()
+    if not _is_index(text):
+        raise FormatError(f"{path}:{lineno}: {what} must be an integer, got {text!r}")
+    return int(text)
 
 
 def parse_nbest(path) -> dict[int, NBestList]:
     """Moses-style lines `sent_id ||| token sequence ||| loglik`, grouped by id."""
     groups: dict[int, list[Hypothesis]] = {}
     for lineno, fields in read_rows(path, NBEST_SEPARATOR, 3, FormatError):
-        sent_id = _parse_int(fields[0].strip(), path, lineno, "sent_id")
+        sent_id = _parse_int(fields[0], path, lineno, "sent_id")
         tokens = tuple(fields[1].split())
         try:
             loglik = float(fields[2])
@@ -61,19 +64,48 @@ def write_nbest(lists: Iterable[NBestList], path) -> None:
                              f"{NBEST_SEPARATOR}{hyp.loglik!r}\n")
 
 
+# a whole link field of ASCII `i-j` pairs split by ASCII whitespace, or empty
+_LINK_FIELD = re.compile(r"([0-9]+-[0-9]+(\s+[0-9]+-[0-9]+)*)?", re.ASCII)
+
+
+def _parse_links(text: str, path, lineno: int) -> AlignmentMap:
+    """One stripped link field. A field the regex rejects may still be valid
+    (pairs split by a non-ASCII space); the per-pair rule then accepts it or
+    names its first bad pair."""
+    if _LINK_FIELD.fullmatch(text):
+        ints = map(int, text.replace("-", " ").split())
+        return AlignmentMap._trusted(frozenset(zip(ints, ints)))
+    links = set()
+    for pair in text.split():
+        left, sep, right = pair.partition("-")
+        if not sep or not _is_index(left) or not _is_index(right):
+            raise FormatError(f"{path}:{lineno}: malformed alignment pair {pair!r}")
+        links.add((int(left), int(right)))
+    return AlignmentMap._trusted(frozenset(links))
+
+
 def parse_alignments(path) -> dict[tuple[int, int], AlignmentMap]:
-    """Pharaoh lines `sent_id<TAB>hyp_rank<TAB>0-0 1-2 ...`; links deduplicated."""
+    """Pharaoh lines `sent_id<TAB>hyp_rank<TAB>0-0 1-2 ...`; links deduplicated.
+
+    Ids, ranks and link indices are ASCII digits. A second line for the same
+    (sent_id, hyp_rank) is an error naming both lines. Each distinct link
+    field is parsed once, and lines with the same field share one map.
+    """
     result: dict[tuple[int, int], AlignmentMap] = {}
+    first_line: dict[tuple[int, int], int] = {}
+    maps: dict[str, AlignmentMap] = {}  # this call only: no larger than result
     for lineno, fields in read_rows(path, "\t", 3, FormatError):
-        sent_id = _parse_int(fields[0], path, lineno, "sent_id")
-        rank = _parse_int(fields[1], path, lineno, "hyp_rank")
-        links = []
-        for pair in fields[2].split():
-            left, sep, right = pair.partition("-")
-            if not sep or not _is_index(left) or not _is_index(right):
-                raise FormatError(f"{path}:{lineno}: malformed alignment pair {pair!r}")
-            links.append((int(left), int(right)))
-        result[(sent_id, rank)] = AlignmentMap(links)
+        key = (_parse_int(fields[0], path, lineno, "sent_id"),
+               _parse_int(fields[1], path, lineno, "hyp_rank"))
+        first = first_line.setdefault(key, lineno)
+        if first != lineno:
+            raise FormatError(f"{path}:{lineno}: duplicate alignment for sent_id {key[0]} "
+                              f"rank {key[1]}, first given on line {first}")
+        text = fields[2].strip()
+        alignment = maps.get(text)
+        if alignment is None:
+            alignment = maps[text] = _parse_links(text, path, lineno)
+        result[key] = alignment
     return result
 
 

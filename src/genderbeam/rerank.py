@@ -11,6 +11,7 @@ synthetic hypothesis at the list-average log likelihood first.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -52,9 +53,21 @@ class AlignmentMap:
             checked.add((int(s), int(t)))
         self._links = frozenset(checked)
 
+    @classmethod
+    def _trusted(cls, links: frozenset[tuple[int, int]]) -> AlignmentMap:
+        """A map over links the caller built from non-negative ints."""
+        alignment = cls.__new__(cls)
+        alignment._links = links
+        return alignment
+
     @property
     def links(self) -> frozenset[tuple[int, int]]:
         return self._links
+
+    @functools.cached_property
+    def target_end(self) -> int:
+        """One past the largest target index; 0 with no links."""
+        return max((t for _, t in self._links), default=-1) + 1
 
     def aligned_targets(self, source_indices: Iterable[int]) -> frozenset[int]:
         wanted = set(source_indices)

@@ -166,3 +166,17 @@ def random_lattice(rng, max_positions=4, max_arcs=3, multi_token=True):
 def pipeline_report(*args, **kwargs):
     """score_records over the records of run_pipeline(*args, **kwargs)."""
     return score_records([outcome.record for outcome in run_pipeline(*args, **kwargs)])
+
+
+def reference_link_pairs(field):
+    """The per-pair rule parse_alignments applied to every link field before
+    it validated whole fields: split on any whitespace, each pair is two
+    ASCII-digit indices joined by the first '-'. Returns the link set, or
+    raises ValueError carrying the first bad pair."""
+    links = set()
+    for pair in field.split():
+        left, sep, right = pair.partition("-")
+        if not sep or not all(side.isascii() and side.isdigit() for side in (left, right)):
+            raise ValueError(pair)
+        links.add((int(left), int(right)))
+    return frozenset(links)

@@ -215,6 +215,34 @@ class TestRerankCommand:
         assert err.startswith(f"genderbeam: {align}: ")
         assert f"sent_id {testset[1].sent_id} rank 5" in err
 
+    def test_link_past_the_hypothesis_is_an_error(self, bench_dir, tmp_path, capsys):
+        testset, tp = self.write_two_pass(bench_dir, tmp_path, range(3))
+        lists = parse_nbest(tp)
+        sent_id = testset[1].sent_id
+        length = len(lists[sent_id][5].tokens)
+        far = {(sent_id, 5): f"0-0 2-{length + 3} 1-{length}",
+               # no entities for testset[2], so its alignments are not read
+               (testset[2].sent_id, 0): "0-0 0-99"}
+        align = tmp_path / "align.txt"
+        align.write_text(
+            "".join(f"{s.sent_id}\t{rank}\t{far.get((s.sent_id, rank), '0-0')}\n"
+                    for s in testset for rank in range(20)),
+            encoding="utf-8",
+        )
+        entities = tmp_path / "entities.tsv"
+        entities.write_text(
+            "".join(f"{s.sent_id}\t{s.gold_gender}\t-\t0\n" for s in testset[:2]), encoding="utf-8"
+        )
+        code = main([
+            "rerank", "--nbest", str(tp), "--align", str(align),
+            "--entities", str(entities), "--lexicon", str(bench_dir / "lexicon.tsv"),
+            "--out", str(tmp_path / "sel.nbest"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"genderbeam: {align}: sent_id {sent_id} rank 5: link 1-{length} is past "
+            f"the hypothesis of {length} tokens\n")
+
 
 class TestEvalCommand:
     def eval_args(self, bench_dir, report, constrain="on", rerank="oracle"):

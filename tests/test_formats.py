@@ -1,9 +1,12 @@
 """Interchange format parsing, writing, and round-trip identity."""
 
 import random
+import re
 import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genderbeam.decode import Hypothesis, NBestList, NoisyChannelToy, TableModel
 from genderbeam.errors import FormatError, LexiconError, PairSetError, PatternError
@@ -31,6 +34,8 @@ from genderbeam.morpho import (
     read_patterns,
 )
 from genderbeam.rerank import AlignmentMap, EntitySpec
+
+from helpers import reference_link_pairs
 
 
 class TestNBestFiles:
@@ -134,6 +139,13 @@ class TestAlignmentFiles:
             path.write_text(f"0\t0\t{pair}\n", encoding="utf-8")
             with pytest.raises(FormatError, match=rf"align\.txt:1: malformed alignment pair '{pair}'"):
                 parse_alignments(path)
+
+    def test_duplicate_line_names_both_lines(self, tmp_path):
+        path = tmp_path / "align.txt"
+        path.write_text("0\t0\t0-0\n1\t0\t1-1\n# note\n0\t0\t2-2\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"^\S*align\.txt:4: duplicate alignment for "
+                           r"sent_id 0 rank 0, first given on line 1$"):
+            parse_alignments(path)
 
     def test_field_count_checked(self, tmp_path):
         path = tmp_path / "align.txt"
@@ -265,6 +277,124 @@ class TestTestsetFiles:
         ]
         write_testset(rows, path)
         assert read_testset(path) == rows
+
+
+# every reader's integer fields take ASCII digits only; int() alone would
+# file '1_0' under 10, '\u0661' under 1, and take '-1' and '+2' as numbers
+INTEGER_FIELDS = [
+    (parse_nbest, "{} ||| a ||| -1.0", "sent_id"),
+    (parse_alignments, "{}\t0\t0-0", "sent_id"),
+    (parse_alignments, "0\t{}\t0-0", "hyp_rank"),
+    (read_entities, "{}\tfeminine\t0\t0", "sent_id"),
+    (read_entities, "0\tfeminine\t{}\t0", "trigger_index"),
+    (read_testset, "{}\tfeminine\ta b\t0\t0", "sent_id"),
+    (read_testset, "0\tfeminine\ta b\t{}\t0", "trigger_index"),
+]
+INTEGER_FIELD_IDS = [f"{reader.__name__}-{what}" for reader, _, what in INTEGER_FIELDS]
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "-1", "+2"])
+    @pytest.mark.parametrize("reader, row, what", INTEGER_FIELDS, ids=INTEGER_FIELD_IDS)
+    def test_only_ascii_digits(self, tmp_path, reader, row, what, value):
+        path = tmp_path / "data.txt"
+        path.write_text(f"{row.format(1)}\n{row.format(value)}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"^\S*data\.txt:2: {what} must be an integer, "
+                                              rf"got '{re.escape(value)}'$"):
+            reader(path)
+
+    @pytest.mark.parametrize("reader, row, what", INTEGER_FIELDS, ids=INTEGER_FIELD_IDS)
+    def test_blanks_around_digits_allowed(self, tmp_path, reader, row, what):
+        path = tmp_path / "data.txt"
+        path.write_text(f"{row.format(' 1 ')}\n", encoding="utf-8")
+        path_plain = tmp_path / "plain.txt"
+        path_plain.write_text(f"{row.format(1)}\n", encoding="utf-8")
+        assert reader(path) == reader(path_plain)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+SPACES = " \x0b\x0c\u00a0\u2003\x1c"  # ASCII, then Unicode, whitespace
+INDEX_TEXT = st.one_of(st.integers(0, 120).map(str),
+                       st.text(st.sampled_from("0123456789\u00b2\u0661+_-"), max_size=3))
+LINK_TOKEN = st.one_of(st.builds("{}-{}".format, INDEX_TEXT, INDEX_TEXT),
+                       st.text(st.sampled_from("0123456789-\u00b2\u0661+_" + SPACES),
+                               min_size=1, max_size=7))
+# tokens may also touch, as in '1-23-4', which is no pair
+LINK_FIELDS = st.builds(
+    lambda lead, parts: lead + "".join(token + space for token, space in parts),
+    st.text(st.sampled_from(SPACES), max_size=2),
+    st.lists(st.tuples(LINK_TOKEN, st.text(st.sampled_from(SPACES), max_size=2)), max_size=6),
+)
+NBEST_TOKENS = st.text(st.characters(whitelist_categories=("L", "N", "P", "S")),
+                       min_size=1, max_size=5).filter(
+    lambda t: "|" not in t and unicodedata.normalize("NFC", t) == t)
+NBEST_FILES = st.dictionaries(
+    st.integers(0, 10**6),
+    st.lists(st.tuples(st.lists(NBEST_TOKENS, max_size=4),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+             min_size=1, max_size=4),
+    max_size=5,
+).map(lambda groups: {
+    sent_id: NBestList(sent_id, [Hypothesis(tuple(tokens), loglik) for tokens, loglik in hyps])
+    for sent_id, hyps in groups.items()
+})
+LINK_SETS = st.frozensets(st.tuples(st.integers(0, 300), st.integers(0, 300)), max_size=8)
+
+
+class TestFileProperties:
+    @settings(max_examples=400)
+    @given(field=LINK_FIELDS)
+    def test_link_rule_matches_per_pair_reference(self, scratch, field):
+        path = scratch / "align.txt"
+        path.write_text(f"0\t0\t{field}\n", encoding="utf-8")
+        try:
+            expected = reference_link_pairs(field)
+        except ValueError as exc:
+            with pytest.raises(FormatError) as info:
+                parse_alignments(path)
+            assert str(info.value) == f"{path}:1: malformed alignment pair {exc.args[0]!r}"
+        else:
+            assert parse_alignments(path)[0, 0].links == expected
+
+    @given(lists=NBEST_FILES)
+    def test_nbest_round_trip(self, scratch, lists):
+        path = scratch / "nbest.txt"
+        write_nbest(lists.values(), path)
+        assert parse_nbest(path) == lists
+
+    @given(table=st.dictionaries(st.tuples(st.integers(0, 10**6), st.integers(0, 50)),
+                                 LINK_SETS.map(AlignmentMap), max_size=8))
+    def test_alignment_round_trip(self, scratch, table):
+        path = scratch / "align.txt"
+        write_alignments(table, path)
+        assert parse_alignments(path) == table
+
+    @given(data=st.data())
+    def test_repeated_fields_parse_as_single_lines(self, scratch, data):
+        spacing = st.sampled_from([" ", "  ", "\x0b", "\u00a0", " \u2003"])
+        pool = data.draw(st.lists(
+            st.builds(lambda links, sep, lead, trail:
+                      lead + sep.join(f"{s}-{t}" for s, t in links) + trail,
+                      st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=5),
+                      spacing, st.sampled_from(["", " "]), st.sampled_from(["", " ", "\x0c"])),
+            min_size=1, max_size=4))
+        fields = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+        keys = data.draw(st.permutations([(i // 3, i % 3) for i in range(len(fields))]))
+        path = scratch / "align.txt"
+        path.write_text("".join(f"{s}\t{r}\t{f}\n" for (s, r), f in zip(keys, fields)),
+                        encoding="utf-8")
+        whole = parse_alignments(path)
+        assert list(whole) == keys
+        first_map = {}
+        for (s, r), field in zip(keys, fields):
+            path.write_text(f"{s}\t{r}\t{field}\n", encoding="utf-8")
+            assert whole[s, r] == parse_alignments(path)[s, r]
+            # lines with the same field text share one map
+            assert first_map.setdefault(field.strip(), whole[s, r]) is whole[s, r]
 
 
 def _noisy_lexical(path):

@@ -32,9 +32,12 @@ def _parse_int(text: str, path, lineno: int, what: str) -> int:
     """An id, rank or trigger field: ASCII digits, surrounding blanks allowed.
     int() alone would also take '1_0', '١', '-1' and '+2'."""
     text = text.strip()
-    if not _is_index(text):
-        raise FormatError(f"{path}:{lineno}: {what} must be an integer, got {text!r}")
-    return int(text)
+    if _is_index(text):
+        try:
+            return int(text)
+        except ValueError:  # past int's digit limit
+            pass
+    raise FormatError(f"{path}:{lineno}: {what} must be an integer, got {text!r}")
 
 
 def parse_nbest(path) -> dict[int, NBestList]:
@@ -64,24 +67,24 @@ def write_nbest(lists: Iterable[NBestList], path) -> None:
                              f"{NBEST_SEPARATOR}{hyp.loglik!r}\n")
 
 
-# a whole link field of ASCII `i-j` pairs split by ASCII whitespace, or empty
-_LINK_FIELD = re.compile(r"([0-9]+-[0-9]+(\s+[0-9]+-[0-9]+)*)?", re.ASCII)
+# a whole link field of ASCII `i-j` pairs, or empty; `\s` is the whitespace
+# of str.split, so this accepts exactly the fields whose every split pair is
+# two ASCII-digit indices joined by `-`
+_LINK_FIELD = re.compile(r"([0-9]+-[0-9]+(\s+[0-9]+-[0-9]+)*)?")
+
+
+def _is_pair(pair: str) -> bool:
+    left, _, right = pair.partition("-")
+    return _is_index(left) and _is_index(right)
 
 
 def _parse_links(text: str, path, lineno: int) -> AlignmentMap:
-    """One stripped link field. A field the regex rejects may still be valid
-    (pairs split by a non-ASCII space); the per-pair rule then accepts it or
-    names its first bad pair."""
-    if _LINK_FIELD.fullmatch(text):
-        ints = map(int, text.replace("-", " ").split())
-        return AlignmentMap._trusted(frozenset(zip(ints, ints)))
-    links = set()
-    for pair in text.split():
-        left, sep, right = pair.partition("-")
-        if not sep or not _is_index(left) or not _is_index(right):
-            raise FormatError(f"{path}:{lineno}: malformed alignment pair {pair!r}")
-        links.add((int(left), int(right)))
-    return AlignmentMap._trusted(frozenset(links))
+    """One stripped link field; a rejected field is reported by its first bad pair."""
+    if _LINK_FIELD.fullmatch(text) is None:
+        bad = next(pair for pair in text.split() if not _is_pair(pair))
+        raise FormatError(f"{path}:{lineno}: malformed alignment pair {bad!r}")
+    ints = map(int, text.replace("-", " ").split())
+    return AlignmentMap._trusted(frozenset(zip(ints, ints)))
 
 
 def parse_alignments(path) -> dict[tuple[int, int], AlignmentMap]:

@@ -1,6 +1,5 @@
 """Interchange format parsing, writing, and round-trip identity."""
 
-import random
 import re
 import unicodedata
 
@@ -36,6 +35,27 @@ from genderbeam.morpho import (
 from genderbeam.rerank import AlignmentMap, EntitySpec
 
 from helpers import reference_link_pairs
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+NBEST_TOKENS = st.text(st.characters(whitelist_categories=("L", "N", "P", "S")),
+                       min_size=1, max_size=5).filter(
+    lambda t: "|" not in t and unicodedata.normalize("NFC", t) == t)
+NBEST_FILES = st.dictionaries(
+    st.integers(0, 10**6),
+    st.lists(st.tuples(st.lists(NBEST_TOKENS, max_size=4),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+             min_size=1, max_size=4),
+    max_size=5,
+).map(lambda groups: {
+    sent_id: NBestList(sent_id, [Hypothesis(tuple(tokens), loglik) for tokens, loglik in hyps])
+    for sent_id, hyps in groups.items()
+})
+LINK_SETS = st.frozensets(st.tuples(st.integers(0, 300), st.integers(0, 300)), max_size=8)
 
 
 class TestNBestFiles:
@@ -95,23 +115,11 @@ class TestNBestFiles:
         lists = parse_nbest(path)
         assert lists[0][0].tokens == ("médica",)
 
-    def test_fuzzed_round_trip(self, tmp_path):
-        rng = random.Random(7)
-        alphabet = ["la", "médica", "el", "niño", "groß", "x1"]
-        path = tmp_path / "nbest.txt"
-        for _ in range(50):
-            lists = {}
-            for sent_id in rng.sample(range(100), rng.randrange(1, 6)):
-                hyps = [
-                    Hypothesis(
-                        tuple(rng.choices(alphabet, k=rng.randrange(0, 5))),
-                        rng.uniform(-40.0, 0.0),
-                    )
-                    for _ in range(rng.randrange(1, 5))
-                ]
-                lists[sent_id] = NBestList(sent_id, hyps)
-            write_nbest(lists.values(), path)
-            assert parse_nbest(path) == lists
+    @given(lists=NBEST_FILES)
+    def test_fuzzed_round_trip(self, scratch, lists):
+        path = scratch / "nbest.txt"
+        write_nbest(lists.values(), path)
+        assert parse_nbest(path) == lists
 
 
 class TestAlignmentFiles:
@@ -153,20 +161,12 @@ class TestAlignmentFiles:
         with pytest.raises(FormatError, match="3 tab-separated"):
             parse_alignments(path)
 
-    def test_fuzzed_round_trip(self, tmp_path):
-        rng = random.Random(13)
-        path = tmp_path / "align.txt"
-        for _ in range(50):
-            table = {}
-            for _ in range(rng.randrange(1, 8)):
-                key = (rng.randrange(0, 20), rng.randrange(0, 4))
-                links = {
-                    (rng.randrange(0, 10), rng.randrange(0, 10))
-                    for _ in range(rng.randrange(0, 6))
-                }
-                table[key] = AlignmentMap(links)
-            write_alignments(table, path)
-            assert parse_alignments(path) == table
+    @given(table=st.dictionaries(st.tuples(st.integers(0, 10**6), st.integers(0, 50)),
+                                 LINK_SETS.map(AlignmentMap), max_size=8))
+    def test_fuzzed_round_trip(self, scratch, table):
+        path = scratch / "align.txt"
+        write_alignments(table, path)
+        assert parse_alignments(path) == table
 
 
 class TestEntityFiles:
@@ -294,7 +294,8 @@ INTEGER_FIELD_IDS = [f"{reader.__name__}-{what}" for reader, _, what in INTEGER_
 
 
 class TestIntegerFields:
-    @pytest.mark.parametrize("value", ["1_0", "\u0661", "-1", "+2"])
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "-1", "+2",
+                                       pytest.param("1" * 5000, id="5000-digits")])
     @pytest.mark.parametrize("reader, row, what", INTEGER_FIELDS, ids=INTEGER_FIELD_IDS)
     def test_only_ascii_digits(self, tmp_path, reader, row, what, value):
         path = tmp_path / "data.txt"
@@ -312,11 +313,6 @@ class TestIntegerFields:
         assert reader(path) == reader(path_plain)
 
 
-@pytest.fixture(scope="module")
-def scratch(tmp_path_factory):
-    return tmp_path_factory.mktemp("properties")
-
-
 SPACES = " \x0b\x0c\u00a0\u2003\x1c"  # ASCII, then Unicode, whitespace
 INDEX_TEXT = st.one_of(st.integers(0, 120).map(str),
                        st.text(st.sampled_from("0123456789\u00b2\u0661+_-"), max_size=3))
@@ -329,22 +325,6 @@ LINK_FIELDS = st.builds(
     st.text(st.sampled_from(SPACES), max_size=2),
     st.lists(st.tuples(LINK_TOKEN, st.text(st.sampled_from(SPACES), max_size=2)), max_size=6),
 )
-NBEST_TOKENS = st.text(st.characters(whitelist_categories=("L", "N", "P", "S")),
-                       min_size=1, max_size=5).filter(
-    lambda t: "|" not in t and unicodedata.normalize("NFC", t) == t)
-NBEST_FILES = st.dictionaries(
-    st.integers(0, 10**6),
-    st.lists(st.tuples(st.lists(NBEST_TOKENS, max_size=4),
-                       st.floats(allow_nan=False, allow_infinity=False)),
-             min_size=1, max_size=4),
-    max_size=5,
-).map(lambda groups: {
-    sent_id: NBestList(sent_id, [Hypothesis(tuple(tokens), loglik) for tokens, loglik in hyps])
-    for sent_id, hyps in groups.items()
-})
-LINK_SETS = st.frozensets(st.tuples(st.integers(0, 300), st.integers(0, 300)), max_size=8)
-
-
 class TestFileProperties:
     @settings(max_examples=400)
     @given(field=LINK_FIELDS)
@@ -359,19 +339,6 @@ class TestFileProperties:
             assert str(info.value) == f"{path}:1: malformed alignment pair {exc.args[0]!r}"
         else:
             assert parse_alignments(path)[0, 0].links == expected
-
-    @given(lists=NBEST_FILES)
-    def test_nbest_round_trip(self, scratch, lists):
-        path = scratch / "nbest.txt"
-        write_nbest(lists.values(), path)
-        assert parse_nbest(path) == lists
-
-    @given(table=st.dictionaries(st.tuples(st.integers(0, 10**6), st.integers(0, 50)),
-                                 LINK_SETS.map(AlignmentMap), max_size=8))
-    def test_alignment_round_trip(self, scratch, table):
-        path = scratch / "align.txt"
-        write_alignments(table, path)
-        assert parse_alignments(path) == table
 
     @given(data=st.data())
     def test_repeated_fields_parse_as_single_lines(self, scratch, data):

@@ -125,7 +125,7 @@ def _cmd_two_pass(args) -> int:
     pairs, lexicon = _load_pairs_and_lexicon(args)
     cfg = _beam_config(args)
     return _decode_file(args, lambda source, sent_id: two_pass_decode(
-        model, source, pairs, None, cfg, cfg, lexicon=lexicon, source_id=sent_id))
+        model, source, pairs, cfg, cfg, lexicon=lexicon, source_id=sent_id))
 
 
 def _alignment_for(alignments, path, sent_id: int, rank: int, tokens) -> AlignmentMap:

@@ -13,12 +13,21 @@ state. The loop prunes exactly: a child scoring strictly below the k-th best
 is never built; order and ties are unchanged. The comparison is on the same
 float sum the child would carry, so children that tie the k-th best after
 rounding are still built and ranked by tokens.
+
+Until a step holds width candidates nothing can be pruned, so the k-th best
+scores are kept in a plain list and turned into a heap only once it is full.
+The unconstrained pass ranks each step map once per search, by descending
+score, and walks an item's children in that order, stopping at the first one
+below the k-th best: float addition is monotone and the threshold only rises,
+so no later child could be kept. The constrained pass walks its moves in
+lattice order.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,7 +64,8 @@ class ScoringModel(ABC):
     nothing else. next_scores returns a finite token -> log probability map
     for one step; it may include EOS. Tokens outside the map score the
     model's floor. Implementations must be deterministic for identical
-    inputs.
+    inputs. A returned map must not change afterwards: a search may rank it
+    once and reuse that ranking whenever the same map comes back.
     """
 
     floor: float = DEFAULT_FLOOR
@@ -335,36 +345,56 @@ def _search(
         raise DecodeError(f"source {source_id}: source sentence is empty")
     width, max_len, floor = cfg.beam_width, cfg.max_len, model.floor
     final = -1 if moves is None else len(moves) - 1
+    # this search's step maps by id, each held with its items by descending
+    # score; holding the map keeps its id from being reused meanwhile
+    ranked: dict[int, tuple[Mapping[str, float], list[tuple[str, float]]]] = {}
     # an item is (-score, tokens, is_open, state), so tuple order is beam
     # order: higher score first, ties lexicographic by tokens, closed before
     # open, then by automaton state (always 0 without moves)
     beam: list[tuple[float, tuple[str, ...], bool, int]] = [(-0.0, (), True, 0)]
     while any(is_open and (len(tokens) < max_len or moves is not None) for _, tokens, is_open, _ in beam):
-        candidates = []
-        # min-heap of the width best scores built so far; its root is the
-        # threshold, and a child strictly below it is never built
-        best = [-math.inf] * width
+        candidates, expand = [], []
         for item in beam:
-            neg, tokens, is_open, state = item
+            _, tokens, is_open, state = item
             if not is_open or (moves is None and len(tokens) >= max_len):
                 candidates.append(item)
-                heapq.heappushpop(best, -neg)
-                continue
-            if len(tokens) >= max_len and state != final:
-                continue  # mid-lattice at the length cap: cannot become a complete path
+            elif len(tokens) < max_len or state == final:
+                expand.append(item)
+            # else mid-lattice at the length cap: cannot become a complete path
+        # the scores of the width best candidates built so far: a plain list
+        # with no threshold until it holds width of them (the carried items
+        # are at most width), then a min-heap whose root is the threshold; a
+        # child strictly below it is never built
+        best = [-neg for neg, _, _, _ in candidates]
+        room = width - len(best)
+        threshold = -math.inf
+        if not room:
+            heapq.heapify(best)
+            threshold = best[0]
+        for neg, tokens, _, state in expand:
             scores = model.next_scores(source, tokens)
             base = -neg
-            threshold = best[0]
             if moves is None:
-                for token, lp in scores.items():
+                entry = ranked.get(id(scores))
+                if entry is None:
+                    entry = ranked[id(scores)] = (
+                        scores, sorted(scores.items(), key=operator.itemgetter(1), reverse=True))
+                for token, lp in entry[1]:
                     score = base + lp
                     if score < threshold:
-                        continue
+                        break  # every later child scores no more
                     if token == EOS:
                         candidates.append((-score, tokens, False, 0))
                     else:
                         candidates.append((-score, (*tokens, token), True, 0))
-                    heapq.heappushpop(best, score)
+                    if room:
+                        best.append(score)
+                        room -= 1
+                        if room:
+                            continue
+                        heapq.heapify(best)
+                    else:
+                        heapq.heappushpop(best, score)
                     threshold = best[0]
                 continue
             for token, to_state in moves[state]:
@@ -375,7 +405,14 @@ def _search(
                     candidates.append((-score, tokens, False, state))
                 else:
                     candidates.append((-score, (*tokens, token), True, to_state))
-                heapq.heappushpop(best, score)
+                if room:
+                    best.append(score)
+                    room -= 1
+                    if room:
+                        continue
+                    heapq.heapify(best)
+                else:
+                    heapq.heappushpop(best, score)
                 threshold = best[0]
         candidates.sort()
         beam = candidates[:width]
@@ -397,11 +434,12 @@ def two_pass_decode(
     model: ScoringModel,
     source: Sequence[str],
     pairs: ReinflectionPairSet,
-    segmenter: Segmenter | None,
     cfg_first: BeamConfig,
     cfg_second: BeamConfig,
     lexicon: GenderLexicon | None = None,
     source_id: int = 0,
+    *,
+    segmenter: Segmenter | None = None,
 ) -> NBestList:
     """First pass 1-best -> lattice of its gendered variants -> constrained pass."""
     segmenter = segmenter if segmenter is not None else WholeWordSegmenter()

@@ -200,7 +200,7 @@ def run_pipeline(
     for sentence in testset:
         if constrain:
             nbest = two_pass_decode(
-                model, sentence.source, pairs, None, cfg, cfg,
+                model, sentence.source, pairs, cfg, cfg,
                 lexicon=lexicon, source_id=sentence.sent_id,
             )
         else:

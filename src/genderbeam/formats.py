@@ -41,7 +41,12 @@ def _parse_int(text: str, path, lineno: int, what: str) -> int:
 
 
 def parse_nbest(path) -> dict[int, NBestList]:
-    """Moses-style lines `sent_id ||| token sequence ||| loglik`, grouped by id."""
+    """Moses-style lines `sent_id ||| token sequence ||| loglik`, grouped by id.
+
+    File order within a group is rank order, so a group must be listed best
+    first: a loglik above the one before it in its group is an error naming
+    its line. Equal logliks keep file order.
+    """
     groups: dict[int, list[Hypothesis]] = {}
     for lineno, fields in read_rows(path, NBEST_SEPARATOR, 3, FormatError):
         sent_id = _parse_int(fields[0], path, lineno, "sent_id")
@@ -54,7 +59,13 @@ def parse_nbest(path) -> dict[int, NBestList]:
             ) from None
         if not math.isfinite(loglik):
             raise FormatError(f"{path}:{lineno}: loglik must be finite, got {fields[2]!r}")
-        groups.setdefault(sent_id, []).append(Hypothesis(tokens, loglik))
+        group = groups.setdefault(sent_id, [])
+        if group and loglik > group[-1].loglik:
+            raise FormatError(
+                f"{path}:{lineno}: loglik {loglik!r} is above the {group[-1].loglik!r} before it "
+                f"for sent_id {sent_id}; hypotheses must be listed best first"
+            )
+        group.append(Hypothesis(tokens, loglik))
     return {sent_id: NBestList(sent_id, hyps) for sent_id, hyps in groups.items()}
 
 

@@ -255,6 +255,22 @@ class TestBeamSearchMatchesReference:
         model = grid_table(vocab, values, salt, max_len)
         assert run_or_error(beam_search, model, cfg) == run_or_error(reference_beam_search, model, cfg)
 
+    @settings(max_examples=400)
+    @given(
+        values=st.lists(st.sampled_from(SCORE_GRID), min_size=1, max_size=10),
+        salt=st.integers(0, 2**16),
+        width=st.integers(1, 6),
+        max_len=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_equals_full_sort_reference_with_fresh_maps(self, values, salt, width, max_len, data):
+        # GridScorer builds a new map on every call, so a map the search has
+        # let go of can hand its id to the next one; TableModel's maps live
+        # as long as the table and never do
+        cfg = BeamConfig(width, data.draw(st.integers(1, width)), max_len)
+        model = GridScorer(values, salt)
+        assert run_or_error(beam_search, model, cfg) == run_or_error(reference_beam_search, model, cfg)
+
     @pytest.mark.parametrize(
         "entries, max_len, expected",
         [
@@ -548,7 +564,7 @@ class TestTwoPass:
 
     def test_fig_workflow_produces_all_variants(self):
         result = two_pass_decode(
-            self.toy_model(), SRC, TOY_PAIRS, None, BeamConfig(2), BeamConfig(4)
+            self.toy_model(), SRC, TOY_PAIRS, BeamConfig(2), BeamConfig(4)
         )
         tokens = [h.tokens for h in result]
         assert len(tokens) == 4
@@ -558,7 +574,7 @@ class TestTwoPass:
     def test_empty_pairs_collapse_to_first_pass_best(self):
         model = self.toy_model()
         first = beam_search(model, SRC, BeamConfig(2))
-        result = two_pass_decode(model, SRC, ReinflectionPairSet([]), None, BeamConfig(2), BeamConfig(4))
+        result = two_pass_decode(model, SRC, ReinflectionPairSet([]), BeamConfig(2), BeamConfig(4))
         assert len(result) == 1
         assert result[0] == first[0]
 
@@ -567,11 +583,11 @@ class TestTwoPass:
         model = TableModel({(SRC_KEY, BOS): {EOS: -0.1, "el": -1.0}, (SRC_KEY, "el"): {EOS: -0.1}})
         assert beam_search(model, SRC, BeamConfig(2))[0].tokens == ()
         with pytest.raises(DecodeError, match=r"^source 7: first-pass 1-best is empty$"):
-            two_pass_decode(model, SRC, TOY_PAIRS, None, BeamConfig(2), BeamConfig(2), source_id=7)
+            two_pass_decode(model, SRC, TOY_PAIRS, BeamConfig(2), BeamConfig(2), source_id=7)
 
     def test_biased_model_still_yields_all_variants_masculine_first(self):
         result = two_pass_decode(
-            masc_biased_table(), SRC, TOY_PAIRS, None, BeamConfig(4), BeamConfig(4)
+            masc_biased_table(), SRC, TOY_PAIRS, BeamConfig(4), BeamConfig(4)
         )
         ordered = [h.tokens for h in result]
         assert ordered[0] == ("el", "médico")

@@ -55,6 +55,8 @@ NBEST_FILES = st.dictionaries(
     sent_id: NBestList(sent_id, [Hypothesis(tuple(tokens), loglik) for tokens, loglik in hyps])
     for sent_id, hyps in groups.items()
 })
+# logliks that tie, including 0.0 against -0.0
+TIED_LOGLIKS = (0.0, -0.0, -0.5, -1.0, -1e16)
 LINK_SETS = st.frozensets(st.tuples(st.integers(0, 300), st.integers(0, 300)), max_size=8)
 
 
@@ -69,11 +71,27 @@ class TestNBestFiles:
     def test_out_of_order_ids_grouped(self, tmp_path):
         path = tmp_path / "nbest.txt"
         path.write_text(
-            "5 ||| a ||| -1.0\n0 ||| b ||| -2.0\n5 ||| c ||| -0.5\n", encoding="utf-8"
+            "5 ||| c ||| -0.5\n0 ||| b ||| -2.0\n5 ||| a ||| -1.0\n", encoding="utf-8"
         )
         lists = parse_nbest(path)
         assert set(lists) == {0, 5}
         assert [h.tokens for h in lists[5]] == [("c",), ("a",)]
+
+    def test_rising_loglik_in_group_names_line(self, tmp_path):
+        # sent_id 5's second hypothesis beats its first; re-sorting it would
+        # attach alignment rank 0 to "c" instead of "a"
+        path = tmp_path / "nbest.txt"
+        path.write_text(
+            "5 ||| a ||| -1.0\n0 ||| b ||| -2.0\n5 ||| c ||| -0.5\n", encoding="utf-8"
+        )
+        with pytest.raises(FormatError, match=r"nbest\.txt:3: loglik -0\.5 is above the -1\.0 before it "
+                                              r"for sent_id 5; hypotheses must be listed best first$"):
+            parse_nbest(path)
+
+    def test_equal_logliks_keep_file_order(self, tmp_path):
+        path = tmp_path / "nbest.txt"
+        path.write_text("0 ||| b ||| -0.0\n0 ||| a ||| 0.0\n0 ||| c ||| -0.0\n", encoding="utf-8")
+        assert [h.tokens for h in parse_nbest(path)[0]] == [("b",), ("a",), ("c",)]
 
     def test_missing_separator_names_line(self, tmp_path):
         path = tmp_path / "nbest.txt"
@@ -117,6 +135,29 @@ class TestNBestFiles:
 
     @given(lists=NBEST_FILES)
     def test_fuzzed_round_trip(self, scratch, lists):
+        path = scratch / "nbest.txt"
+        write_nbest(lists.values(), path)
+        assert parse_nbest(path) == lists
+
+    @given(lines=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(TIED_LOGLIKS)), max_size=8))
+    def test_accepts_exactly_the_files_listed_best_first(self, scratch, lines):
+        path = scratch / "nbest.txt"
+        path.write_text("".join(f"{sent_id} ||| t{row} ||| {loglik!r}\n"
+                                for row, (sent_id, loglik) in enumerate(lines)), encoding="utf-8")
+        groups = {}
+        for row, (sent_id, loglik) in enumerate(lines):
+            groups.setdefault(sent_id, []).append(Hypothesis((f"t{row}",), loglik))
+        if all(a.loglik >= b.loglik for hyps in groups.values() for a, b in zip(hyps, hyps[1:])):
+            assert {sent_id: list(nbest) for sent_id, nbest in parse_nbest(path).items()} == groups
+        else:
+            with pytest.raises(FormatError, match="hypotheses must be listed best first"):
+                parse_nbest(path)
+
+    @given(groups=st.dictionaries(st.integers(0, 3), st.lists(st.sampled_from(TIED_LOGLIKS), min_size=1,
+                                                               max_size=5), max_size=4))
+    def test_written_ties_are_accepted_in_order(self, scratch, groups):
+        lists = {sent_id: NBestList(sent_id, [Hypothesis((f"t{i}",), lp) for i, lp in enumerate(lps)])
+                 for sent_id, lps in groups.items()}
         path = scratch / "nbest.txt"
         write_nbest(lists.values(), path)
         assert parse_nbest(path) == lists

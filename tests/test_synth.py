@@ -77,7 +77,7 @@ def first_agree_rank(bench, row, width):
     sentence = bench.testset[row]
     cfg = BeamConfig(width, width, 16)
     nbest = two_pass_decode(
-        bench.model, sentence.source, bench.pairs, None, cfg, cfg,
+        bench.model, sentence.source, bench.pairs, cfg, cfg,
         lexicon=bench.lexicon, source_id=row,
     )
     for position, hyp in enumerate(nbest, 1):

@@ -19,8 +19,12 @@ scores are kept in a plain list and turned into a heap only once it is full.
 The unconstrained pass ranks each step map once per search, by descending
 score, and walks an item's children in that order, stopping at the first one
 below the k-th best: float addition is monotone and the threshold only rises,
-so no later child could be kept. The constrained pass walks its moves in
-lattice order.
+so no later child could be kept. Ranking pays only for maps that come back,
+so the search ranks a new map only while it holds fewer than width maps
+beyond the times a map came back; a scorer that builds a new map on every
+call has at most width of them ranked, and the rest are walked in map order
+without the early exit. The constrained pass walks its moves in lattice
+order.
 """
 
 from __future__ import annotations
@@ -346,8 +350,11 @@ def _search(
     width, max_len, floor = cfg.beam_width, cfg.max_len, model.floor
     final = -1 if moves is None else len(moves) - 1
     # this search's step maps by id, each held with its items by descending
-    # score; holding the map keeps its id from being reused meanwhile
+    # score; holding the map keeps its id from being reused meanwhile. New
+    # maps are ranked only while the memo holds fewer than width maps beyond
+    # the times a map came back
     ranked: dict[int, tuple[Mapping[str, float], list[tuple[str, float]]]] = {}
+    reused = 0
     # an item is (-score, tokens, is_open, state), so tuple order is beam
     # order: higher score first, ties lexicographic by tokens, closed before
     # open, then by automaton state (always 0 without moves)
@@ -376,13 +383,18 @@ def _search(
             base = -neg
             if moves is None:
                 entry = ranked.get(id(scores))
-                if entry is None:
+                if entry is not None:
+                    reused += 1
+                elif len(ranked) < reused + width:
                     entry = ranked[id(scores)] = (
                         scores, sorted(scores.items(), key=operator.itemgetter(1), reverse=True))
-                for token, lp in entry[1]:
+                ordered = entry is not None
+                for token, lp in entry[1] if ordered else scores.items():
                     score = base + lp
                     if score < threshold:
-                        break  # every later child scores no more
+                        if ordered:
+                            break  # every later child scores no more
+                        continue
                     if token == EOS:
                         candidates.append((-score, tokens, False, 0))
                     else:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import weakref
 import zlib
 
 import pytest
@@ -232,6 +233,10 @@ def grid_table(vocab, values, salt, max_len):
     return TableModel(entries)
 
 
+class WeakMap(dict):
+    """A step map that can be weakly referenced, to count the live ones."""
+
+
 def run_or_error(search, model, *args):
     try:
         return [(h.tokens, repr(h.loglik)) for h in search(model, ("s",), *args)]
@@ -270,6 +275,26 @@ class TestBeamSearchMatchesReference:
         cfg = BeamConfig(width, data.draw(st.integers(1, width)), max_len)
         model = GridScorer(values, salt)
         assert run_or_error(beam_search, model, cfg) == run_or_error(reference_beam_search, model, cfg)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_fresh_maps_are_held_at_most_width(self, width):
+        # a scorer that builds a new map on every call never hands one back,
+        # so the search must not sort and keep all of them
+        refs = []
+        most = 0
+
+        class FreshMaps(HashScorer):
+            def next_scores(self, source, prefix):
+                nonlocal most
+                most = max(most, sum(ref() is not None for ref in refs))
+                scores = WeakMap(super().next_scores(source, prefix))
+                refs.append(weakref.ref(scores))
+                return scores
+
+        model = FreshMaps(["a", "b", "c"], include_eos=False)  # every item runs to max_len
+        cfg = BeamConfig(width, max_len=8)
+        assert beam_search(model, ("s",), cfg) == reference_beam_search(model, ("s",), cfg)
+        assert most <= width + 1  # the memo's maps and the map last walked
 
     @pytest.mark.parametrize(
         "entries, max_len, expected",

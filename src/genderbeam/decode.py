@@ -359,7 +359,7 @@ def _search(
     # order: higher score first, ties lexicographic by tokens, closed before
     # open, then by automaton state (always 0 without moves)
     beam: list[tuple[float, tuple[str, ...], bool, int]] = [(-0.0, (), True, 0)]
-    while any(is_open and (len(tokens) < max_len or moves is not None) for _, tokens, is_open, _ in beam):
+    while True:
         candidates, expand = [], []
         for item in beam:
             _, tokens, is_open, state = item
@@ -368,6 +368,8 @@ def _search(
             elif len(tokens) < max_len or state == final:
                 expand.append(item)
             # else mid-lattice at the length cap: cannot become a complete path
+        if len(candidates) == len(beam):
+            break  # every item is carried: nothing is left to expand or drop
         # the scores of the width best candidates built so far: a plain list
         # with no threshold until it holds width of them (the carried items
         # are at most width), then a min-heap whose root is the threshold; a
@@ -398,7 +400,7 @@ def _search(
                     if token == EOS:
                         candidates.append((-score, tokens, False, 0))
                     else:
-                        candidates.append((-score, (*tokens, token), True, 0))
+                        candidates.append((-score, tokens + (token,), True, 0))
                     if room:
                         best.append(score)
                         room -= 1
@@ -416,7 +418,7 @@ def _search(
                 if state == final:
                     candidates.append((-score, tokens, False, state))
                 else:
-                    candidates.append((-score, (*tokens, token), True, to_state))
+                    candidates.append((-score, tokens + (token,), True, to_state))
                 if room:
                     best.append(score)
                     room -= 1

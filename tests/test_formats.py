@@ -88,11 +88,6 @@ class TestNBestFiles:
                                               r"for sent_id 5; hypotheses must be listed best first$"):
             parse_nbest(path)
 
-    def test_equal_logliks_keep_file_order(self, tmp_path):
-        path = tmp_path / "nbest.txt"
-        path.write_text("0 ||| b ||| -0.0\n0 ||| a ||| 0.0\n0 ||| c ||| -0.0\n", encoding="utf-8")
-        assert [h.tokens for h in parse_nbest(path)[0]] == [("b",), ("a",), ("c",)]
-
     def test_missing_separator_names_line(self, tmp_path):
         path = tmp_path / "nbest.txt"
         path.write_text("0 ||| ok ||| -1.0\n1 | broken | -2.0\n", encoding="utf-8")

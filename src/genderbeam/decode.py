@@ -16,15 +16,14 @@ rounding are still built and ranked by tokens.
 
 Until a step holds width candidates nothing can be pruned, so the k-th best
 scores are kept in a plain list and turned into a heap only once it is full.
-The unconstrained pass ranks each step map once per search, by descending
-score, and walks an item's children in that order, stopping at the first one
-below the k-th best: float addition is monotone and the threshold only rises,
-so no later child could be kept. Ranking pays only for maps that come back,
-so the search ranks a new map only while it holds fewer than width maps
-beyond the times a map came back; a scorer that builds a new map on every
-call has at most width of them ranked, and the rest are walked in map order
-without the early exit. The constrained pass walks its moves in lattice
-order.
+The unconstrained pass ranks a step map by descending score when it comes
+back within a search, and from then on walks an item's children in that
+order, stopping at the first one below the k-th best: float addition is
+monotone and the threshold only rises, so no later child could be kept. A
+map seen for the first time is walked in map order; the search holds the
+width latest of those to notice one coming back. So a scorer that builds a
+new map on every call pays for no sort. The constrained pass walks its moves
+in lattice order.
 """
 
 from __future__ import annotations
@@ -349,12 +348,12 @@ def _search(
         raise DecodeError(f"source {source_id}: source sentence is empty")
     width, max_len, floor = cfg.beam_width, cfg.max_len, model.floor
     final = -1 if moves is None else len(moves) - 1
-    # this search's step maps by id, each held with its items by descending
-    # score; holding the map keeps its id from being reused meanwhile. New
-    # maps are ranked only while the memo holds fewer than width maps beyond
-    # the times a map came back
+    # this search's step maps by id. A map seen once is held in seen, the
+    # width latest of them; one that comes back moves to ranked, held with
+    # its items by descending score for the rest of the search. Holding a
+    # map keeps its id from being reused while the id is a key
+    seen: dict[int, Mapping[str, float]] = {}
     ranked: dict[int, tuple[Mapping[str, float], list[tuple[str, float]]]] = {}
-    reused = 0
     # an item is (-score, tokens, is_open, state), so tuple order is beam
     # order: higher score first, ties lexicographic by tokens, closed before
     # open, then by automaton state (always 0 without moves)
@@ -380,22 +379,43 @@ def _search(
         if not room:
             heapq.heapify(best)
             threshold = best[0]
+        # the three walks below differ only in where the children come from
+        # and in whether a child below the threshold ends the walk; the
+        # bookkeeping after a child is kept is written out in each, since a
+        # shared loop or a call per kept child measured slower
         for neg, tokens, _, state in expand:
             scores = model.next_scores(source, tokens)
             base = -neg
-            if moves is None:
-                entry = ranked.get(id(scores))
-                if entry is not None:
-                    reused += 1
-                elif len(ranked) < reused + width:
-                    entry = ranked[id(scores)] = (
-                        scores, sorted(scores.items(), key=operator.itemgetter(1), reverse=True))
-                ordered = entry is not None
-                for token, lp in entry[1] if ordered else scores.items():
+            if moves is not None:
+                for token, to_state in moves[state]:
+                    score = base + scores.get(token, floor)
+                    if score < threshold:
+                        continue
+                    if state == final:
+                        candidates.append((-score, tokens, False, state))
+                    else:
+                        candidates.append((-score, tokens + (token,), True, to_state))
+                    if room:
+                        best.append(score)
+                        room -= 1
+                        if room:
+                            continue
+                        heapq.heapify(best)
+                    else:
+                        heapq.heappushpop(best, score)
+                    threshold = best[0]
+                continue
+            key = id(scores)
+            entry = ranked.get(key)
+            if entry is None and seen.pop(key, None) is None:
+                # first sight: walk in map order, since a map that never
+                # comes back is not worth a sort
+                if len(seen) == width:
+                    del seen[next(iter(seen))]
+                seen[key] = scores
+                for token, lp in scores.items():
                     score = base + lp
                     if score < threshold:
-                        if ordered:
-                            break  # every later child scores no more
                         continue
                     if token == EOS:
                         candidates.append((-score, tokens, False, 0))
@@ -411,14 +431,17 @@ def _search(
                         heapq.heappushpop(best, score)
                     threshold = best[0]
                 continue
-            for token, to_state in moves[state]:
-                score = base + scores.get(token, floor)
+            if entry is None:
+                entry = ranked[key] = (
+                    scores, sorted(scores.items(), key=operator.itemgetter(1), reverse=True))
+            for token, lp in entry[1]:
+                score = base + lp
                 if score < threshold:
-                    continue
-                if state == final:
-                    candidates.append((-score, tokens, False, state))
+                    break  # every later child scores no more
+                if token == EOS:
+                    candidates.append((-score, tokens, False, 0))
                 else:
-                    candidates.append((-score, tokens + (token,), True, to_state))
+                    candidates.append((-score, tokens + (token,), True, 0))
                 if room:
                     best.append(score)
                     room -= 1

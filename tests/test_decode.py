@@ -245,41 +245,33 @@ def run_or_error(search, model, *args):
 
 
 class TestBeamSearchMatchesReference:
-    @settings(max_examples=400)
+    @settings(max_examples=800)
     @given(
         vocab_size=st.integers(1, 3),
         values=st.lists(st.sampled_from(SCORE_GRID), min_size=1, max_size=10),
         salt=st.integers(0, 2**16),
         width=st.integers(1, 6),
         max_len=st.integers(1, 5),
+        maps=st.sampled_from(["table", "fresh", "by_last"]),
         data=st.data(),
     )
-    def test_equals_full_sort_reference(self, vocab_size, values, salt, width, max_len, data):
+    def test_equals_full_sort_reference(self, vocab_size, values, salt, width, max_len, maps, data):
+        # the table's maps live as long as it does; GridScorer builds a new
+        # map on every call, and with by_last hands some back before it lets
+        # them go, so a search that did not hold them could meet their ids
+        # again on other maps
         vocab = ("a", "b", "c")[:vocab_size]
         cfg = BeamConfig(width, data.draw(st.integers(1, width)), max_len)
-        model = grid_table(vocab, values, salt, max_len)
-        assert run_or_error(beam_search, model, cfg) == run_or_error(reference_beam_search, model, cfg)
-
-    @settings(max_examples=400)
-    @given(
-        values=st.lists(st.sampled_from(SCORE_GRID), min_size=1, max_size=10),
-        salt=st.integers(0, 2**16),
-        width=st.integers(1, 6),
-        max_len=st.integers(1, 5),
-        data=st.data(),
-    )
-    def test_equals_full_sort_reference_with_fresh_maps(self, values, salt, width, max_len, data):
-        # GridScorer builds a new map on every call, so a map the search has
-        # let go of can hand its id to the next one; TableModel's maps live
-        # as long as the table and never do
-        cfg = BeamConfig(width, data.draw(st.integers(1, width)), max_len)
-        model = GridScorer(values, salt)
+        if maps == "table":
+            model = grid_table(vocab, values, salt, max_len)
+        else:
+            model = GridScorer(values, salt, vocab, by_last=maps == "by_last")
         assert run_or_error(beam_search, model, cfg) == run_or_error(reference_beam_search, model, cfg)
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_fresh_maps_are_held_at_most_width(self, width):
         # a scorer that builds a new map on every call never hands one back,
-        # so the search must not sort and keep all of them
+        # so the search must not keep all of them
         refs = []
         most = 0
 
@@ -294,7 +286,7 @@ class TestBeamSearchMatchesReference:
         model = FreshMaps(["a", "b", "c"], include_eos=False)  # every item runs to max_len
         cfg = BeamConfig(width, max_len=8)
         assert beam_search(model, ("s",), cfg) == reference_beam_search(model, ("s",), cfg)
-        assert most <= width + 1  # the memo's maps and the map last walked
+        assert most <= width + 1  # the width latest maps and the map last walked
 
     @pytest.mark.parametrize(
         "entries, max_len, expected",
@@ -514,16 +506,32 @@ LATTICE_TOKENS = ("a", "b", "c")
 
 
 class GridScorer(ScoringModel):
-    """Step maps over ("a", "b", EOS) picked from a value grid by a hash of
-    (salt, prefix, token); None leaves the token out, so it scores the floor."""
+    """Step maps over vocab and EOS picked from a value grid by a hash of
+    (salt, prefix, token); None leaves the token out, so it scores the floor.
 
-    def __init__(self, values, salt):
-        self.values, self.salt = values, salt
+    Every call builds a new map. With by_last a map depends only on the
+    prefix's length and last token, and the scorer keeps the maps of the
+    latest length it was asked for: prefixes of one length that end alike
+    get one map back, and the maps of a shorter length are let go."""
+
+    def __init__(self, values, salt, vocab=("a", "b"), by_last=False):
+        self.values, self.salt, self.vocab, self.by_last = values, salt, vocab, by_last
+        self._length, self._kept = -1, {}
 
     def next_scores(self, source, prefix):
+        if not self.by_last:
+            return self._build(" ".join(prefix))
+        if len(prefix) != self._length:
+            self._length, self._kept = len(prefix), {}
+        key = f"{len(prefix)} {prefix[-1] if prefix else BOS}"
+        if key not in self._kept:
+            self._kept[key] = self._build(key)
+        return self._kept[key]
+
+    def _build(self, key):
         scores = {}
-        for token in ("a", "b", EOS):
-            pick = self.values[zlib.crc32(f"{self.salt}|{' '.join(prefix)}|{token}".encode()) % len(self.values)]
+        for token in (*self.vocab, EOS):
+            pick = self.values[zlib.crc32(f"{self.salt}|{key}|{token}".encode()) % len(self.values)]
             if pick is not None:
                 scores[token] = pick
         return scores

@@ -380,9 +380,10 @@ def _search(
             heapq.heapify(best)
             threshold = best[0]
         # the three walks below differ only in where the children come from
-        # and in whether a child below the threshold ends the walk; the
-        # bookkeeping after a child is kept is written out in each, since a
-        # shared loop or a call per kept child measured slower
+        # and in whether a child below the threshold ends the walk. Each
+        # writes out the bookkeeping for a kept child: one loop for both
+        # passes measured slower, and one loop for both unconstrained walks
+        # would test on every skipped child of a map that never comes back
         for neg, tokens, _, state in expand:
             scores = model.next_scores(source, tokens)
             base = -neg

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .decode import BeamConfig, NBestList, NoisyChannelToy, TableModel, beam_search, two_pass_decode
 from .errors import FormatError, GenderBeamError
-from .evaluation import MetricReport, beam_sweep, run_pipeline, score_records
+from .evaluation import RERANK_MODES, MetricReport, beam_sweep, run_pipeline, score_records
 from .formats import (
     parse_alignments,
     parse_nbest,
@@ -64,8 +64,7 @@ def _load_model(args):
 
 
 def _beam_config(args) -> BeamConfig:
-    nbest = args.nbest if getattr(args, "nbest", None) is not None else args.beam
-    return BeamConfig(args.beam, nbest, args.max_len)
+    return BeamConfig(args.beam, args.nbest, args.max_len)
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -159,7 +158,9 @@ def _cmd_rerank(args) -> int:
         result = rerank(nbest, aligns, specs, lexicon)
         selected.append(NBestList(sent_id, [result.selected_hypothesis]))
     write_nbest(selected, args.out)
-    print(f"selected 1 hypothesis for each of {len(selected)} sentences to {args.out}")
+    unlisted = len(entities.keys() - lists.keys())
+    print(f"selected 1 hypothesis for each of {len(selected)} sentences to {args.out}, "
+          f"skipped entities for {unlisted} sentences with no n-best list")
     return 0
 
 
@@ -278,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--lexicon", required=True)
     _add_patterns_flag(eval_p)
     eval_p.add_argument("--constrain", choices=("on", "off"), required=True)
-    eval_p.add_argument("--rerank", choices=("off", "oracle", "inferred"), required=True)
+    eval_p.add_argument("--rerank", choices=RERANK_MODES, required=True)
     _add_beam_flags(eval_p)
     eval_p.add_argument("--pronouns", default=None, help="pronoun gender table, required for --rerank inferred")
     eval_p.add_argument("--nouns", default=None, help="known-noun list, required for --rerank inferred")

@@ -63,8 +63,8 @@ def _parse_logprob(text: str, path, lineno: int) -> float:
 class ScoringModel(ABC):
     """Pluggable per-step scorer.
 
-    A scorer implements next_scores and floor, and search and rescore read
-    nothing else. next_scores returns a finite token -> log probability map
+    A scorer implements next_scores and floor, and search reads nothing
+    else. next_scores returns a finite token -> log probability map
     for one step; it may include EOS. Tokens outside the map score the
     model's floor. Implementations must be deterministic for identical
     inputs. A returned map must not change afterwards: a search may rank it
@@ -173,11 +173,6 @@ class NoisyChannelToy(ScoringModel):
             lexical.setdefault(source, {})[target] = _parse_logprob(raw_lp, lexical_path, lineno)
         return cls(lexical, filter(None, read_sentences(corpus_path)), floor=floor)
 
-    def bigram_logprob(self, prev: str, token: str) -> float:
-        count = self._followers.get(prev, {}).get(token, 0)
-        context = self._contexts.get(prev, 0)
-        return math.log((count + 1) / (context + self._smoothing_vocab))
-
     def next_scores(self, source: Sequence[str], prefix: Sequence[str]) -> Mapping[str, float]:
         if source is not self._step_source:
             source = tuple(source)
@@ -196,9 +191,10 @@ class NoisyChannelToy(ScoringModel):
         return cached
 
     def _build_step(self, prev: str) -> dict[str, float]:
-        """The current source's step map after prev. Each value is the float
-        expression bigram_logprob computes, with the context's denominator
-        and the unseen-bigram log taken once."""
+        """The current source's step map after prev: each target's best
+        lexical logprob plus log((count + 1) / (context + V)), the smoothed
+        bigram term, with the context's denominator and the unseen-bigram log
+        taken once."""
         best = self._best
         row = self._followers.get(prev, {})
         denom = self._contexts.get(prev, 0) + self._smoothing_vocab
@@ -223,10 +219,9 @@ class NBestList:
     """
 
     def __init__(self, source_id: int, hypotheses: Iterable[Hypothesis]) -> None:
-        hyps = [Hypothesis(tuple(tokens), float(loglik)) for tokens, loglik in hypotheses]
-        hyps.sort(key=lambda h: -h.loglik)
         self._source_id = int(source_id)
-        self._hypotheses = tuple(hyps)
+        # a reverse sort is stable too
+        self._hypotheses = tuple(sorted(hypotheses, key=operator.attrgetter("loglik"), reverse=True))
 
     @property
     def source_id(self) -> int:
@@ -487,14 +482,3 @@ def two_pass_decode(
     words = segmenter.words(first[0].tokens)
     variants = compose_lattice(pairs, words, segmenter=segmenter, lexicon=lexicon)
     return constrained_beam_search(model, source, variants, cfg_second, source_id=source_id)
-
-
-def rescore(model: ScoringModel, source: Sequence[str], tokens: Sequence[str]) -> float:
-    """Independent sum-of-steps score of a complete hypothesis, EOS included."""
-    source = tuple(source)
-    prefix: tuple[str, ...] = ()
-    total = 0.0
-    for token in (*tokens, EOS):
-        total += model.next_scores(source, prefix).get(token, model.floor)
-        prefix = (*prefix, token)
-    return total

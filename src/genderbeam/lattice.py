@@ -1,4 +1,4 @@
-"""Constrained hypothesis lattices: composition, enumeration, serialization.
+"""Constrained hypothesis lattices: composition and serialization.
 
 A lattice is a linear chain of states 0..n where n is the hypothesis length
 in words. Every arc spans one position and rewrites that position's word to
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import LatticeError
 from .morpho import NONE, GenderLabel, GenderLexicon, ReinflectionPairSet, analyze_gender
@@ -48,7 +48,7 @@ class HypothesisLattice:
 
     Arc order within a position is preserved from construction; composition
     puts the identity arc first, then pair substitutions in pair-set sort
-    order, which fixes the enumeration order.
+    order, which fixes the order of paths.
     """
 
     def __init__(self, arcs: Iterable[LatticeArc]) -> None:
@@ -140,34 +140,6 @@ def compose_lattice(
     return HypothesisLattice(arcs)
 
 
-MAX_ENUMERATED_PATHS = 10**6
-
-
-def iter_paths(
-    lattice: HypothesisLattice,
-) -> Iterator[tuple[tuple[str, ...], tuple[GenderLabel, ...]]]:
-    """All paths as (words, per-word genders), the last position varying fastest."""
-    for combo in itertools.product(*(lattice.arcs_at(i) for i in range(lattice.num_positions))):
-        yield tuple(arc.word for arc in combo), tuple(arc.gender for arc in combo)
-
-
-def enumerate_paths(
-    lattice: HypothesisLattice,
-    limit: int | None = None,
-    max_paths: int = MAX_ENUMERATED_PATHS,
-) -> list[tuple[tuple[str, ...], tuple[GenderLabel, ...]]]:
-    """Materialize paths in iter_paths order, truncated at limit if given."""
-    if limit is None and lattice.path_count > max_paths:
-        raise LatticeError(
-            f"lattice has {lattice.path_count} paths, over the {max_paths} enumeration "
-            "bound; pass a limit to truncate"
-        )
-    paths = iter_paths(lattice)
-    if limit is not None:
-        return list(itertools.islice(paths, limit))
-    return list(paths)
-
-
 def serialize_lattice(lattice: HypothesisLattice) -> str:
     """Text form: one arc per line, position order, then the final-state line."""
     lines = []
@@ -180,51 +152,3 @@ def serialize_lattice(lattice: HypothesisLattice) -> str:
         lines.append(f"{arc.from_state}\t{arc.to_state}\t{arc.word}\t{joined}\t{arc.gender}")
     lines.append(f"FINAL\t{lattice.final_state}")
     return "\n".join(lines) + "\n"
-
-
-def deserialize_lattice(text: str) -> HypothesisLattice:
-    """Parse the serialize_lattice format; errors carry 1-based line numbers."""
-    arcs: list[LatticeArc] = []
-    final_state: int | None = None
-    last_position = -1
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if final_state is not None:
-            raise LatticeError(f"line {lineno}: content after the FINAL line")
-        columns = line.split("\t")
-        if columns[0] == "FINAL":
-            # ASCII digits only: str.isdigit also accepts '²', which int rejects
-            if len(columns) != 2 or not (columns[1].isascii() and columns[1].isdigit()):
-                raise LatticeError(f"line {lineno}: malformed FINAL line")
-            final_state = int(columns[1])
-            continue
-        if len(columns) != 5:
-            raise LatticeError(f"line {lineno}: expected 5 tab-separated fields, got {len(columns)}")
-        raw_from, raw_to, word, joined, tag = columns
-        try:
-            from_state, to_state = int(raw_from), int(raw_to)
-        except ValueError:
-            raise LatticeError(f"line {lineno}: non-numeric arc states") from None
-        tokens = tuple(joined.split(TOKEN_JOINER))
-        try:
-            gender = GenderLabel(tag)
-        except ValueError as exc:
-            raise LatticeError(f"line {lineno}: {exc}") from exc
-        if from_state < last_position:
-            raise LatticeError(f"line {lineno}: arcs must be grouped by position in order")
-        last_position = from_state
-        try:
-            arcs.append(LatticeArc(from_state, to_state, word, tokens, gender))
-        except LatticeError as exc:
-            raise LatticeError(f"line {lineno}: {exc}") from exc
-    if not arcs:
-        raise LatticeError("lattice text contains no arcs")
-    if final_state is None:
-        raise LatticeError("lattice text missing the FINAL line")
-    lattice = HypothesisLattice(arcs)
-    if lattice.final_state != final_state:
-        raise LatticeError(
-            f"FINAL state {final_state} does not match arc structure ({lattice.final_state})"
-        )
-    return lattice

@@ -346,9 +346,3 @@ def read_patterns(path: str | Path) -> tuple[PlaceholderPattern, ...]:
         except (PatternError, ValueError) as exc:
             raise PatternError(f"{path}:{lineno}: {exc}") from exc
     return tuple(patterns)
-
-
-def write_patterns(patterns: Iterable[PlaceholderPattern], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for pattern in patterns:
-            handle.write(f"{pattern.kind}\t{pattern.text}\t{pattern.gender}\n")

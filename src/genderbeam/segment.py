@@ -6,7 +6,7 @@ maps each word to a deterministic token sequence and back.
 
 from __future__ import annotations
 
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 
 class Segmenter(Protocol):
@@ -25,48 +25,3 @@ class WholeWordSegmenter:
 
     def words(self, tokens: Sequence[str]) -> tuple[str, ...]:
         return tuple(tokens)
-
-
-class SubwordTable:
-    """Fixed word -> token sequence table; unlisted words stay whole.
-
-    Reassembly is greedy longest match against the table; same-length
-    candidates resolve to the lexicographically smallest word so that the
-    mapping stays deterministic even when the table is ambiguous.
-    """
-
-    def __init__(self, table: Mapping[str, Sequence[str]]) -> None:
-        self._table: dict[str, tuple[str, ...]] = {}
-        inverse: dict[tuple[str, ...], str] = {}
-        for word, tokens in table.items():
-            pieces = tuple(tokens)
-            if not word or not pieces or any(not piece for piece in pieces):
-                raise ValueError(f"invalid segmentation for {word!r}: {pieces!r}")
-            self._table[word] = pieces
-            known = inverse.get(pieces)
-            if known is None or word < known:
-                inverse[pieces] = word
-        self._inverse = inverse
-        self._longest = max((len(pieces) for pieces in inverse), default=0)
-
-    def segment(self, word: str) -> tuple[str, ...]:
-        return self._table.get(word, (word,))
-
-    def words(self, tokens: Sequence[str]) -> tuple[str, ...]:
-        out: list[str] = []
-        i = 0
-        tokens = tuple(tokens)
-        while i < len(tokens):
-            match = None
-            for span in range(min(self._longest, len(tokens) - i), 0, -1):
-                candidate = self._inverse.get(tokens[i : i + span])
-                if candidate is not None:
-                    match = (candidate, span)
-                    break
-            if match is None:
-                out.append(tokens[i])
-                i += 1
-            else:
-                out.append(match[0])
-                i += match[1]
-        return tuple(out)

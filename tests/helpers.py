@@ -1,13 +1,23 @@
-"""Shared test scaffolding: deterministic scorers and brute-force oracles."""
+"""Shared test scaffolding: scorers, a fake segmenter, the lattice parser and oracles."""
 
 import hashlib
 import itertools
-from typing import NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
-from genderbeam.decode import EOS, Hypothesis, NBestList, ScoringModel, rescore
-from genderbeam.errors import DecodeError
+from genderbeam.decode import EOS, Hypothesis, NBestList, ScoringModel
+from genderbeam.errors import DecodeError, LatticeError
 from genderbeam.evaluation import run_pipeline, score_records
-from genderbeam.lattice import HypothesisLattice, LatticeArc
+from genderbeam.lattice import TOKEN_JOINER, HypothesisLattice, LatticeArc
+from genderbeam.morpho import FEMININE, MASCULINE, GenderLabel, ReinflectionPairSet
+
+TOY_PAIRS = ReinflectionPairSet(
+    [
+        ("el", "la", FEMININE),
+        ("la", "el", MASCULINE),
+        ("médico", "médica", FEMININE),
+        ("médica", "médico", MASCULINE),
+    ]
+)
 
 
 class HashScorer(ScoringModel):
@@ -33,11 +43,38 @@ class HashScorer(ScoringModel):
         return {token: self._logprob(source, prefix, token) for token in tokens}
 
 
+MAX_ENUMERATED_PATHS = 10**6
+
+
+def _arc_paths(lattice):
+    """Every lattice path as its arcs, the last position varying fastest."""
+    if lattice.path_count > MAX_ENUMERATED_PATHS:
+        raise LatticeError(f"lattice has {lattice.path_count} paths, over the "
+                           f"{MAX_ENUMERATED_PATHS} enumeration bound")
+    return itertools.product(*(lattice.arcs_at(i) for i in range(lattice.num_positions)))
+
+
+def enumerate_paths(lattice):
+    """All paths as (words, per-word genders), in _arc_paths order."""
+    return [(tuple(arc.word for arc in combo), tuple(arc.gender for arc in combo))
+            for combo in _arc_paths(lattice)]
+
+
 def realizations(lattice):
-    """Model-token realizations of every lattice path, enumeration order."""
-    per_position = (lattice.arcs_at(i) for i in range(lattice.num_positions))
-    for combo in itertools.product(*per_position):
+    """Model-token realizations of every lattice path, in _arc_paths order."""
+    for combo in _arc_paths(lattice):
         yield tuple(token for arc in combo for token in arc.model_tokens)
+
+
+def rescore(model, source, tokens):
+    """Independent sum-of-steps score of a complete hypothesis, EOS included."""
+    source = tuple(source)
+    prefix = ()
+    total = 0.0
+    for token in (*tokens, EOS):
+        total += model.next_scores(source, prefix).get(token, model.floor)
+        prefix = (*prefix, token)
+    return total
 
 
 def oracle_nbest(model, source, lattice, nbest):
@@ -180,3 +217,99 @@ def reference_link_pairs(field):
             raise ValueError(pair)
         links.add((int(left), int(right)))
     return frozenset(links)
+
+
+class SubwordTable:
+    """Fixed word -> token sequence table; unlisted words stay whole.
+
+    Reassembly is greedy longest match against the table; same-length
+    candidates resolve to the lexicographically smallest word so that the
+    mapping stays deterministic even when the table is ambiguous.
+    """
+
+    def __init__(self, table: Mapping[str, Sequence[str]]) -> None:
+        self._table: dict[str, tuple[str, ...]] = {}
+        inverse: dict[tuple[str, ...], str] = {}
+        for word, tokens in table.items():
+            pieces = tuple(tokens)
+            if not word or not pieces or any(not piece for piece in pieces):
+                raise ValueError(f"invalid segmentation for {word!r}: {pieces!r}")
+            self._table[word] = pieces
+            known = inverse.get(pieces)
+            if known is None or word < known:
+                inverse[pieces] = word
+        self._inverse = inverse
+        self._longest = max((len(pieces) for pieces in inverse), default=0)
+
+    def segment(self, word: str) -> tuple[str, ...]:
+        return self._table.get(word, (word,))
+
+    def words(self, tokens: Sequence[str]) -> tuple[str, ...]:
+        out: list[str] = []
+        i = 0
+        tokens = tuple(tokens)
+        while i < len(tokens):
+            match = None
+            for span in range(min(self._longest, len(tokens) - i), 0, -1):
+                candidate = self._inverse.get(tokens[i : i + span])
+                if candidate is not None:
+                    match = (candidate, span)
+                    break
+            if match is None:
+                out.append(tokens[i])
+                i += 1
+            else:
+                out.append(match[0])
+                i += match[1]
+        return tuple(out)
+
+
+MEDIC_TABLE = SubwordTable({"médica": ("médic", "a"), "médico": ("médic", "o")})
+
+
+def deserialize_lattice(text: str) -> HypothesisLattice:
+    """Parse the serialize_lattice format; errors carry 1-based line numbers."""
+    arcs: list[LatticeArc] = []
+    final_state: int | None = None
+    last_position = -1
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if final_state is not None:
+            raise LatticeError(f"line {lineno}: content after the FINAL line")
+        columns = line.split("\t")
+        if columns[0] == "FINAL":
+            # ASCII digits only: str.isdigit also accepts '²', which int rejects
+            if len(columns) != 2 or not (columns[1].isascii() and columns[1].isdigit()):
+                raise LatticeError(f"line {lineno}: malformed FINAL line")
+            final_state = int(columns[1])
+            continue
+        if len(columns) != 5:
+            raise LatticeError(f"line {lineno}: expected 5 tab-separated fields, got {len(columns)}")
+        raw_from, raw_to, word, joined, tag = columns
+        try:
+            from_state, to_state = int(raw_from), int(raw_to)
+        except ValueError:
+            raise LatticeError(f"line {lineno}: non-numeric arc states") from None
+        tokens = tuple(joined.split(TOKEN_JOINER))
+        try:
+            gender = GenderLabel(tag)
+        except ValueError as exc:
+            raise LatticeError(f"line {lineno}: {exc}") from exc
+        if from_state < last_position:
+            raise LatticeError(f"line {lineno}: arcs must be grouped by position in order")
+        last_position = from_state
+        try:
+            arcs.append(LatticeArc(from_state, to_state, word, tokens, gender))
+        except LatticeError as exc:
+            raise LatticeError(f"line {lineno}: {exc}") from exc
+    if not arcs:
+        raise LatticeError("lattice text contains no arcs")
+    if final_state is None:
+        raise LatticeError("lattice text missing the FINAL line")
+    lattice = HypothesisLattice(arcs)
+    if lattice.final_state != final_state:
+        raise LatticeError(
+            f"FINAL state {final_state} does not match arc structure ({lattice.final_state})"
+        )
+    return lattice

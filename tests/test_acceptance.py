@@ -12,6 +12,8 @@ from collections import Counter
 
 import pytest
 
+from helpers import deserialize_lattice, enumerate_paths, rescore
+
 from genderbeam.decode import (
     EOS,
     BeamConfig,
@@ -20,7 +22,6 @@ from genderbeam.decode import (
     TableModel,
     beam_search,
     constrained_beam_search,
-    rescore,
 )
 from genderbeam.evaluation import EvalRecord, beam_sweep, run_pipeline, score_records
 from genderbeam.formats import (
@@ -29,14 +30,7 @@ from genderbeam.formats import (
     write_alignments,
     write_nbest,
 )
-from genderbeam.lattice import (
-    HypothesisLattice,
-    LatticeArc,
-    compose_lattice,
-    deserialize_lattice,
-    enumerate_paths,
-    serialize_lattice,
-)
+from genderbeam.lattice import HypothesisLattice, LatticeArc, compose_lattice, serialize_lattice
 from genderbeam.morpho import (
     FEMININE,
     MASCULINE,

@@ -9,7 +9,7 @@ from genderbeam.cli import main
 from genderbeam.decode import BeamConfig
 from genderbeam.evaluation import run_pipeline
 from genderbeam.formats import parse_nbest, read_testset
-from genderbeam.lattice import compose_lattice, deserialize_lattice
+from genderbeam.lattice import compose_lattice, serialize_lattice
 from genderbeam.morpho import build_reinflection_pairs, load_lexicon, read_pairs, read_patterns
 from genderbeam.synth import build_benchmark, write_benchmark
 
@@ -51,7 +51,7 @@ class TestPairsAndLattice:
         lexicon = load_lexicon(bench_dir / "lexicon.tsv")
         pairs = read_pairs(bench_dir / "pairs.tsv")
         expected = compose_lattice(pairs, ("pentristo", "pentras", "muro"), lexicon=lexicon)
-        assert deserialize_lattice(out.read_text(encoding="utf-8")) == expected
+        assert out.read_text(encoding="utf-8") == serialize_lattice(expected)
 
 
 class TestDecodeCommands:
@@ -192,6 +192,26 @@ class TestRerankCommand:
         for sent_id, nbest in selected.items():
             assert len(nbest) == 1
             assert nbest[0] == originals[sent_id][0]
+
+    def test_entities_without_a_list_are_counted(self, bench_dir, tmp_path, capsys):
+        nbest = tmp_path / "tp.nbest"
+        nbest.write_text("0 ||| a b ||| -1.0\n0 ||| c d ||| -2.0\n", encoding="utf-8")
+        align = tmp_path / "align.txt"
+        align.write_text("0\t0\t0-0\n0\t1\t0-0\n", encoding="utf-8")
+        entities = tmp_path / "entities.tsv"
+        entities.write_text("0\tfeminine\t-\t0\n5\tmasculine\t-\t0\n5\tfeminine\t-\t1\n",
+                            encoding="utf-8")
+        out = tmp_path / "sel.nbest"
+        code = main([
+            "rerank", "--nbest", str(nbest), "--align", str(align),
+            "--entities", str(entities), "--lexicon", str(bench_dir / "lexicon.tsv"),
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            f"selected 1 hypothesis for each of 1 sentences to {out}, "
+            "skipped entities for 1 sentences with no n-best list\n")
+        assert list(parse_nbest(out)) == [0]
 
     def test_missing_alignment_is_an_error(self, bench_dir, tmp_path, capsys):
         testset, tp = self.write_two_pass(bench_dir, tmp_path, range(3))

@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    MEDIC_TABLE,
+    TOY_PAIRS,
     HashScorer,
     oracle_nbest,
     random_lattice,
     realizations,
     reference_beam_search,
     reference_constrained_beam_search,
+    rescore,
 )
 
 from genderbeam.decode import (
@@ -28,22 +31,11 @@ from genderbeam.decode import (
     TableModel,
     beam_search,
     constrained_beam_search,
-    rescore,
     two_pass_decode,
 )
 from genderbeam.errors import DecodeError, FormatError
 from genderbeam.lattice import HypothesisLattice, LatticeArc, compose_lattice
-from genderbeam.morpho import FEMININE, MASCULINE, ReinflectionPairSet
-from genderbeam.segment import SubwordTable
-
-TOY_PAIRS = ReinflectionPairSet(
-    [
-        ("el", "la", FEMININE),
-        ("la", "el", MASCULINE),
-        ("médico", "médica", FEMININE),
-        ("médica", "médico", MASCULINE),
-    ]
-)
+from genderbeam.morpho import MASCULINE, ReinflectionPairSet
 
 SRC = ("the", "doctor")
 SRC_KEY = "the doctor"
@@ -321,11 +313,12 @@ class TestNoisyChannelToy:
 
     def test_bigram_smoothing_values(self):
         model = self.build()
-        # vocab {la, médica} + EOS event -> denominator offset 3
-        assert model.bigram_logprob(BOS, "la") == pytest.approx(math.log(2 / 4))
-        assert model.bigram_logprob("la", "médica") == pytest.approx(math.log(2 / 4))
-        assert model.bigram_logprob("la", "la") == pytest.approx(math.log(1 / 4))
-        assert model.bigram_logprob("médica", EOS) == pytest.approx(math.log(2 / 4))
+        # vocab {la, médica} + EOS event -> denominator offset 3; the best
+        # lexical logprobs are la -0.2 and médica -0.3, and EOS has none
+        assert model.next_scores(SRC, ())["la"] == pytest.approx(-0.2 + math.log(2 / 4))
+        assert model.next_scores(SRC, ("la",))["médica"] == pytest.approx(-0.3 + math.log(2 / 4))
+        assert model.next_scores(SRC, ("la",))["la"] == pytest.approx(-0.2 + math.log(1 / 4))
+        assert model.next_scores(SRC, ("la", "médica"))[EOS] == pytest.approx(math.log(2 / 4))
 
     def test_next_scores_max_over_source(self):
         model = self.build()
@@ -351,7 +344,7 @@ class TestNoisyChannelToy:
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("la médica\n\n", encoding="utf-8")
         model = NoisyChannelToy.from_files(lex, corpus)
-        assert model.bigram_logprob(BOS, "la") == pytest.approx(math.log(2 / 4))
+        assert model.next_scores(SRC, ())["la"] == pytest.approx(-0.2 + math.log(2 / 4))
 
     def test_bad_lexical_file(self, tmp_path):
         lex = tmp_path / "lex.tsv"
@@ -415,9 +408,6 @@ class TestNoisyChannelToy:
             asked = {"held": source, "copy": tuple(list(source)), "list": list(source)}[form]
             scores = model.next_scores(asked, () if prev == BOS else ("x", prev))
             assert [(t, repr(lp)) for t, lp in scores.items()] == [(t, repr(lp)) for t, lp in naive.items()]
-            for token in (*TARGETS, EOS):
-                assert repr(model.bigram_logprob(prev, token)) == repr(
-                    math.log((bigrams.get((prev, token), 0) + 1) / denom))
 
 
 class TestConstrainedSearch:
@@ -449,21 +439,19 @@ class TestConstrainedSearch:
             for hyp in result:
                 assert hyp.tokens in paths
 
-    def test_exactness_at_full_width(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            lattice = random_lattice(rng)
-            model = HashScorer(["x", "y"])
-            width = lattice.path_count
-            result = constrained_beam_search(model, ("s",), lattice, BeamConfig(width))
-            expected = oracle_nbest(model, ("s",), lattice, width)
-            assert [h.tokens for h in result] == [h.tokens for h in expected]
-            for got, want in zip(result, expected):
-                assert got.loglik == pytest.approx(want.loglik, abs=1e-9)
+    @given(rng=st.randoms(use_true_random=False), extra=st.integers(0, 2))
+    def test_exactness_at_full_width(self, rng, extra):
+        lattice = random_lattice(rng)
+        model = HashScorer(["x", "y"])
+        width = lattice.path_count + extra
+        result = constrained_beam_search(model, ("s",), lattice, BeamConfig(width))
+        expected = oracle_nbest(model, ("s",), lattice, width)
+        assert [h.tokens for h in result] == [h.tokens for h in expected]
+        for got, want in zip(result, expected):
+            assert got.loglik == pytest.approx(want.loglik, abs=1e-9)
 
     def test_multi_token_arcs_forced_and_scored(self):
-        table = SubwordTable({"médica": ("médic", "a"), "médico": ("médic", "o")})
-        lattice = compose_lattice(TOY_PAIRS, ["médico"], segmenter=table)
+        lattice = compose_lattice(TOY_PAIRS, ["médico"], segmenter=MEDIC_TABLE)
         model = TableModel(
             {
                 (SRC_KEY, BOS): {"médic": -0.5},

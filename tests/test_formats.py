@@ -58,6 +58,22 @@ NBEST_FILES = st.dictionaries(
 # logliks that tie, including 0.0 against -0.0
 TIED_LOGLIKS = (0.0, -0.0, -0.5, -1.0, -1e16)
 LINK_SETS = st.frozensets(st.tuples(st.integers(0, 300), st.integers(0, 300)), max_size=8)
+REQUIRED_GENDERS = NBEST_TOKENS.filter(lambda t: t != "none").map(GenderLabel)
+ENTITY_FILES = st.dictionaries(
+    st.integers(0, 10**6),
+    st.lists(st.builds(EntitySpec, st.none() | st.integers(0, 300), REQUIRED_GENDERS,
+                       st.frozensets(st.integers(0, 300), min_size=1, max_size=5)),
+             min_size=1, max_size=3),
+    max_size=5,
+)
+
+
+@st.composite
+def sentence_rows(draw):
+    source = tuple(draw(st.lists(NBEST_TOKENS, min_size=1, max_size=6)))
+    index = st.integers(0, len(source) - 1)
+    return TestSentence(draw(st.integers(0, 10**6)), draw(REQUIRED_GENDERS), source,
+                        draw(st.none() | index), draw(st.frozensets(index, min_size=1)))
 
 
 class TestNBestFiles:
@@ -241,6 +257,12 @@ class TestEntityFiles:
         write_entities(entities, path)
         assert read_entities(path) == entities
 
+    @given(entities=ENTITY_FILES)
+    def test_fuzzed_round_trip(self, scratch, entities):
+        path = scratch / "ents.tsv"
+        write_entities(entities, path)
+        assert read_entities(path) == entities
+
 
 class TestPronounTable:
     def test_read(self, tmp_path):
@@ -313,6 +335,13 @@ class TestTestsetFiles:
         ]
         write_testset(rows, path)
         assert read_testset(path) == rows
+
+    @given(rows=st.lists(sentence_rows(), max_size=5))
+    def test_fuzzed_round_trip(self, scratch, rows):
+        # the writer orders rows by id, stably
+        path = scratch / "test.tsv"
+        write_testset(rows, path)
+        assert read_testset(path) == sorted(rows, key=lambda row: row.sent_id)
 
 
 # every reader's integer fields take ASCII digits only; int() alone would

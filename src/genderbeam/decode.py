@@ -53,11 +53,11 @@ def _check_logprob(value: float, where: str) -> float:
     return value
 
 
-def _parse_logprob(text: str, path, lineno: int) -> float:
+def _parse_logprob(text: str) -> float:
     try:
-        return _check_logprob(float(text), f"{path}:{lineno}")
-    except ValueError as exc:
-        raise FormatError(f"{path}:{lineno}: bad logprob {text!r}") from exc
+        return _check_logprob(float(text), "logprob")
+    except ValueError:
+        raise ValueError(f"bad logprob {text!r}") from None
 
 
 class ScoringModel(ABC):
@@ -105,8 +105,9 @@ class TableModel(ScoringModel):
     def from_file(cls, path: str | Path, floor: float = DEFAULT_FLOOR) -> "TableModel":
         """Parse lines `source_key ||| prefix_key ||| token ||| logprob`."""
         entries: dict[tuple[str, str], dict[str, float]] = {}
-        for lineno, (source_key, prefix_key, token, raw_lp) in read_rows(path, " ||| ", 4, FormatError):
-            entries.setdefault((source_key, prefix_key), {})[token] = _parse_logprob(raw_lp, path, lineno)
+        for _, (source_key, prefix_key, token, lp) in read_rows(
+                path, " ||| ", 4, FormatError, lambda *row: (*row[:3], _parse_logprob(row[3]))):
+            entries.setdefault((source_key, prefix_key), {})[token] = lp
         return cls(entries, floor=floor)
 
     def next_scores(self, source: Sequence[str], prefix: Sequence[str]) -> Mapping[str, float]:
@@ -169,8 +170,9 @@ class NoisyChannelToy(ScoringModel):
                    floor: float = DEFAULT_FLOOR) -> "NoisyChannelToy":
         """Lexical TSV `src<TAB>tgt<TAB>logprob` plus a plain-text target corpus."""
         lexical: dict[str, dict[str, float]] = {}
-        for lineno, (source, target, raw_lp) in read_rows(lexical_path, "\t", 3, FormatError):
-            lexical.setdefault(source, {})[target] = _parse_logprob(raw_lp, lexical_path, lineno)
+        for _, (source, target, lp) in read_rows(
+                lexical_path, "\t", 3, FormatError, lambda *row: (*row[:2], _parse_logprob(row[2]))):
+            lexical.setdefault(source, {})[target] = lp
         return cls(lexical, filter(None, read_sentences(corpus_path)), floor=floor)
 
     def next_scores(self, source: Sequence[str], prefix: Sequence[str]) -> Mapping[str, float]:

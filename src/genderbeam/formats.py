@@ -15,7 +15,7 @@ import re
 from typing import Iterable, Mapping, Sequence
 
 from .decode import Hypothesis, NBestList
-from .errors import FormatError, GenderBeamError
+from .errors import FormatError
 from .evaluation import TestSentence
 from .morpho import GenderLabel, data_lines, read_rows, read_sentences
 from .rerank import AlignmentMap, EntitySpec
@@ -23,21 +23,36 @@ from .rerank import AlignmentMap, EntitySpec
 NBEST_SEPARATOR = " ||| "
 
 
-def _is_index(text: str) -> bool:
-    """ASCII digits only: str.isdigit also accepts '²', which int rejects."""
-    return text.isascii() and text.isdigit()
-
-
-def _parse_int(text: str, path, lineno: int, what: str) -> int:
-    """An id, rank or trigger field: ASCII digits, surrounding blanks allowed.
-    int() alone would also take '1_0', '١', '-1' and '+2'."""
-    text = text.strip()
-    if _is_index(text):
+def _index(text: str) -> int | None:
+    """text as an index if it is ASCII digits within int's digit limit:
+    str.isdigit also accepts '²', which int rejects."""
+    if text.isascii() and text.isdigit():
         try:
             return int(text)
         except ValueError:  # past int's digit limit
             pass
-    raise FormatError(f"{path}:{lineno}: {what} must be an integer, got {text!r}")
+    return None
+
+
+def _parse_int(text: str, what: str) -> int:
+    """An id, rank or trigger field: ASCII digits, surrounding blanks allowed.
+    int() alone would also take '1_0', '١', '-1' and '+2'."""
+    text = text.strip()
+    value = _index(text)
+    if value is None:
+        raise ValueError(f"{what} must be an integer, got {text!r}")
+    return value
+
+
+def _parse_hypothesis(sent_id: str, tokens: str, loglik: str) -> tuple[int, Hypothesis]:
+    sent_id = _parse_int(sent_id, "sent_id")
+    try:
+        value = float(loglik)
+    except ValueError:
+        raise ValueError(f"loglik must be a number, got {loglik!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"loglik must be finite, got {loglik!r}")
+    return sent_id, Hypothesis(tuple(tokens.split()), value)
 
 
 def parse_nbest(path) -> dict[int, NBestList]:
@@ -48,24 +63,14 @@ def parse_nbest(path) -> dict[int, NBestList]:
     its line. Equal logliks keep file order.
     """
     groups: dict[int, list[Hypothesis]] = {}
-    for lineno, fields in read_rows(path, NBEST_SEPARATOR, 3, FormatError):
-        sent_id = _parse_int(fields[0], path, lineno, "sent_id")
-        tokens = tuple(fields[1].split())
-        try:
-            loglik = float(fields[2])
-        except ValueError:
-            raise FormatError(
-                f"{path}:{lineno}: loglik must be a number, got {fields[2]!r}"
-            ) from None
-        if not math.isfinite(loglik):
-            raise FormatError(f"{path}:{lineno}: loglik must be finite, got {fields[2]!r}")
+    for lineno, (sent_id, hyp) in read_rows(path, NBEST_SEPARATOR, 3, FormatError, _parse_hypothesis):
         group = groups.setdefault(sent_id, [])
-        if group and loglik > group[-1].loglik:
+        if group and hyp.loglik > group[-1].loglik:
             raise FormatError(
-                f"{path}:{lineno}: loglik {loglik!r} is above the {group[-1].loglik!r} before it "
+                f"{path}:{lineno}: loglik {hyp.loglik!r} is above the {group[-1].loglik!r} before it "
                 f"for sent_id {sent_id}; hypotheses must be listed best first"
             )
-        group.append(Hypothesis(tokens, loglik))
+        group.append(hyp)
     return {sent_id: NBestList(sent_id, hyps) for sent_id, hyps in groups.items()}
 
 
@@ -86,16 +91,19 @@ _LINK_FIELD = re.compile(r"([0-9]+-[0-9]+(\s+[0-9]+-[0-9]+)*)?")
 
 def _is_pair(pair: str) -> bool:
     left, _, right = pair.partition("-")
-    return _is_index(left) and _is_index(right)
+    return _index(left) is not None and _index(right) is not None
 
 
-def _parse_links(text: str, path, lineno: int) -> AlignmentMap:
+def _parse_links(text: str) -> AlignmentMap:
     """One stripped link field; a rejected field is reported by its first bad pair."""
-    if _LINK_FIELD.fullmatch(text) is None:
-        bad = next(pair for pair in text.split() if not _is_pair(pair))
-        raise FormatError(f"{path}:{lineno}: malformed alignment pair {bad!r}")
-    ints = map(int, text.replace("-", " ").split())
-    return AlignmentMap._trusted(frozenset(zip(ints, ints)))
+    if _LINK_FIELD.fullmatch(text) is not None:
+        try:
+            ints = map(int, text.replace("-", " ").split())
+            return AlignmentMap._trusted(frozenset(zip(ints, ints)))
+        except ValueError:  # an index past int's digit limit
+            pass
+    bad = next(pair for pair in text.split() if not _is_pair(pair))
+    raise ValueError(f"malformed alignment pair {bad!r}")
 
 
 def parse_alignments(path) -> dict[tuple[int, int], AlignmentMap]:
@@ -108,17 +116,20 @@ def parse_alignments(path) -> dict[tuple[int, int], AlignmentMap]:
     result: dict[tuple[int, int], AlignmentMap] = {}
     first_line: dict[tuple[int, int], int] = {}
     maps: dict[str, AlignmentMap] = {}  # this call only: no larger than result
-    for lineno, fields in read_rows(path, "\t", 3, FormatError):
-        key = (_parse_int(fields[0], path, lineno, "sent_id"),
-               _parse_int(fields[1], path, lineno, "hyp_rank"))
+
+    def parse(sent_id: str, rank: str, links: str) -> tuple[tuple[int, int], AlignmentMap]:
+        key = (_parse_int(sent_id, "sent_id"), _parse_int(rank, "hyp_rank"))
+        links = links.strip()
+        alignment = maps.get(links)
+        if alignment is None:
+            alignment = maps[links] = _parse_links(links)
+        return key, alignment
+
+    for lineno, (key, alignment) in read_rows(path, "\t", 3, FormatError, parse):
         first = first_line.setdefault(key, lineno)
         if first != lineno:
             raise FormatError(f"{path}:{lineno}: duplicate alignment for sent_id {key[0]} "
                               f"rank {key[1]}, first given on line {first}")
-        text = fields[2].strip()
-        alignment = maps.get(text)
-        if alignment is None:
-            alignment = maps[text] = _parse_links(text, path, lineno)
         result[key] = alignment
     return result
 
@@ -130,14 +141,18 @@ def write_alignments(alignments: Mapping[tuple[int, int], AlignmentMap], path) -
             handle.write(f"{sent_id}\t{rank}\t{links}\n")
 
 
-def _parse_indices(text: str, path, lineno: int) -> frozenset[int]:
-    indices = set()
-    for part in text.split(","):
+def _parse_anchor(trigger: str, indices: str) -> tuple[int | None, frozenset[int]]:
+    """The trigger and entity-index fields that entity and test-set rows
+    share: `-` or an index, then comma-separated indices."""
+    trigger_index = None if trigger == "-" else _parse_int(trigger, "trigger_index")
+    entity_indices = set()
+    for part in indices.split(","):
         part = part.strip()
-        if not _is_index(part):
-            raise FormatError(f"{path}:{lineno}: malformed token index {part!r}")
-        indices.add(int(part))
-    return frozenset(indices)
+        index = _index(part)
+        if index is None:
+            raise ValueError(f"malformed token index {part!r}")
+        entity_indices.add(index)
+    return trigger_index, frozenset(entity_indices)
 
 
 def read_entities(path) -> dict[int, list[EntitySpec]]:
@@ -146,15 +161,13 @@ def read_entities(path) -> dict[int, list[EntitySpec]]:
     A `-` trigger means no trigger position (named-entity mode). Multiple
     lines per sentence accumulate in file order.
     """
+    def parse(sent_id: str, gender: str, trigger: str, indices: str) -> tuple[int, EntitySpec]:
+        sent_id = _parse_int(sent_id, "sent_id")
+        trigger_index, entity_indices = _parse_anchor(trigger, indices)
+        return sent_id, EntitySpec(trigger_index, GenderLabel(gender), entity_indices)
+
     result: dict[int, list[EntitySpec]] = {}
-    for lineno, fields in read_rows(path, "\t", 4, FormatError):
-        sent_id = _parse_int(fields[0], path, lineno, "sent_id")
-        trigger = None if fields[2] == "-" else _parse_int(fields[2], path, lineno, "trigger_index")
-        indices = _parse_indices(fields[3], path, lineno)
-        try:
-            spec = EntitySpec(trigger, GenderLabel(fields[1]), indices)
-        except (GenderBeamError, ValueError) as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
+    for _, (sent_id, spec) in read_rows(path, "\t", 4, FormatError, parse):
         result.setdefault(sent_id, []).append(spec)
     return result
 
@@ -170,13 +183,8 @@ def write_entities(entities: Mapping[int, Sequence[EntitySpec]], path) -> None:
 
 def read_pronoun_table(path) -> dict[str, GenderLabel]:
     """Pronoun-to-gender TSV `pronoun<TAB>gender`; later rows win on repeats."""
-    table: dict[str, GenderLabel] = {}
-    for lineno, fields in read_rows(path, "\t", 2, FormatError):
-        try:
-            table[fields[0]] = GenderLabel(fields[1])
-        except (GenderBeamError, ValueError) as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
-    return table
+    return dict(row for _, row in read_rows(path, "\t", 2, FormatError,
+                                            lambda pronoun, gender: (pronoun, GenderLabel(gender))))
 
 
 def read_word_list(path) -> tuple[str, ...]:
@@ -186,18 +194,12 @@ def read_word_list(path) -> tuple[str, ...]:
 
 def read_testset(path) -> list[TestSentence]:
     """Rows `sent_id<TAB>gold_gender<TAB>source sentence<TAB>trigger<TAB>i,j,...`."""
-    sentences = []
-    for lineno, fields in read_rows(path, "\t", 5, FormatError):
-        sent_id = _parse_int(fields[0], path, lineno, "sent_id")
-        trigger = None if fields[3] == "-" else _parse_int(fields[3], path, lineno, "trigger_index")
-        indices = _parse_indices(fields[4], path, lineno)
-        try:
-            sentences.append(
-                TestSentence(sent_id, GenderLabel(fields[1]), tuple(fields[2].split()), trigger, indices)
-            )
-        except (GenderBeamError, ValueError) as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
-    return sentences
+    def parse(sent_id: str, gender: str, source: str, trigger: str, indices: str) -> TestSentence:
+        sent_id = _parse_int(sent_id, "sent_id")
+        trigger_index, entity_indices = _parse_anchor(trigger, indices)
+        return TestSentence(sent_id, GenderLabel(gender), tuple(source.split()), trigger_index, entity_indices)
+
+    return [sentence for _, sentence in read_rows(path, "\t", 5, FormatError, parse)]
 
 
 def write_testset(sentences: Iterable[TestSentence], path) -> None:

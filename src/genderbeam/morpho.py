@@ -13,11 +13,12 @@ import logging
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
-from .errors import LexiconError, PairSetError, PatternError
+from .errors import GenderBeamError, LexiconError, PairSetError, PatternError
 
 logger = logging.getLogger(__name__)
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, order=True)
@@ -252,15 +253,22 @@ def data_lines(path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def read_rows(path, sep: str, count: int, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
-    """(lineno, fields) for each data line split on sep; a line with other
-    than count fields raises error naming path and line."""
+def read_rows(path, sep: str, count: int, error: type[Exception],
+              parse: Callable[..., T]) -> Iterator[tuple[int, T]]:
+    """(lineno, parse(*fields)) for each data line split on sep. A line with
+    other than count fields, or a ValueError or GenderBeamError from parse,
+    raises error naming path and line: a row parser says what is wrong with
+    its fields and this names where."""
     name = "tab" if sep == "\t" else f"'{sep.strip()}'"
     for lineno, line in data_lines(path):
         fields = line.split(sep)
         if len(fields) != count:
             raise error(f"{path}:{lineno}: expected {count} {name}-separated fields, got {len(fields)}")
-        yield lineno, fields
+        try:
+            row = parse(*fields)
+        except (ValueError, GenderBeamError) as exc:
+            raise error(f"{path}:{lineno}: {exc}") from exc
+        yield lineno, row
 
 
 def read_sentences(path) -> Iterator[tuple[str, ...]]:
@@ -271,9 +279,9 @@ def read_sentences(path) -> Iterator[tuple[str, ...]]:
         yield tuple(line.split())
 
 
-def _parse_gender(tag: str, allowed: frozenset[str], where: str) -> GenderLabel:
+def _parse_gender(tag: str, allowed: frozenset[str]) -> GenderLabel:
     if tag not in allowed:
-        raise LexiconError(f"{where}: unknown gender tag {tag!r}")
+        raise ValueError(f"unknown gender tag {tag!r}")
     return GenderLabel(tag)
 
 
@@ -286,19 +294,15 @@ def load_lexicon(path: str | Path, user_labels: Iterable[str] = ()) -> GenderLex
     allowed = _allowed_tags(user_labels)
     entries: list[LexiconEntry] = []
     lemma_for: dict[tuple[str, str, GenderLabel], tuple[str, int]] = {}
-    for lineno, (surface, lemma, features, tag) in read_rows(path, "\t", 4, LexiconError):
-        gender = _parse_gender(tag, allowed, f"{path}:{lineno}")
-        try:
-            entry = LexiconEntry(surface, lemma, features, gender)
-        except ValueError as exc:
-            raise LexiconError(f"{path}:{lineno}: {exc}") from exc
-        key = (surface, features, gender)
+    for lineno, entry in read_rows(path, "\t", 4, LexiconError, lambda surface, lemma, features, tag:
+                                   LexiconEntry(surface, lemma, features, _parse_gender(tag, allowed))):
+        key = (entry.surface, entry.features, entry.gender)
         known = lemma_for.get(key)
-        if known is not None and known[0] != lemma:
+        if known is not None and known[0] != entry.lemma:
             raise LexiconError(
-                f"{path}:{lineno}: lemma {lemma!r} conflicts with {known[0]!r} from line {known[1]}"
+                f"{path}:{lineno}: lemma {entry.lemma!r} conflicts with {known[0]!r} from line {known[1]}"
             )
-        lemma_for[key] = (lemma, lineno)
+        lemma_for[key] = (entry.lemma, lineno)
         entries.append(entry)
     lexicon = GenderLexicon(entries)
     logger.info("loaded %d lexicon entries from %s", len(lexicon), path)
@@ -314,16 +318,9 @@ def write_lexicon(lexicon: GenderLexicon, path: str | Path) -> None:
 
 def read_pairs(path: str | Path, user_labels: Iterable[str] = ()) -> ReinflectionPairSet:
     """Read a pair-set TSV: source_form<TAB>target_form<TAB>target_gender."""
-    path = Path(path)
     allowed = _allowed_tags(user_labels)
-    pairs: set[tuple[str, str, GenderLabel]] = set()
-    for lineno, (source, target, tag) in read_rows(path, "\t", 3, PairSetError):
-        try:
-            gender = _parse_gender(tag, allowed, f"{path}:{lineno}")
-        except LexiconError as exc:
-            raise PairSetError(str(exc)) from exc
-        pairs.add((source, target, gender))
-    return ReinflectionPairSet(pairs)
+    return ReinflectionPairSet(pair for _, pair in read_rows(
+        path, "\t", 3, PairSetError, lambda source, target, tag: (source, target, _parse_gender(tag, allowed))))
 
 
 def write_pairs(pairs: ReinflectionPairSet, path: str | Path) -> None:
@@ -338,11 +335,5 @@ def read_patterns(path: str | Path) -> tuple[PlaceholderPattern, ...]:
     Pattern files may introduce user gender labels (any well-formed tag is
     accepted here); file order is preserved because first match wins.
     """
-    path = Path(path)
-    patterns: list[PlaceholderPattern] = []
-    for lineno, (kind, text, tag) in read_rows(path, "\t", 3, PatternError):
-        try:
-            patterns.append(PlaceholderPattern(kind, text, GenderLabel(tag)))
-        except (PatternError, ValueError) as exc:
-            raise PatternError(f"{path}:{lineno}: {exc}") from exc
-    return tuple(patterns)
+    return tuple(pattern for _, pattern in read_rows(
+        path, "\t", 3, PatternError, lambda kind, text, tag: PlaceholderPattern(kind, text, GenderLabel(tag))))

@@ -60,6 +60,20 @@ def _parse_logprob(text: str) -> float:
         raise ValueError(f"bad logprob {text!r}") from None
 
 
+def _read_logprobs(path, sep: str, count: int) -> dict[tuple[str, ...], float]:
+    """The logprob of each key of a model file whose rows are key fields and
+    then a logprob. An exact repeat collapses; a key given again with another
+    logprob is an error naming both lines."""
+    logprobs: dict[tuple[str, ...], tuple[float, int]] = {}
+    for lineno, (key, lp) in read_rows(path, sep, count, FormatError,
+                                       lambda *row: (row[:-1], _parse_logprob(row[-1]))):
+        known, first = logprobs.setdefault(key, (lp, lineno))
+        if known != lp:
+            raise FormatError(f"{path}:{lineno}: logprob {lp!r} for {key} conflicts with {known!r} "
+                              f"from line {first}")
+    return {key: lp for key, (lp, _) in logprobs.items()}
+
+
 class ScoringModel(ABC):
     """Pluggable per-step scorer.
 
@@ -105,8 +119,7 @@ class TableModel(ScoringModel):
     def from_file(cls, path: str | Path, floor: float = DEFAULT_FLOOR) -> "TableModel":
         """Parse lines `source_key ||| prefix_key ||| token ||| logprob`."""
         entries: dict[tuple[str, str], dict[str, float]] = {}
-        for _, (source_key, prefix_key, token, lp) in read_rows(
-                path, " ||| ", 4, FormatError, lambda *row: (*row[:3], _parse_logprob(row[3]))):
+        for (source_key, prefix_key, token), lp in _read_logprobs(path, " ||| ", 4).items():
             entries.setdefault((source_key, prefix_key), {})[token] = lp
         return cls(entries, floor=floor)
 
@@ -170,8 +183,7 @@ class NoisyChannelToy(ScoringModel):
                    floor: float = DEFAULT_FLOOR) -> "NoisyChannelToy":
         """Lexical TSV `src<TAB>tgt<TAB>logprob` plus a plain-text target corpus."""
         lexical: dict[str, dict[str, float]] = {}
-        for _, (source, target, lp) in read_rows(
-                lexical_path, "\t", 3, FormatError, lambda *row: (*row[:2], _parse_logprob(row[2]))):
+        for (source, target), lp in _read_logprobs(lexical_path, "\t", 3).items():
             lexical.setdefault(source, {})[target] = lp
         return cls(lexical, filter(None, read_sentences(corpus_path)), floor=floor)
 

@@ -2,10 +2,12 @@
 
 These files are the stage boundaries of the pipeline, so external tools
 (real translation systems, aligners, coreference models) can replace any
-built-in stage. Every reader goes through the line rule in `morpho`: NFC,
-blank lines and `#` comments skipped, errors carrying path and 1-based line
-number. Plain-text sentence files are read by `read_sentences`, which has
-no comment syntax.
+built-in stage. Every reader hands a row parser to `morpho.read_rows`,
+which applies the line rule (NFC, blank lines and `#` comments skipped) and
+names the path and 1-based line number of any error the parser raises. Only
+checks across rows, such as a duplicate alignment, name lines themselves.
+Plain-text sentence files are read by `read_sentences`, which has no
+comment syntax.
 """
 
 from __future__ import annotations

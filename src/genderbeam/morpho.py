@@ -4,7 +4,9 @@ The lexicon is surface-form based: each entry ties one surface form to a
 lemma, an opaque feature string, and a gender label. Reinflection pairs are
 derived from entries that share (lemma, features) but differ in gender.
 Placeholder patterns extend gender lookup to tokens absent from the lexicon.
-The line readers that every file format shares are here too.
+The line readers that every file format shares are here too: a reader
+passes `read_rows` a parser for one row's fields, whose errors say what is
+wrong, and `read_rows` names the path and line.
 """
 
 from __future__ import annotations
@@ -317,10 +319,27 @@ def write_lexicon(lexicon: GenderLexicon, path: str | Path) -> None:
 
 
 def read_pairs(path: str | Path, user_labels: Iterable[str] = ()) -> ReinflectionPairSet:
-    """Read a pair-set TSV: source_form<TAB>target_form<TAB>target_gender."""
+    """Read a pair-set TSV: source_form<TAB>target_form<TAB>target_gender.
+
+    A reflexive row is an error naming its line, and so is the first pair
+    whose reverse is missing.
+    """
     allowed = _allowed_tags(user_labels)
-    return ReinflectionPairSet(pair for _, pair in read_rows(
-        path, "\t", 3, PairSetError, lambda source, target, tag: (source, target, _parse_gender(tag, allowed))))
+
+    def parse(source: str, target: str, tag: str) -> tuple[str, str, GenderLabel]:
+        gender = _parse_gender(tag, allowed)
+        if source == target:
+            raise ValueError(f"reflexive pair {source!r} -> {target!r} not allowed")
+        return source, target, gender
+
+    first_line: dict[tuple[str, str, GenderLabel], int] = {}
+    for lineno, pair in read_rows(path, "\t", 3, PairSetError, parse):
+        first_line.setdefault(pair, lineno)
+    forms = {(source, target) for source, target, _ in first_line}
+    for (source, target, _), lineno in first_line.items():
+        if (target, source) not in forms:
+            raise PairSetError(f"{path}:{lineno}: pair {source!r} -> {target!r} missing its reverse")
+    return ReinflectionPairSet(first_line)
 
 
 def write_pairs(pairs: ReinflectionPairSet, path: str | Path) -> None:
@@ -333,7 +352,16 @@ def read_patterns(path: str | Path) -> tuple[PlaceholderPattern, ...]:
     """Read a patterns TSV: kind<TAB>text<TAB>gender.
 
     Pattern files may introduce user gender labels (any well-formed tag is
-    accepted here); file order is preserved because first match wins.
+    accepted here); file order is preserved because first match wins. A
+    second row with the same kind and text is an error naming both lines.
     """
-    return tuple(pattern for _, pattern in read_rows(
-        path, "\t", 3, PatternError, lambda kind, text, tag: PlaceholderPattern(kind, text, GenderLabel(tag))))
+    patterns: list[PlaceholderPattern] = []
+    first_line: dict[tuple[str, str], int] = {}
+    for lineno, pattern in read_rows(path, "\t", 3, PatternError, lambda kind, text, tag:
+                                     PlaceholderPattern(kind, text, GenderLabel(tag))):
+        first = first_line.setdefault((pattern.kind, pattern.text), lineno)
+        if first != lineno:
+            raise PatternError(f"{path}:{lineno}: duplicate placeholder pattern {pattern.kind} "
+                               f"{pattern.text!r}, first given on line {first}")
+        patterns.append(pattern)
+    return tuple(patterns)

@@ -134,6 +134,18 @@ class TestTableModel:
         with pytest.raises(FormatError, match=r":1:"):
             TableModel.from_file(path)
 
+    def test_from_file_repeated_entry(self, tmp_path):
+        # an exact repeat collapses; another logprob for the same entry is an error
+        path = tmp_path / "model.tsv"
+        path.write_text("x ||| <s> ||| a ||| -1.0\nx ||| <s> ||| b ||| -2.0\n"
+                        "x ||| <s> ||| a ||| -1.0\n", encoding="utf-8")
+        assert TableModel.from_file(path).next_scores(("x",), ()) == {"a": -1.0, "b": -2.0}
+        path.write_text("x ||| <s> ||| a ||| -0.5\nx ||| a ||| a ||| -0.5\n"
+                        "x ||| <s> ||| a ||| -0.1\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"^\S*model\.tsv:3: logprob -0\.1 for \('x', '<s>', 'a'\) "
+                                              r"conflicts with -0\.5 from line 1$"):
+            TableModel.from_file(path)
+
 
 class TestBeamSearch:
     def test_greedy_matches_wider_one_best_on_deterministic_table(self):
@@ -352,6 +364,19 @@ class TestNoisyChannelToy:
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("la\n", encoding="utf-8")
         with pytest.raises(FormatError, match=r":1:"):
+            NoisyChannelToy.from_files(lex, corpus)
+
+    def test_repeated_lexical_entry(self, tmp_path):
+        # an exact repeat collapses; another logprob for the same pair is an error
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("x\ty\t-0.5\nx\ty\t-0.5\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("y\n", encoding="utf-8")
+        assert NoisyChannelToy.from_files(lex, corpus).next_scores(("x",), ())["y"] == pytest.approx(
+            -0.5 + math.log(2 / 3))
+        lex.write_text("x\ty\t-0.5\nx\ty\t-0.1\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"^\S*lex\.tsv:2: logprob -0\.1 for \('x', 'y'\) "
+                                              r"conflicts with -0\.5 from line 1$"):
             NoisyChannelToy.from_files(lex, corpus)
 
     def test_step_cache_holds_only_current_source(self):

@@ -378,6 +378,26 @@ class TestIntegerFields:
         assert reader(path) == reader(path_plain)
 
 
+# an index past int's digit limit in an index list or a link field gets
+# that field's own message, not int's
+INDEX_FIELDS = [
+    (read_entities, "{}\tfeminine\t0\t1,{}", "malformed token index '{}'"),
+    (read_testset, "{}\tfeminine\ta b\t0\t{}", "malformed token index '{}'"),
+    (parse_alignments, "{}\t0\t1-1 0-{}", "malformed alignment pair '0-{}'"),
+]
+
+
+class TestIndexFields:
+    @pytest.mark.parametrize("reader, row, message", INDEX_FIELDS,
+                             ids=[reader.__name__ for reader, _, _ in INDEX_FIELDS])
+    def test_index_past_digit_limit(self, tmp_path, reader, row, message):
+        value = "1" * 5000
+        path = tmp_path / "data.txt"
+        path.write_text(f"{row.format(0, 1)}\n{row.format(1, value)}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"^\S*data\.txt:2: {message.format(value)}$"):
+            reader(path)
+
+
 SPACES = " \x0b\x0c\u00a0\u2003\x1c"  # ASCII, then Unicode, whitespace
 INDEX_TEXT = st.one_of(st.integers(0, 120).map(str),
                        st.text(st.sampled_from("0123456789\u00b2\u0661+_-"), max_size=3))
@@ -438,28 +458,41 @@ def _noisy_lexical(path):
 MEDICA = "m\u00e9dica"  # NFC; the files below hold it decomposed
 
 # reader, its error class, a valid row mentioning MEDICA, a row with a
-# wrong field count, and where MEDICA lands in what the valid row reads to
-# (None where the row alone cannot be read: a pair needs its reverse)
+# wrong field count, a row with a malformed value and the message it gets,
+# and where MEDICA lands in what the valid row reads to (None where the row
+# alone cannot be read: a pair needs its reverse)
 ANNOTATED_READERS = [
     (parse_nbest, FormatError, f"0 ||| la {MEDICA} ||| -1.0", "1 ||| la",
+     "1 ||| la ||| x", "loglik must be a number, got 'x'",
      lambda r: r[0][0].tokens[1]),
-    (parse_alignments, FormatError, "0\t0\t0-0", "0\t0\t0-0\t1-1", None),
+    (parse_alignments, FormatError, "0\t0\t0-0", "0\t0\t0-0\t1-1",
+     "0\t1\t0-0 1-x", "malformed alignment pair '1-x'", None),
     (read_entities, FormatError, f"0\t{MEDICA}\t-\t0", "0\tfeminine\t0",
+     "0\tnone\t-\t0", "entity requires a concrete gender, not none",
      lambda r: r[0][0].required_gender.tag),
     (read_pronoun_table, FormatError, f"{MEDICA}\tfeminine", "ella\tfeminine\tx",
+     "ella\tfem inine", "gender tag must be a nonempty token without whitespace: 'fem inine'",
      lambda r: next(iter(r))),
     (read_testset, FormatError, f"0\tfeminine\tla {MEDICA}\t-\t1", "1\tfeminine\tla",
+     "1\tfeminine\tla\t-\t1", "sentence 1: entity index 1 outside source of length 1",
      lambda r: r[0].source[1]),
     (load_lexicon, LexiconError, f"{MEDICA}\tm\u00e9dico\tNOUN.sg\tfeminine", "la\tel\tART.sg",
+     "la\tel\tART.sg\tfem", "unknown gender tag 'fem'",
      lambda r: next(r.all_entries()).surface),
-    (read_pairs, PairSetError, f"m\u00e9dico\t{MEDICA}\tfeminine", "la\tel", None),
+    (read_pairs, PairSetError, f"m\u00e9dico\t{MEDICA}\tfeminine", "la\tel",
+     "la\tel\tmasc", "unknown gender tag 'masc'", None),
     (read_patterns, PatternError, f"suffix\t{MEDICA}\tfeminine", "prefix\tel",
+     "regex\tel\tmasculine",
+     "unknown pattern kind 'regex'; expected one of ('exact-token', 'prefix', 'suffix')",
      lambda r: r[0].text),
     (TableModel.from_file, FormatError, f"s ||| <s> ||| {MEDICA} ||| -1.0", "s ||| <s> ||| la",
+     "s ||| <s> ||| la ||| up", "bad logprob 'up'",
      lambda r: next(iter(r.next_scores(("s",), ())))),
     (_noisy_lexical, FormatError, f"s\t{MEDICA}\t-1.0", "s\tla",
+     "s\tla\t0.5", "bad logprob '0.5'",
      lambda r: next(iter(r.next_scores(("s",), ())))),
 ]
+READER_IDS = [case[0].__qualname__ for case in ANNOTATED_READERS]
 PROBED_READERS = [case for case in ANNOTATED_READERS if case[-1] is not None]
 
 
@@ -471,18 +504,29 @@ def _annotated_file(tmp_path, rows):
 
 
 class TestLineRule:
-    @pytest.mark.parametrize("reader, error, valid, bad, probe", ANNOTATED_READERS,
-                             ids=[case[0].__qualname__ for case in ANNOTATED_READERS])
-    def test_bad_field_count_names_line_4(self, tmp_path, reader, error, valid, bad, probe):
+    @pytest.mark.parametrize("reader, error, valid, bad, malformed, error_text, probe", ANNOTATED_READERS,
+                             ids=READER_IDS)
+    def test_bad_field_count_names_line_4(self, tmp_path, reader, error, valid, bad, malformed,
+                                          error_text, probe):
         path = _annotated_file(tmp_path, [valid, bad])
         message = r"data\.txt:4: expected \d ('\|\|\|'|tab)-separated fields, got \d$"
         with pytest.raises(error, match=message) as info:
             reader(path)
         assert type(info.value) is error
 
-    @pytest.mark.parametrize("reader, error, valid, bad, probe", PROBED_READERS,
+    @pytest.mark.parametrize("reader, error, valid, bad, malformed, error_text, probe", ANNOTATED_READERS,
+                             ids=READER_IDS)
+    def test_malformed_value_names_line_4(self, tmp_path, reader, error, valid, bad, malformed,
+                                          error_text, probe):
+        with pytest.raises(error) as info:
+            reader(_annotated_file(tmp_path, [valid, malformed]))
+        assert type(info.value) is error
+        assert str(info.value) == f"{tmp_path / 'data.txt'}:4: {error_text}"
+
+    @pytest.mark.parametrize("reader, error, valid, bad, malformed, error_text, probe", PROBED_READERS,
                              ids=[case[0].__qualname__ for case in PROBED_READERS])
-    def test_comments_skipped_and_text_nfc(self, tmp_path, reader, error, valid, bad, probe):
+    def test_comments_skipped_and_text_nfc(self, tmp_path, reader, error, valid, bad, malformed,
+                                           error_text, probe):
         assert probe(reader(_annotated_file(tmp_path, [valid]))) == MEDICA
 
     def test_word_list_follows_the_rule(self, tmp_path):

@@ -292,6 +292,14 @@ class TestRoundTrips:
             write_pairs(pairs, path)
             assert read_pairs(path) == pairs
 
+    def test_patterns_file_rejects_a_repeated_pattern(self, tmp_path):
+        path = tmp_path / "patterns.tsv"
+        path.write_text("suffix\tNEND\tneutral-new\nprefix\tMx\tneutral-new\n"
+                        "# again\nsuffix\tNEND\tmasculine\n", encoding="utf-8")
+        with pytest.raises(PatternError, match=r"^\S*patterns\.tsv:4: duplicate placeholder "
+                                               r"pattern suffix 'NEND', first given on line 1$"):
+            read_patterns(path)
+
     def test_patterns_roundtrip(self, tmp_path):
         patterns = (
             PlaceholderPattern("exact-token", "DEFNOM", NEUTRAL_NEW),
@@ -304,9 +312,17 @@ class TestRoundTrips:
         assert read_patterns(path) == patterns
 
     def test_pairs_file_validates_closure(self, tmp_path):
+        # lines 2 and 4 both lack their reverse; the first is named
         path = tmp_path / "pairs.tsv"
-        path.write_text("el\tla\tfeminine\n", encoding="utf-8")
-        with pytest.raises(PairSetError):
+        path.write_text("el\tla\tfeminine\nun\tuna\tfeminine\nla\tel\tmasculine\n"
+                        "uno\tuna\tfeminine\n", encoding="utf-8")
+        with pytest.raises(PairSetError, match=r"^\S*pairs\.tsv:2: pair 'un' -> 'una' missing its reverse$"):
+            read_pairs(path)
+
+    def test_pairs_file_rejects_a_reflexive_row(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("el\tla\tfeminine\nla\tel\tmasculine\nel\tel\tmasculine\n", encoding="utf-8")
+        with pytest.raises(PairSetError, match=r"^\S*pairs\.tsv:3: reflexive pair 'el' -> 'el' not allowed$"):
             read_pairs(path)
 
     def test_pairs_file_unknown_tag(self, tmp_path):

@@ -7,6 +7,7 @@ f1_masculine - f1_feminine; closer to zero means more balanced output.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -149,9 +150,20 @@ def extract_predicted_gender(
     return ranked[0][0]
 
 
-def diagonal_aligner(source: Sequence[str], target: Sequence[str]) -> set[tuple[int, int]]:
-    """Stub aligner linking i-i up to the shorter length."""
-    return {(i, i) for i in range(min(len(source), len(target)))}
+def diagonal_aligner(
+    source: Sequence[str], target: Sequence[str]
+) -> frozenset[tuple[int, int]]:
+    """Stub aligner linking i-i up to the shorter length.
+
+    Returns one shared immutable set per length, so every hypothesis of that
+    length gets the same object.
+    """
+    return _diagonal(min(len(source), len(target)))
+
+
+@functools.lru_cache(maxsize=256)
+def _diagonal(length: int) -> frozenset[tuple[int, int]]:
+    return frozenset((i, i) for i in range(length))
 
 
 def _entities_for(

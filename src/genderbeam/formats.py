@@ -101,7 +101,7 @@ def _parse_links(text: str) -> AlignmentMap:
     if _LINK_FIELD.fullmatch(text) is not None:
         try:
             ints = map(int, text.replace("-", " ").split())
-            return AlignmentMap._trusted(frozenset(zip(ints, ints)))
+            return AlignmentMap(frozenset(zip(ints, ints)))
         except ValueError:  # an index past int's digit limit
             pass
     bad = next(pair for pair in text.split() if not _is_pair(pair))

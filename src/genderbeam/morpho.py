@@ -98,7 +98,9 @@ class GenderLexicon:
     """Immutable multimap from surface form to lexicon entries, plus patterns.
 
     Entry lookup always wins over patterns; patterns are only consulted when a
-    token has no entries at all.
+    token has no entries at all. A table from each surface to the set of its
+    entries' genders, one item per surface, answers analyze_gender for every
+    token with entries.
     """
 
     def __init__(
@@ -120,6 +122,10 @@ class GenderLexicon:
             by_surface.setdefault(entry.surface, set()).add(entry)
         self._by_surface: dict[str, frozenset[LexiconEntry]] = {
             surface: frozenset(group) for surface, group in by_surface.items()
+        }
+        self._genders: dict[str, frozenset[GenderLabel]] = {
+            surface: frozenset(entry.gender for entry in group)
+            for surface, group in by_surface.items()
         }
         pattern_list = tuple(patterns)
         seen_keys: set[tuple[str, str]] = set()
@@ -163,14 +169,13 @@ class ReinflectionPairSet:
     """
 
     def __init__(self, pairs: Iterable[tuple[str, str, GenderLabel]]) -> None:
-        pair_set = frozenset(pairs)
+        self._pairs = pair_set = frozenset(pairs)  # first, so a rejected set has a repr
         forms = {(a, b) for a, b, _ in pair_set}
         for a, b, _ in pair_set:
             if a == b:
                 raise PairSetError(f"reflexive pair {a!r} -> {b!r} not allowed")
             if (b, a) not in forms:
                 raise PairSetError(f"pair {a!r} -> {b!r} missing its reverse")
-        self._pairs = pair_set
         by_source: dict[str, list[tuple[str, GenderLabel]]] = {}
         for a, b, gender in pair_set:
             by_source.setdefault(a, []).append((b, gender))
@@ -206,9 +211,9 @@ class ReinflectionPairSet:
 
 def analyze_gender(lexicon: GenderLexicon, token: str) -> frozenset[GenderLabel]:
     """Union of genders over the token's entries; pattern fallback when none."""
-    entries = lexicon.entries_for(token)
-    if entries:
-        return frozenset(entry.gender for entry in entries)
+    genders = lexicon._genders.get(token)
+    if genders is not None:
+        return genders
     for pattern in lexicon.patterns:
         if pattern.matches(token):
             return frozenset({pattern.gender})

@@ -42,23 +42,31 @@ class EntitySpec:
         object.__setattr__(self, "entity_indices", frozenset(self.entity_indices))
 
 
+def _exact_links(links: Iterable) -> bool:
+    """Whether every link is a tuple of two non-negative ints that are exactly
+    int. A tuple of another length fails to unpack here as in the general loop."""
+    for link in links:
+        if type(link) is not tuple:
+            return False
+        s, t = link
+        if type(s) is not int or type(t) is not int or s < 0 or t < 0:
+            return False
+    return True
+
+
 class AlignmentMap:
     """Source-to-target index links for one (source, hypothesis) pair."""
 
     def __init__(self, links: Iterable[tuple[int, int]] = ()) -> None:
+        if type(links) in (frozenset, set) and _exact_links(links):
+            self._links = frozenset(links)  # a frozenset is kept, not copied
+            return
         checked = set()
         for s, t in links:
             if s < 0 or t < 0:
                 raise RerankError(f"alignment link ({s}, {t}) has a negative index")
             checked.add((int(s), int(t)))
         self._links = frozenset(checked)
-
-    @classmethod
-    def _trusted(cls, links: frozenset[tuple[int, int]]) -> AlignmentMap:
-        """A map over links the caller built from non-negative ints."""
-        alignment = cls.__new__(cls)
-        alignment._links = links
-        return alignment
 
     @property
     def links(self) -> frozenset[tuple[int, int]]:
@@ -135,6 +143,30 @@ def get_entity(
     return frozenset(i for i in indices if 0 <= i < len(source))
 
 
+def _requirements(
+    alignment: AlignmentMap, entities: Sequence[EntitySpec]
+) -> list[tuple[int, GenderLabel]]:
+    """(aligned target, required gender) once per entity and aligned target."""
+    return [
+        (target, spec.required_gender)
+        for spec in entities
+        for target in alignment.aligned_targets(spec.entity_indices)
+    ]
+
+
+def _agreeing(
+    hypothesis: Sequence[str],
+    requirements: Sequence[tuple[int, GenderLabel]],
+    lexicon: GenderLexicon,
+) -> int:
+    """Requirements whose target is in the hypothesis and has the required gender."""
+    total = 0
+    for target, gender in requirements:
+        if target < len(hypothesis) and gender in analyze_gender(lexicon, hypothesis[target]):
+            total += 1
+    return total
+
+
 def agreement_score(
     hypothesis: Sequence[str],
     alignment: AlignmentMap,
@@ -142,14 +174,7 @@ def agreement_score(
     lexicon: GenderLexicon,
 ) -> int:
     """Aligned target tokens whose gender set contains the required gender."""
-    total = 0
-    for spec in entities:
-        for target in alignment.aligned_targets(spec.entity_indices):
-            if target < len(hypothesis) and spec.required_gender in analyze_gender(
-                lexicon, hypothesis[target]
-            ):
-                total += 1
-    return total
+    return _agreeing(hypothesis, _requirements(alignment, entities), lexicon)
 
 
 def rerank(
@@ -158,19 +183,26 @@ def rerank(
     entities: Sequence[EntitySpec],
     lexicon: GenderLexicon,
 ) -> RerankResult:
-    """Argmax by (agreement, loglik, earliest rank); deterministic."""
+    """Argmax by (agreement, loglik, earliest rank); deterministic.
+
+    Hypotheses whose alignments have equal links share one computation of
+    their aligned requirements, so each distinct link set is scanned once.
+    """
     if len(nbest) == 0:
         raise RerankError(f"source {nbest.source_id}: cannot rerank an empty n-best list")
     if len(alignments) != len(nbest):
         raise RerankError(
             f"source {nbest.source_id}: {len(alignments)} alignments for {len(nbest)} hypotheses"
         )
-    scores = tuple(
-        agreement_score(hyp.tokens, alignment, entities, lexicon)
-        for hyp, alignment in zip(nbest, alignments)
-    )
+    by_links: dict[frozenset[tuple[int, int]], list[tuple[int, GenderLabel]]] = {}
+    scores = []
+    for hyp, alignment in zip(nbest, alignments):
+        requirements = by_links.get(alignment.links)
+        if requirements is None:
+            requirements = by_links[alignment.links] = _requirements(alignment, entities)
+        scores.append(_agreeing(hyp.tokens, requirements, lexicon))
     selected = max(range(len(nbest)), key=lambda i: (scores[i], nbest[i].loglik, -i))
-    return RerankResult(selected, scores, nbest[selected])
+    return RerankResult(selected, tuple(scores), nbest[selected])
 
 
 def inject_placeholder(nbest: NBestList, placeholder: Sequence[str]) -> NBestList:

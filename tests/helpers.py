@@ -5,7 +5,7 @@ import itertools
 from typing import Mapping, NamedTuple, Sequence
 
 from genderbeam.decode import EOS, Hypothesis, NBestList, ScoringModel
-from genderbeam.errors import DecodeError, LatticeError
+from genderbeam.errors import DecodeError, LatticeError, RerankError
 from genderbeam.evaluation import run_pipeline, score_records
 from genderbeam.lattice import TOKEN_JOINER, HypothesisLattice, LatticeArc
 from genderbeam.morpho import FEMININE, MASCULINE, GenderLabel, ReinflectionPairSet
@@ -217,6 +217,47 @@ def reference_link_pairs(field):
             raise ValueError(pair)
         links.add((int(left), int(right)))
     return frozenset(links)
+
+
+def reference_alignment_links(links):
+    """The links AlignmentMap kept before it took exact-int link sets in one
+    pass: each link checked for a negative index, then coerced with int()."""
+    checked = set()
+    for s, t in links:
+        if s < 0 or t < 0:
+            raise RerankError(f"alignment link ({s}, {t}) has a negative index")
+        checked.add((int(s), int(t)))
+    return frozenset(checked)
+
+
+def reference_analyze_gender(lexicon, token):
+    """Union of genders over the token's entries; the first matching pattern
+    when it has none."""
+    entries = lexicon.entries_for(token)
+    if entries:
+        return frozenset(entry.gender for entry in entries)
+    for pattern in lexicon.patterns:
+        if pattern.matches(token):
+            return frozenset({pattern.gender})
+    return frozenset()
+
+
+def reference_rerank(nbest, alignments, entities, lexicon):
+    """(selected index, agreement scores) with every hypothesis scanned on its
+    own, as rerank did before it shared work between equal link sets."""
+    scores = []
+    for hyp, alignment in zip(nbest, alignments):
+        total = 0
+        for spec in entities:
+            targets = frozenset(t for s, t in alignment.links if s in spec.entity_indices)
+            for target in targets:
+                if target < len(hyp.tokens) and spec.required_gender in reference_analyze_gender(
+                    lexicon, hyp.tokens[target]
+                ):
+                    total += 1
+        scores.append(total)
+    selected = max(range(len(nbest)), key=lambda i: (scores[i], nbest[i].loglik, -i))
+    return selected, tuple(scores)
 
 
 class SubwordTable:

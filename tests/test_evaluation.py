@@ -370,6 +370,12 @@ class TestDiagonalAligner:
         assert diagonal_aligner(("a", "b", "c"), ("x", "y")) == {(0, 0), (1, 1)}
         assert diagonal_aligner((), ("x",)) == set()
 
+    def test_one_shared_immutable_set_per_length(self):
+        links = diagonal_aligner(("a", "b"), ("x", "y", "z"))
+        assert type(links) is frozenset
+        assert diagonal_aligner(("c", "d", "e"), ("u", "v")) is links
+        assert AlignmentMap(links).links is links
+
 
 class TestLabelF1:
     def test_zero_when_no_mass(self):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from genderbeam.errors import LexiconError, PairSetError, PatternError
 from genderbeam.morpho import (
@@ -8,6 +10,7 @@ from genderbeam.morpho import (
     FEMININE,
     MASCULINE,
     NEUTER,
+    PATTERN_KINDS,
     GenderLabel,
     GenderLexicon,
     LexiconEntry,
@@ -22,6 +25,7 @@ from genderbeam.morpho import (
     write_lexicon,
     write_pairs,
 )
+from helpers import reference_analyze_gender
 
 NEUTRAL_NEW = GenderLabel("neutral-new")
 
@@ -145,6 +149,23 @@ class TestAnalyzeGender:
         first = analyze_gender(lexicon, "médica")
         assert all(analyze_gender(lexicon, "médica") == first for _ in range(5))
 
+    @given(
+        entries=st.lists(st.builds(
+            lambda surface, features, gender: LexiconEntry(surface, surface, features, gender),
+            st.sampled_from(["a", "ab", "ba", "abc", "c"]), st.sampled_from(["N", "A"]),
+            st.sampled_from([MASCULINE, FEMININE, NEUTER, NEUTRAL_NEW])), max_size=8),
+        patterns=st.lists(st.builds(
+            PlaceholderPattern, st.sampled_from(PATTERN_KINDS), st.sampled_from(["a", "b", "ab", "c"]),
+            st.sampled_from([MASCULINE, FEMININE, NEUTRAL_NEW])),
+            max_size=4, unique_by=lambda pattern: (pattern.kind, pattern.text)),
+        tokens=st.lists(st.text("abc", max_size=4), max_size=8),
+    )
+    def test_matches_the_union_over_entries_then_patterns(self, entries, patterns, tokens):
+        for lexicon in (GenderLexicon(entries, patterns),
+                        register_placeholder_patterns(GenderLexicon(entries), patterns)):
+            for token in [*tokens, *(e.surface for e in entries)]:
+                assert analyze_gender(lexicon, token) == reference_analyze_gender(lexicon, token)
+
 
 class TestBuildPairs:
     def test_medico_medica(self):
@@ -235,6 +256,13 @@ class TestPairSet:
     def test_missing_reverse_rejected(self):
         with pytest.raises(PairSetError):
             ReinflectionPairSet([("el", "la", FEMININE)])
+
+    def test_rejected_pair_set_has_a_repr(self):
+        # a traceback through the rejected constructor shows the object
+        with pytest.raises(PairSetError) as excinfo:
+            ReinflectionPairSet([("un", "una", FEMININE)])
+        rejected = excinfo.traceback[-1].frame.f_locals["self"]
+        assert repr(rejected) == "ReinflectionPairSet(1 pairs)"
 
     def test_substitutions_sorted(self):
         pairs = ReinflectionPairSet(

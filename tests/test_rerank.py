@@ -26,6 +26,7 @@ from genderbeam.rerank import (
     rerank,
     rerank_named_entity,
 )
+from helpers import reference_alignment_links, reference_rerank
 
 NEUTRAL_NEW = GenderLabel("neutral-new")
 
@@ -417,3 +418,85 @@ class TestSpecValidation:
     def test_negative_alignment_rejected(self):
         with pytest.raises(RerankError):
             AlignmentMap([(-1, 0)])
+
+
+# link indices as callers pass them: exact ints, bools and integral floats,
+# some of them negative
+LINK_INDICES = st.one_of(st.integers(-2, 12), st.booleans(), st.integers(-2, 12).map(float))
+LINK_CONTAINERS = {
+    "set": set,
+    "frozenset": frozenset,
+    "list of lists": lambda links: [list(link) for link in links],
+    "generator": lambda links: (link for link in links),
+}
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except Exception as exc:  # the reference's error is compared, whatever it is
+        return None, exc
+
+
+class TestAlignmentMapReference:
+    @given(
+        links=st.lists(st.tuples(LINK_INDICES, LINK_INDICES), max_size=6),
+        kind=st.sampled_from(sorted(LINK_CONTAINERS)),
+    )
+    def test_links_and_errors_match_the_reference(self, links, kind):
+        make = LINK_CONTAINERS[kind]
+        expected, expected_exc = _outcome(lambda: reference_alignment_links(make(links)))
+        actual, actual_exc = _outcome(lambda: AlignmentMap(make(links)).links)
+        assert type(actual_exc) is type(expected_exc)
+        if expected_exc is not None:
+            assert str(actual_exc) == str(expected_exc)
+            return
+        assert actual == expected
+        assert all(type(index) is int for link in actual for index in link)
+
+
+REFERENCE_LEXICON = GenderLexicon(
+    [
+        LexiconEntry("m0", "l0", "N", MASCULINE),
+        LexiconEntry("f0", "l0", "N", FEMININE),
+        LexiconEntry("amb", "amb", "N", MASCULINE),
+        LexiconEntry("amb", "amb", "N", FEMININE),
+    ],
+    [PlaceholderPattern("suffix", "X", NEUTRAL_NEW)],
+)
+REFERENCE_VOCAB = ["m0", "f0", "amb", "pX", "unk"]
+SMALL_LINKS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=5)
+
+
+class TestRerankReference:
+    @given(data=st.data())
+    def test_scores_and_selection_match_the_per_hypothesis_reference(self, data):
+        # a small pool, so that a list mixes one shared map, equal maps built
+        # apart, and maps with links of their own
+        pool_links = data.draw(st.lists(SMALL_LINKS, min_size=1, max_size=3))
+        pool = [AlignmentMap(frozenset(links)) for links in pool_links]
+        hyps, alignments = [], []
+        for _ in range(data.draw(st.integers(1, 8))):
+            tokens = data.draw(st.lists(st.sampled_from(REFERENCE_VOCAB), min_size=1, max_size=5))
+            hyps.append(Hypothesis(tuple(tokens), -data.draw(st.integers(0, 3)) / 2))
+            i = data.draw(st.integers(0, len(pool) - 1))
+            how = data.draw(st.sampled_from(["shared", "equal", "own"]))
+            if how == "shared":
+                alignments.append(pool[i])
+            elif how == "equal":
+                alignments.append(AlignmentMap([list(link) for link in pool_links[i]]))
+            else:
+                alignments.append(AlignmentMap(set(data.draw(SMALL_LINKS))))
+        entities = [
+            EntitySpec(None, gender, frozenset(indices))
+            for gender, indices in data.draw(st.lists(st.tuples(
+                st.sampled_from([MASCULINE, FEMININE, NEUTRAL_NEW]),
+                st.sets(st.integers(0, 3), min_size=1, max_size=3)), min_size=1, max_size=2))
+        ]
+        nbest = NBestList(0, hyps)
+        result = rerank(nbest, alignments, entities, REFERENCE_LEXICON)
+        selected, scores = reference_rerank(nbest, alignments, entities, REFERENCE_LEXICON)
+        assert result.agreement_scores == scores
+        assert result.selected_index == selected
+        assert tuple(agreement_score(hyp.tokens, alignment, entities, REFERENCE_LEXICON)
+                     for hyp, alignment in zip(nbest, alignments)) == scores

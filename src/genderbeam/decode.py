@@ -230,12 +230,16 @@ class NBestList:
     """Hypotheses for one source sentence, log likelihood non-increasing.
 
     Construction re-sorts stably, so equal scores keep the caller's order.
+    A NaN log likelihood is refused: it compares false both ways, so no sort
+    could place it.
     """
 
     def __init__(self, source_id: int, hypotheses: Iterable[Hypothesis]) -> None:
         self._source_id = int(source_id)
         # a reverse sort is stable too
         self._hypotheses = tuple(sorted(hypotheses, key=operator.attrgetter("loglik"), reverse=True))
+        if any(map(math.isnan, map(operator.attrgetter("loglik"), self._hypotheses))):
+            raise ValueError(f"source {self._source_id}: a hypothesis has a NaN loglik")
 
     @property
     def source_id(self) -> int:

@@ -46,26 +46,30 @@ def _parse_int(text: str, what: str) -> int:
     return value
 
 
-def _parse_hypothesis(sent_id: str, tokens: str, loglik: str) -> tuple[int, Hypothesis]:
-    sent_id = _parse_int(sent_id, "sent_id")
-    try:
-        value = float(loglik)
-    except ValueError:
-        raise ValueError(f"loglik must be a number, got {loglik!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"loglik must be finite, got {loglik!r}")
-    return sent_id, Hypothesis(tuple(tokens.split()), value)
-
-
 def parse_nbest(path) -> dict[int, NBestList]:
     """Moses-style lines `sent_id ||| token sequence ||| loglik`, grouped by id.
 
     File order within a group is rank order, so a group must be listed best
     first: a loglik above the one before it in its group is an error naming
-    its line. Equal logliks keep file order.
+    its line. Equal logliks keep file order. Each distinct id field is
+    parsed once.
     """
     groups: dict[int, list[Hypothesis]] = {}
-    for lineno, (sent_id, hyp) in read_rows(path, NBEST_SEPARATOR, 3, FormatError, _parse_hypothesis):
+    ids: dict[str, int] = {}  # id field -> id, this call only
+
+    def parse(sent_id: str, tokens: str, loglik: str) -> tuple[int, Hypothesis]:
+        key = ids.get(sent_id)
+        if key is None:
+            key = ids[sent_id] = _parse_int(sent_id, "sent_id")
+        try:
+            value = float(loglik)
+        except ValueError:
+            raise ValueError(f"loglik must be a number, got {loglik!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"loglik must be finite, got {loglik!r}")
+        return key, Hypothesis(tuple(tokens.split()), value)
+
+    for lineno, (sent_id, hyp) in read_rows(path, NBEST_SEPARATOR, 3, FormatError, parse):
         group = groups.setdefault(sent_id, [])
         if group and hyp.loglik > group[-1].loglik:
             raise FormatError(
@@ -112,15 +116,25 @@ def parse_alignments(path) -> dict[tuple[int, int], AlignmentMap]:
     """Pharaoh lines `sent_id<TAB>hyp_rank<TAB>0-0 1-2 ...`; links deduplicated.
 
     Ids, ranks and link indices are ASCII digits. A second line for the same
-    (sent_id, hyp_rank) is an error naming both lines. Each distinct link
-    field is parsed once, and lines with the same field share one map.
+    (sent_id, hyp_rank) is an error naming both lines. Each distinct id, rank
+    and link field is parsed once, and lines with the same link field share
+    one map.
     """
     result: dict[tuple[int, int], AlignmentMap] = {}
     first_line: dict[tuple[int, int], int] = {}
-    maps: dict[str, AlignmentMap] = {}  # this call only: no larger than result
+    # field text -> parsed value, this call only: each no larger than result
+    maps: dict[str, AlignmentMap] = {}
+    ids: dict[str, int] = {}
+    ranks: dict[str, int] = {}
 
     def parse(sent_id: str, rank: str, links: str) -> tuple[tuple[int, int], AlignmentMap]:
-        key = (_parse_int(sent_id, "sent_id"), _parse_int(rank, "hyp_rank"))
+        id_value = ids.get(sent_id)
+        if id_value is None:
+            id_value = ids[sent_id] = _parse_int(sent_id, "sent_id")
+        rank_value = ranks.get(rank)
+        if rank_value is None:
+            rank_value = ranks[rank] = _parse_int(rank, "hyp_rank")
+        key = (id_value, rank_value)
         links = links.strip()
         alignment = maps.get(links)
         if alignment is None:
@@ -184,9 +198,16 @@ def write_entities(entities: Mapping[int, Sequence[EntitySpec]], path) -> None:
 
 
 def read_pronoun_table(path) -> dict[str, GenderLabel]:
-    """Pronoun-to-gender TSV `pronoun<TAB>gender`; later rows win on repeats."""
-    return dict(row for _, row in read_rows(path, "\t", 2, FormatError,
-                                            lambda pronoun, gender: (pronoun, GenderLabel(gender))))
+    """Pronoun-to-gender TSV `pronoun<TAB>gender`. An exact repeat collapses;
+    a pronoun given again with another gender is an error naming both lines."""
+    table: dict[str, tuple[GenderLabel, int]] = {}
+    for lineno, (pronoun, gender) in read_rows(path, "\t", 2, FormatError,
+                                               lambda pronoun, gender: (pronoun, GenderLabel(gender))):
+        known, first = table.setdefault(pronoun, (gender, lineno))
+        if known != gender:
+            raise FormatError(f"{path}:{lineno}: gender {gender} for pronoun {pronoun!r} conflicts "
+                              f"with {known} from line {first}")
+    return {pronoun: gender for pronoun, (gender, _) in table.items()}
 
 
 def read_word_list(path) -> tuple[str, ...]:
@@ -195,13 +216,24 @@ def read_word_list(path) -> tuple[str, ...]:
 
 
 def read_testset(path) -> list[TestSentence]:
-    """Rows `sent_id<TAB>gold_gender<TAB>source sentence<TAB>trigger<TAB>i,j,...`."""
+    """Rows `sent_id<TAB>gold_gender<TAB>source sentence<TAB>trigger<TAB>i,j,...`.
+
+    A second row with the same sent_id is an error naming both lines.
+    """
     def parse(sent_id: str, gender: str, source: str, trigger: str, indices: str) -> TestSentence:
         sent_id = _parse_int(sent_id, "sent_id")
         trigger_index, entity_indices = _parse_anchor(trigger, indices)
         return TestSentence(sent_id, GenderLabel(gender), tuple(source.split()), trigger_index, entity_indices)
 
-    return [sentence for _, sentence in read_rows(path, "\t", 5, FormatError, parse)]
+    sentences: list[TestSentence] = []
+    first_line: dict[int, int] = {}
+    for lineno, sentence in read_rows(path, "\t", 5, FormatError, parse):
+        first = first_line.setdefault(sentence.sent_id, lineno)
+        if first != lineno:
+            raise FormatError(f"{path}:{lineno}: duplicate sent_id {sentence.sent_id}, "
+                              f"first given on line {first}")
+        sentences.append(sentence)
+    return sentences
 
 
 def write_testset(sentences: Iterable[TestSentence], path) -> None:

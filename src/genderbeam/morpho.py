@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .errors import GenderBeamError, LexiconError, PairSetError, PatternError
+from .errors import FormatError, GenderBeamError, LexiconError, PairSetError, PatternError
 
 logger = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -243,19 +243,37 @@ def register_placeholder_patterns(
 
 # The line rule of every file the package reads lives here because morpho
 # imports no other package module, so decode and formats can both use it.
-def read_lines(path) -> Iterator[tuple[int, str]]:
+def read_lines(path, error: type[Exception] = FormatError) -> Iterator[tuple[int, str]]:
     """(lineno, line) for every line of a UTF-8 file, counted from 1, without
     its newline and NFC-normalized: reinflections often differ only in
-    accented characters."""
+    accented characters. Bytes that are not UTF-8 raise error naming path
+    and line; the file is searched for that line only once decoding fails."""
     with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            yield lineno, unicodedata.normalize("NFC", raw.rstrip("\n"))
+        try:
+            for lineno, raw in enumerate(handle, 1):
+                yield lineno, unicodedata.normalize("NFC", raw.rstrip("\n"))
+        except UnicodeDecodeError as exc:
+            raise error(_undecodable_line(path) or f"{path}: {exc}") from exc
 
 
-def data_lines(path) -> Iterator[tuple[int, str]]:
+def _undecodable_line(path) -> str | None:
+    """`path:line: reason` for the first line of path that is not UTF-8.
+    Lines end as in text mode: at \\n, \\r or \\r\\n, none of which can
+    occur inside a UTF-8 sequence. Each is decoded with its line end, so
+    the reason is the one text mode gives."""
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle.read().splitlines(keepends=True), 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"{path}:{lineno}: {exc}"
+    return None
+
+
+def data_lines(path, error: type[Exception] = FormatError) -> Iterator[tuple[int, str]]:
     """read_lines of an annotated file: blank lines and lines whose first
     non-blank character is '#' are skipped."""
-    for lineno, line in read_lines(path):
+    for lineno, line in read_lines(path, error):
         if line.strip() and not line.lstrip().startswith("#"):
             yield lineno, line
 
@@ -267,7 +285,7 @@ def read_rows(path, sep: str, count: int, error: type[Exception],
     raises error naming path and line: a row parser says what is wrong with
     its fields and this names where."""
     name = "tab" if sep == "\t" else f"'{sep.strip()}'"
-    for lineno, line in data_lines(path):
+    for lineno, line in data_lines(path, error):
         fields = line.split(sep)
         if len(fields) != count:
             raise error(f"{path}:{lineno}: expected {count} {name}-separated fields, got {len(fields)}")

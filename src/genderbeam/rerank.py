@@ -55,11 +55,34 @@ def _exact_links(links: Iterable) -> bool:
 
 
 class AlignmentMap:
-    """Source-to-target index links for one (source, hypothesis) pair."""
+    """Source-to-target index links for one (source, hypothesis) pair.
+
+    A frozenset whose links are all exact non-negative int pairs is kept as
+    is, not copied. Such a set is checked once: the class keeps the last
+    ACCEPTED_LIMIT sets it accepted, keyed by id and matched by identity, so
+    a set that every hypothesis of a list shares (diagonal_aligner gives one
+    per length) is walked only when first seen. Each entry holds its set, so
+    its id cannot pass to another object while the entry is kept. Only the
+    identical object hits: a set can change after it is accepted, and an
+    equal frozenset may hold bools or floats, which must still be coerced.
+    """
+
+    ACCEPTED_LIMIT = 128
+    _accepted: dict[int, frozenset[tuple[int, int]]] = {}  # oldest first
 
     def __init__(self, links: Iterable[tuple[int, int]] = ()) -> None:
-        if type(links) in (frozenset, set) and _exact_links(links):
-            self._links = frozenset(links)  # a frozenset is kept, not copied
+        if type(links) is frozenset:
+            accepted = AlignmentMap._accepted
+            if accepted.get(id(links)) is links:
+                self._links = links
+                return
+            if _exact_links(links):
+                if len(accepted) >= AlignmentMap.ACCEPTED_LIMIT:
+                    accepted.pop(next(iter(accepted), None), None)
+                accepted[id(links)] = self._links = links
+                return
+        elif type(links) is set and _exact_links(links):
+            self._links = frozenset(links)
             return
         checked = set()
         for s, t in links:
@@ -187,6 +210,8 @@ def rerank(
 
     Hypotheses whose alignments have equal links share one computation of
     their aligned requirements, so each distinct link set is scanned once.
+    An NBestList is non-increasing by loglik with ties in rank order, so the
+    first index of the best score is that argmax, found in one pass.
     """
     if len(nbest) == 0:
         raise RerankError(f"source {nbest.source_id}: cannot rerank an empty n-best list")
@@ -201,7 +226,7 @@ def rerank(
         if requirements is None:
             requirements = by_links[alignment.links] = _requirements(alignment, entities)
         scores.append(_agreeing(hyp.tokens, requirements, lexicon))
-    selected = max(range(len(nbest)), key=lambda i: (scores[i], nbest[i].loglik, -i))
+    selected = scores.index(max(scores))
     return RerankResult(selected, tuple(scores), nbest[selected])
 
 

@@ -81,6 +81,12 @@ class TestNBestList:
         nbest = NBestList(0, [Hypothesis(("z",), -1.0), Hypothesis(("a",), -1.0)])
         assert [h.tokens for h in nbest] == [("z",), ("a",)]
 
+    def test_rejects_nan_loglik(self):
+        # a NaN compares false both ways, so the sort would leave [-1.0, nan, -0.5]
+        hyps = [Hypothesis(("a",), -1.0), Hypothesis(("b",), math.nan), Hypothesis(("c",), -0.5)]
+        with pytest.raises(ValueError, match=r"^source 7: a hypothesis has a NaN loglik$"):
+            NBestList(7, hyps)
+
 
 class TestTableModel:
     def test_forced_chain_one_best(self):

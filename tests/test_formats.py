@@ -267,10 +267,23 @@ class TestEntityFiles:
 class TestPronounTable:
     def test_read(self, tmp_path):
         path = tmp_path / "pron.tsv"
-        path.write_text("she\tfeminine\nhe\tmasculine\nshe\tneutral-new\n", encoding="utf-8")
+        path.write_text("she\tneutral-new\nhe\tmasculine\n", encoding="utf-8")
         table = read_pronoun_table(path)
         assert table["he"] == MASCULINE
         assert table["she"] == GenderLabel("neutral-new")
+
+    def test_exact_repeat_collapses(self, tmp_path):
+        path = tmp_path / "pron.tsv"
+        path.write_text("she\tfeminine\nhe\tmasculine\nshe\tfeminine\n", encoding="utf-8")
+        assert read_pronoun_table(path) == {"she": FEMININE, "he": MASCULINE}
+
+    def test_conflicting_repeat_names_both_lines(self, tmp_path):
+        path = tmp_path / "pron.tsv"
+        path.write_text("she\tfeminine\n# later\nshe\tmasculine\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            read_pronoun_table(path)
+        assert str(info.value) == (f"{path}:3: gender masculine for pronoun 'she' conflicts "
+                                   f"with feminine from line 1")
 
     def test_field_count(self, tmp_path):
         path = tmp_path / "pron.tsv"
@@ -336,9 +349,17 @@ class TestTestsetFiles:
         write_testset(rows, path)
         assert read_testset(path) == rows
 
-    @given(rows=st.lists(sentence_rows(), max_size=5))
+    def test_repeated_sent_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "test.tsv"
+        path.write_text("4\tfeminine\ta b\t-\t0\n5\tmasculine\ta b\t-\t1\n"
+                        "04\tmasculine\tc d\t-\t1\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            read_testset(path)
+        assert str(info.value) == f"{path}:3: duplicate sent_id 4, first given on line 1"
+
+    @given(rows=st.lists(sentence_rows(), max_size=5, unique_by=lambda row: row.sent_id))
     def test_fuzzed_round_trip(self, scratch, rows):
-        # the writer orders rows by id, stably
+        # the writer orders rows by id; an id is given once
         path = scratch / "test.tsv"
         write_testset(rows, path)
         assert read_testset(path) == sorted(rows, key=lambda row: row.sent_id)
@@ -531,3 +552,113 @@ class TestLineRule:
 
     def test_word_list_follows_the_rule(self, tmp_path):
         assert read_word_list(_annotated_file(tmp_path, [MEDICA])) == (MEDICA,)
+
+
+# every reader with the error class its diagnostics carry
+ALL_READERS = [(reader, error) for reader, error, *_ in ANNOTATED_READERS] + [
+    (lambda path: list(read_sentences(path)), FormatError),
+    (read_word_list, FormatError),
+]
+ALL_READER_IDS = READER_IDS + ["read_sentences", "read_word_list"]
+
+
+class TestUndecodableBytes:
+    @pytest.mark.parametrize("reader, error, valid, bad, malformed, error_text, probe", ANNOTATED_READERS,
+                             ids=READER_IDS)
+    def test_names_path_and_line(self, tmp_path, reader, error, valid, bad, malformed, error_text, probe):
+        path = tmp_path / "data.txt"
+        # 0xe9 is Latin-1 'é', a UTF-8 lead byte that the newline does not continue
+        row = valid.encode()
+        path.write_bytes(b"# m\xc3\xa9dica\n" + row + b"\n" + row + b"\xe9\n")
+        with pytest.raises(error) as info:
+            reader(path)
+        assert type(info.value) is error
+        assert str(info.value) == (f"{path}:3: 'utf-8' codec can't decode byte 0xe9 in position "
+                                   f"{len(row)}: invalid continuation byte")
+
+    @pytest.mark.parametrize("reader", [read_sentences, read_word_list], ids=lambda r: r.__name__)
+    def test_plain_readers_count_lines_as_text_mode_does(self, tmp_path, reader):
+        # \r and \r\n end lines too, so the bad byte sits on line 4
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"la\rel\r\nm\xc3\xa9dica\nm\xe9dica\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:4: 'utf-8' codec can't "
+                                              r"decode byte 0xe9 in position 1: invalid continuation byte$"):
+            list(reader(path))
+
+
+# text that looks like rows: separators, digits, signs, comment marks,
+# Unicode spaces and superscripts, words the readers know, and bytes that
+# are not UTF-8
+ROW_PIECES = st.sampled_from([
+    b"\t", b" ||| ", b"|", b"0", b"1", b"7", b"12", "²".encode(), b"-", b"#", b",",
+    b" ", " ".encode(), " ".encode(), b"\x0b", b"\x1c", b"\xe9", b"\xff", b"\xc3",
+    b"feminine", b"masculine", b"none", b"suffix", b"la", b"<s>", b"-1.0", b"0.5", b"nan", b"0-0",
+])
+ROW_FILES = st.lists(
+    st.builds(lambda sep, fields: sep.join(fields),
+              st.sampled_from([b"\t", b" ||| "]),
+              st.lists(st.lists(ROW_PIECES, max_size=3).map(b"".join), min_size=1, max_size=5)),
+    max_size=4,
+).map(lambda lines: b"".join(line + b"\n" for line in lines))
+
+
+class TestReaderFuzz:
+    @settings(max_examples=150)
+    @given(data=ROW_FILES | st.lists(ROW_PIECES, max_size=30).map(b"".join))
+    @pytest.mark.parametrize("reader, error", ALL_READERS, ids=ALL_READER_IDS)
+    def test_parses_or_names_the_path(self, scratch, reader, error, data):
+        path = scratch / "fuzz.txt"
+        path.write_bytes(data)
+        try:
+            reader(path)
+        except error as exc:  # any other exception fails the test
+            assert str(exc).startswith(f"{path}:")
+
+
+# how an id field may be written: all but the last two read as 1 or 2
+ID_TEXTS = ["1", "01", " 1 ", "2", "١", "1_0"]
+ID_ROWS = [
+    (parse_nbest, "{} ||| t{} ||| -1.0"),
+    (parse_alignments, "{}\t{}\t0-0"),
+    (parse_alignments, "{1}\t{0}\t0-0"),
+]
+
+
+def _merge_lines(reader, results):
+    """What parse_nbest or parse_alignments gives for a file whose lines
+    gave results one at a time."""
+    if reader is parse_alignments:
+        return {key: alignment for result in results for key, alignment in result.items()}
+    groups = {}
+    for result in results:
+        for sent_id, nbest in result.items():
+            groups.setdefault(sent_id, []).extend(nbest)
+    return {sent_id: NBestList(sent_id, hyps) for sent_id, hyps in groups.items()}
+
+
+class TestIdFieldsParsedOnce:
+    @given(data=st.data())
+    @pytest.mark.parametrize("reader, row", ID_ROWS, ids=["nbest-sent_id", "align-sent_id", "align-hyp_rank"])
+    def test_repeated_ids_parse_as_single_lines(self, scratch, reader, row, data):
+        texts = data.draw(st.lists(st.sampled_from(ID_TEXTS), min_size=1, max_size=40))
+        lines = [row.format(text, lineno) for lineno, text in enumerate(texts, 1)]
+        single = scratch / "line.txt"
+        results, first_error = [], None
+        for lineno, line in enumerate(lines, 1):
+            single.write_text(line + "\n", encoding="utf-8")
+            try:
+                results.append(reader(single))
+            except FormatError as exc:
+                first_error = f"{lineno}:{str(exc).removeprefix(f'{single}:1:')}"
+                break
+        path = scratch / "ids.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        if first_error is not None:
+            with pytest.raises(FormatError) as info:
+                reader(path)
+            assert str(info.value) == f"{path}:{first_error}"
+            return
+        whole = reader(path)
+        expected = _merge_lines(reader, results)
+        assert whole == expected
+        assert list(whole) == list(expected)

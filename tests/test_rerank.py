@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genderbeam.decode import Hypothesis, NBestList
+from genderbeam import rerank as rerank_module
 from genderbeam.errors import RerankError
 from genderbeam.morpho import (
     FEMININE,
@@ -453,6 +454,63 @@ class TestAlignmentMapReference:
             return
         assert actual == expected
         assert all(type(index) is int for link in actual for index in link)
+
+
+class TestAcceptedLinkSets:
+    def test_same_frozenset_is_checked_once(self, monkeypatch):
+        links = frozenset({(0, 0), (1, 2)})
+        first = AlignmentMap(links)
+        checked = []
+        exact = rerank_module._exact_links
+        monkeypatch.setattr(rerank_module, "_exact_links", lambda l: checked.append(l) or exact(l))
+        second = AlignmentMap(links)
+        assert checked == []
+        assert second.links is links
+        assert first.links == second.links == {(0, 0), (1, 2)}
+        assert all(type(index) is int for link in second.links for index in link)
+
+    def test_mutated_set_is_checked_again(self):
+        links = {(0, 0), (1, 1)}
+        assert AlignmentMap(links).links == {(0, 0), (1, 1)}
+        links.add((-1, 2))
+        with pytest.raises(RerankError, match=r"^alignment link \(-1, 2\) has a negative index$"):
+            AlignmentMap(links)
+
+    def test_equal_bool_or_float_set_comes_back_as_ints(self):
+        ints = frozenset({(1, 1), (0, 2)})
+        AlignmentMap(ints)
+        for other in (frozenset({(True, True), (0, 2)}), frozenset({(1.0, 1.0), (0.0, 2.0)})):
+            assert other == ints and hash(other) == hash(ints)
+            links = AlignmentMap(other).links
+            assert links == ints
+            assert all(type(index) is int for link in links for index in link)
+
+    def test_table_never_exceeds_its_bound(self):
+        limit = AlignmentMap.ACCEPTED_LIMIT
+        kept = []  # alive, so each set has an id of its own
+        for n in range(3 * limit):
+            kept.append(frozenset({(n, n), (0, n)}))
+            AlignmentMap(kept[-1])
+            assert len(AlignmentMap._accepted) <= limit
+        # the oldest were evicted and are checked again
+        assert AlignmentMap(kept[0]).links == {(0, 0)}
+        assert len(AlignmentMap._accepted) == limit
+
+    @given(data=st.data())
+    def test_reused_objects_match_the_reference(self, data):
+        # the same objects built into maps again and again, sets mutated between
+        pool = [data.draw(st.sampled_from([set, frozenset]))(links) for links in data.draw(
+            st.lists(st.lists(st.tuples(LINK_INDICES, LINK_INDICES), max_size=4), min_size=1, max_size=4))]
+        for _ in range(data.draw(st.integers(1, 12))):
+            links = data.draw(st.sampled_from(pool))
+            if type(links) is set and data.draw(st.booleans()):
+                links.add(data.draw(st.tuples(LINK_INDICES, LINK_INDICES)))
+            expected, expected_exc = _outcome(lambda: reference_alignment_links(links))
+            actual, actual_exc = _outcome(lambda: AlignmentMap(links).links)
+            assert type(actual_exc) is type(expected_exc)
+            assert str(actual_exc) == str(expected_exc)
+            assert actual == expected
+            assert actual is None or all(type(index) is int for link in actual for index in link)
 
 
 REFERENCE_LEXICON = GenderLexicon(

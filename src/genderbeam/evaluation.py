@@ -155,15 +155,15 @@ def diagonal_aligner(
 ) -> frozenset[tuple[int, int]]:
     """Stub aligner linking i-i up to the shorter length.
 
-    Returns one shared immutable set per length, so every hypothesis of that
-    length gets the same object.
+    Returns one shared, already checked link set per length: every hypothesis
+    of that length gets the same object, and AlignmentMap keeps it as is.
     """
     return _diagonal(min(len(source), len(target)))
 
 
 @functools.lru_cache(maxsize=256)
 def _diagonal(length: int) -> frozenset[tuple[int, int]]:
-    return frozenset((i, i) for i in range(length))
+    return AlignmentMap((i, i) for i in range(length)).links
 
 
 def _entities_for(

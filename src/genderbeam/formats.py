@@ -105,7 +105,7 @@ def _parse_links(text: str) -> AlignmentMap:
     if _LINK_FIELD.fullmatch(text) is not None:
         try:
             ints = map(int, text.replace("-", " ").split())
-            return AlignmentMap(frozenset(zip(ints, ints)))
+            return AlignmentMap(zip(ints, ints))
         except ValueError:  # an index past int's digit limit
             pass
     bad = next(pair for pair in text.split() if not _is_pair(pair))
@@ -198,16 +198,17 @@ def write_entities(entities: Mapping[int, Sequence[EntitySpec]], path) -> None:
 
 
 def read_pronoun_table(path) -> dict[str, GenderLabel]:
-    """Pronoun-to-gender TSV `pronoun<TAB>gender`. An exact repeat collapses;
-    a pronoun given again with another gender is an error naming both lines."""
-    table: dict[str, tuple[GenderLabel, int]] = {}
+    """Pronoun-to-gender TSV `pronoun<TAB>gender`. Repeats match ignoring case,
+    as in pronoun_and_gender: one with the same gender collapses into the first
+    spelling; one with another gender is an error naming both lines."""
+    table: dict[str, tuple[str, GenderLabel, int]] = {}
     for lineno, (pronoun, gender) in read_rows(path, "\t", 2, FormatError,
                                                lambda pronoun, gender: (pronoun, GenderLabel(gender))):
-        known, first = table.setdefault(pronoun, (gender, lineno))
+        _, known, first = table.setdefault(pronoun.lower(), (pronoun, gender, lineno))
         if known != gender:
             raise FormatError(f"{path}:{lineno}: gender {gender} for pronoun {pronoun!r} conflicts "
                               f"with {known} from line {first}")
-    return {pronoun: gender for pronoun, (gender, _) in table.items()}
+    return {pronoun: gender for pronoun, gender, _ in table.values()}
 
 
 def read_word_list(path) -> tuple[str, ...]:

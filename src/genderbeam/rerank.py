@@ -42,54 +42,36 @@ class EntitySpec:
         object.__setattr__(self, "entity_indices", frozenset(self.entity_indices))
 
 
-def _exact_links(links: Iterable) -> bool:
-    """Whether every link is a tuple of two non-negative ints that are exactly
-    int. A tuple of another length fails to unpack here as in the general loop."""
-    for link in links:
-        if type(link) is not tuple:
-            return False
-        s, t = link
-        if type(s) is not int or type(t) is not int or s < 0 or t < 0:
-            return False
-    return True
+class _CheckedLinks(frozenset):
+    """A link set that has passed AlignmentMap's check: non-negative links,
+    each an exact tuple of two exact ints. A link of another type is rebuilt
+    as (int(s), int(t)); an exact one is kept."""
+
+    __slots__ = ()
+
+    def __new__(cls, links: Iterable) -> _CheckedLinks:
+        checked = []
+        for link in links:
+            s, t = link
+            if s < 0 or t < 0:
+                raise RerankError(f"alignment link ({s}, {t}) has a negative index")
+            if type(link) is not tuple or type(s) is not int or type(t) is not int:
+                link = (int(s), int(t))
+            checked.append(link)
+        return super().__new__(cls, checked)
 
 
 class AlignmentMap:
     """Source-to-target index links for one (source, hypothesis) pair.
 
-    A frozenset whose links are all exact non-negative int pairs is kept as
-    is, not copied. Such a set is checked once: the class keeps the last
-    ACCEPTED_LIMIT sets it accepted, keyed by id and matched by identity, so
-    a set that every hypothesis of a list shares (diagonal_aligner gives one
-    per length) is walked only when first seen. Each entry holds its set, so
-    its id cannot pass to another object while the entry is kept. Only the
-    identical object hits: a set can change after it is accepted, and an
-    equal frozenset may hold bools or floats, which must still be coerced.
+    The links are checked once, into a frozenset that records the check by
+    its type: the links of one map, passed to another, are kept as they are,
+    since a frozenset cannot change. Any other container, a plain frozenset
+    included, is walked and checked.
     """
 
-    ACCEPTED_LIMIT = 128
-    _accepted: dict[int, frozenset[tuple[int, int]]] = {}  # oldest first
-
     def __init__(self, links: Iterable[tuple[int, int]] = ()) -> None:
-        if type(links) is frozenset:
-            accepted = AlignmentMap._accepted
-            if accepted.get(id(links)) is links:
-                self._links = links
-                return
-            if _exact_links(links):
-                if len(accepted) >= AlignmentMap.ACCEPTED_LIMIT:
-                    accepted.pop(next(iter(accepted), None), None)
-                accepted[id(links)] = self._links = links
-                return
-        elif type(links) is set and _exact_links(links):
-            self._links = frozenset(links)
-            return
-        checked = set()
-        for s, t in links:
-            if s < 0 or t < 0:
-                raise RerankError(f"alignment link ({s}, {t}) has a negative index")
-            checked.add((int(s), int(t)))
-        self._links = frozenset(checked)
+        self._links = links if type(links) is _CheckedLinks else _CheckedLinks(links)
 
     @property
     def links(self) -> frozenset[tuple[int, int]]:
@@ -237,7 +219,11 @@ def inject_placeholder(nbest: NBestList, placeholder: Sequence[str]) -> NBestLis
     """
     if len(nbest) == 0:
         raise RerankError(f"source {nbest.source_id}: cannot inject into an empty list")
-    mean = math.fsum(hyp.loglik for hyp in nbest) / len(nbest)
+    try:
+        mean = math.fsum(hyp.loglik for hyp in nbest) / len(nbest)
+    except ValueError:  # fsum of +inf and -inf
+        raise RerankError(f"source {nbest.source_id}: cannot average log likelihoods "
+                          f"holding both +inf and -inf") from None
     return NBestList(
         nbest.source_id, [*nbest.hypotheses, Hypothesis(tuple(placeholder), mean)]
     )

@@ -220,8 +220,8 @@ def reference_link_pairs(field):
 
 
 def reference_alignment_links(links):
-    """The links AlignmentMap kept before it took exact-int link sets in one
-    pass: each link checked for a negative index, then coerced with int()."""
+    """The links an AlignmentMap must hold, by the plainest loop: each link
+    checked for a negative index, then coerced with int()."""
     checked = set()
     for s, t in links:
         if s < 0 or t < 0:

@@ -372,7 +372,7 @@ class TestDiagonalAligner:
 
     def test_one_shared_immutable_set_per_length(self):
         links = diagonal_aligner(("a", "b"), ("x", "y", "z"))
-        assert type(links) is frozenset
+        assert isinstance(links, frozenset)
         assert diagonal_aligner(("c", "d", "e"), ("u", "v")) is links
         assert AlignmentMap(links).links is links
 

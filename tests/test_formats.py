@@ -285,6 +285,19 @@ class TestPronounTable:
         assert str(info.value) == (f"{path}:3: gender masculine for pronoun 'she' conflicts "
                                    f"with feminine from line 1")
 
+    def test_case_variant_repeat_collapses(self, tmp_path):
+        path = tmp_path / "pron.tsv"
+        path.write_text("She\tfeminine\nshe\tfeminine\n", encoding="utf-8")
+        assert read_pronoun_table(path) == {"She": FEMININE}
+
+    def test_conflicting_case_variant_names_both_lines(self, tmp_path):
+        path = tmp_path / "pron.tsv"
+        path.write_text("She\tfeminine\nshe\tmasculine\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            read_pronoun_table(path)
+        assert str(info.value) == (f"{path}:2: gender masculine for pronoun 'she' conflicts "
+                                   f"with feminine from line 1")
+
     def test_field_count(self, tmp_path):
         path = tmp_path / "pron.tsv"
         path.write_text("she feminine\n", encoding="utf-8")

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genderbeam.decode import Hypothesis, NBestList
-from genderbeam import rerank as rerank_module
 from genderbeam.errors import RerankError
 from genderbeam.morpho import (
     FEMININE,
@@ -344,6 +343,11 @@ class TestInjectPlaceholder:
         with pytest.raises(RerankError):
             inject_placeholder(NBestList(0, []), ("x",))
 
+    def test_both_infinities_name_the_source(self):
+        nbest = NBestList(7, [Hypothesis(("a",), float("inf")), Hypothesis(("b",), float("-inf"))])
+        with pytest.raises(RerankError, match=r"^source 7: cannot average log likelihoods"):
+            inject_placeholder(nbest, ("x",))
+
     def test_placeholder_wins_rerank_despite_rank(self):
         lexicon = register_placeholder_patterns(
             GERMAN_LEXICON,
@@ -429,6 +433,7 @@ LINK_CONTAINERS = {
     "frozenset": frozenset,
     "list of lists": lambda links: [list(link) for link in links],
     "generator": lambda links: (link for link in links),
+    "map links": lambda links: AlignmentMap(links).links,
 }
 
 
@@ -457,16 +462,11 @@ class TestAlignmentMapReference:
 
 
 class TestAcceptedLinkSets:
-    def test_same_frozenset_is_checked_once(self, monkeypatch):
-        links = frozenset({(0, 0), (1, 2)})
-        first = AlignmentMap(links)
-        checked = []
-        exact = rerank_module._exact_links
-        monkeypatch.setattr(rerank_module, "_exact_links", lambda l: checked.append(l) or exact(l))
-        second = AlignmentMap(links)
-        assert checked == []
-        assert second.links is links
-        assert first.links == second.links == {(0, 0), (1, 2)}
+    def test_map_links_are_kept_by_identity(self):
+        first = AlignmentMap(frozenset({(0, 0), (1, 2)}))
+        second = AlignmentMap(first.links)
+        assert second.links is first.links
+        assert second.links == {(0, 0), (1, 2)}
         assert all(type(index) is int for link in second.links for index in link)
 
     def test_mutated_set_is_checked_again(self):
@@ -484,17 +484,6 @@ class TestAcceptedLinkSets:
             links = AlignmentMap(other).links
             assert links == ints
             assert all(type(index) is int for link in links for index in link)
-
-    def test_table_never_exceeds_its_bound(self):
-        limit = AlignmentMap.ACCEPTED_LIMIT
-        kept = []  # alive, so each set has an id of its own
-        for n in range(3 * limit):
-            kept.append(frozenset({(n, n), (0, n)}))
-            AlignmentMap(kept[-1])
-            assert len(AlignmentMap._accepted) <= limit
-        # the oldest were evicted and are checked again
-        assert AlignmentMap(kept[0]).links == {(0, 0)}
-        assert len(AlignmentMap._accepted) == limit
 
     @given(data=st.data())
     def test_reused_objects_match_the_reference(self, data):

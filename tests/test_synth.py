@@ -5,10 +5,10 @@ from collections import Counter
 import pytest
 
 from genderbeam.decode import BeamConfig, NoisyChannelToy, beam_search, two_pass_decode
-from genderbeam.evaluation import beam_sweep
+from genderbeam.evaluation import beam_sweep, diagonal_aligner, run_pipeline
 from genderbeam.formats import read_pronoun_table, read_testset, read_word_list
 from genderbeam.morpho import FEMININE, MASCULINE, analyze_gender, load_lexicon, read_pairs
-from genderbeam.rerank import NearestPrecedingNounResolver
+from genderbeam.rerank import AlignmentMap, EntitySpec, NearestPrecedingNounResolver, rerank
 from genderbeam.synth import (
     FEM_RANK_COUNTS,
     FLOOR_ROW_COUNT,
@@ -97,6 +97,23 @@ class TestRankCalibration:
                 assert observed is not None and observed > 20, row
             else:
                 assert observed == designed, row
+
+    def test_width_20_pipeline_agrees_at_the_designed_ranks(self, bench):
+        # the alignment -> agreement path run_pipeline takes, at the eval width
+        outcomes = run_pipeline(
+            bench.testset, bench.model, bench.pairs, bench.lexicon,
+            constrain=True, rerank_mode="oracle", cfg=WIDE,
+        )
+        ranks = Counter()
+        for sentence, outcome in zip(bench.testset, outcomes):
+            if sentence.gold_gender != FEMININE:
+                continue
+            alignments = [AlignmentMap(diagonal_aligner(sentence.source, hyp.tokens))
+                          for hyp in outcome.nbest]
+            entity = EntitySpec(sentence.trigger_index, sentence.gold_gender, sentence.entity_indices)
+            scores = rerank(outcome.nbest, alignments, [entity], bench.lexicon).agreement_scores
+            ranks[next((rank for rank, score in enumerate(scores, 1) if score > 0), None)] += 1
+        assert dict(ranks) == {**FEM_RANK_COUNTS, None: FLOOR_ROW_COUNT}
 
 
 class TestExpectedMetrics:

@@ -46,10 +46,8 @@ def _load_lexicon(args, patterns):
     return lexicon
 
 
-def _load_pairs_and_lexicon(args):
-    """The pair set and the lexicon (None without --lexicon), reading
-    --patterns once for both."""
-    patterns = _read_patterns(args)
+def _load_pairs_and_lexicon(args, patterns):
+    """The pair set and the lexicon (None without --lexicon)."""
     pairs = read_pairs(args.pairs, user_labels=_user_labels(patterns))
     lexicon = None if args.lexicon is None else _load_lexicon(args, patterns)
     return pairs, lexicon
@@ -92,7 +90,7 @@ def _cmd_pairs(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    pairs, lexicon = _load_pairs_and_lexicon(args)
+    pairs, lexicon = _load_pairs_and_lexicon(args, _read_patterns(args))
     lattice = compose_lattice(pairs, tuple(args.hyp.split()), lexicon=lexicon)
     Path(args.out).write_text(serialize_lattice(lattice), encoding="utf-8")
     print(f"wrote lattice with {lattice.path_count} paths to {args.out}")
@@ -121,7 +119,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_two_pass(args) -> int:
     model = _load_model(args)
-    pairs, lexicon = _load_pairs_and_lexicon(args)
+    pairs, lexicon = _load_pairs_and_lexicon(args, _read_patterns(args))
     cfg = _beam_config(args)
     return _decode_file(args, lambda source, sent_id: two_pass_decode(
         model, source, pairs, cfg, cfg, lexicon=lexicon, source_id=sent_id))
@@ -144,8 +142,9 @@ def _alignment_for(alignments, path, sent_id: int, rank: int, tokens) -> Alignme
 def _cmd_rerank(args) -> int:
     lists = parse_nbest(args.nbest)
     alignments = parse_alignments(args.align)
-    entities = read_entities(args.entities)
-    lexicon = _load_lexicon(args, _read_patterns(args))
+    patterns = _read_patterns(args)
+    entities = read_entities(args.entities, user_labels=_user_labels(patterns))
+    lexicon = _load_lexicon(args, patterns)
     no_links = AlignmentMap(())
     selected: list[NBestList] = []
     for sent_id in sorted(lists):
@@ -178,17 +177,22 @@ def _write_report(report: MetricReport, path) -> None:
 
 
 def _load_eval_inputs(args):
-    return (read_testset(args.testset), _load_model(args), *_load_pairs_and_lexicon(args))
+    """The test set, model, pair set and lexicon, and the --patterns labels
+    their gender tags were checked against."""
+    patterns = _read_patterns(args)
+    labels = _user_labels(patterns)
+    return (read_testset(args.testset, user_labels=labels), _load_model(args),
+            *_load_pairs_and_lexicon(args, patterns), labels)
 
 
 def _cmd_eval(args) -> int:
-    testset, model, pairs, lexicon = _load_eval_inputs(args)
+    testset, model, pairs, lexicon, labels = _load_eval_inputs(args)
     extra = {}
     if args.rerank == "inferred":
         if args.pronouns is None or args.nouns is None:
             raise ValueError("--pronouns and --nouns are required with --rerank inferred")
         extra = {
-            "pronoun_table": read_pronoun_table(args.pronouns),
+            "pronoun_table": read_pronoun_table(args.pronouns, user_labels=labels),
             "resolver": NearestPrecedingNounResolver(read_word_list(args.nouns)),
         }
     outcomes = run_pipeline(
@@ -207,7 +211,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    testset, model, pairs, lexicon = _load_eval_inputs(args)
+    testset, model, pairs, lexicon, _ = _load_eval_inputs(args)
     widths = [int(field) for field in args.widths.split(",") if field.strip()]
     rows = beam_sweep(testset, model, pairs, lexicon, widths, max_len=args.max_len)
     lines = ["beam_width,accuracy"]

@@ -32,13 +32,14 @@ import heapq
 import math
 import operator
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DecodeError, FormatError
 from .lattice import HypothesisLattice, compose_lattice
-from .morpho import GenderLexicon, ReinflectionPairSet, read_rows, read_sentences
+from .morpho import GenderLexicon, ReinflectionPairSet, read_lines, read_rows
 from .segment import Segmenter, WholeWordSegmenter
 
 BOS = "<s>"
@@ -128,6 +129,44 @@ class TableModel(ScoringModel):
         return self._table.get((" ".join(source), prefix_key), {})
 
 
+def _count_bigrams(lines: Iterable[tuple[Sequence[str], int]]) -> dict[str, dict[str, int]]:
+    """followers[prev][token] counts the bigram (prev, token), each line's
+    bigrams taken count times, BOS before the first token and EOS after the
+    last. Rows and their keys come in the order each first occurs."""
+    followers: dict[str, dict[str, int]] = {}
+    for line, count in lines:
+        prev = BOS
+        for token in line:
+            row = followers.get(prev)
+            if row is None:
+                row = followers[prev] = {}
+            row[token] = row.get(token, 0) + count
+            prev = token
+        row = followers.get(prev)
+        if row is None:
+            row = followers[prev] = {}
+        row[EOS] = row.get(EOS, 0) + count
+    return followers
+
+
+def _counted_reserved(followers: Mapping[str, Mapping[str, int]]) -> bool:
+    """Whether a line counted into followers held BOS or EOS: EOS as a token
+    gets a row of its own, and BOS as a token is a key of some row. Rows are
+    few, so the lines are searched only once this holds."""
+    return EOS in followers or any(BOS in row for row in followers.values())
+
+
+def _first_reserved(lines: Iterable[tuple[int, Sequence[str]]]) -> str:
+    """`number: reason` for the first numbered line holding BOS or EOS: they
+    mark the sentence boundaries, so counting either as a word would merge
+    it with the boundary events."""
+    for number, tokens in lines:
+        for token in (BOS, EOS):
+            if token in tokens:
+                return f"{number}: token {token!r} is reserved for the sentence boundaries"
+    return f"no line holds {BOS!r} or {EOS!r} on a second reading"
+
+
 class NoisyChannelToy(ScoringModel):
     """Lexical table + add-one-smoothed target bigram scorer.
 
@@ -135,6 +174,12 @@ class NoisyChannelToy(ScoringModel):
     bigram logprob of t given the last prefix token. Targets with no lexical
     support under any source token are left out of the map and hence floor.
     EOS is scored by the bigram term alone.
+
+    A corpus line is a sequence of tokens; an empty one counts the bigram
+    (BOS, EOS). A line holding BOS or EOS is refused, since counting it would
+    merge a word with the sentence boundaries: the constructor raises
+    ValueError naming the line's 0-based index. Every corpus token follows
+    BOS or another token, so the vocabulary is read off the bigram rows.
     """
 
     def __init__(
@@ -150,26 +195,11 @@ class NoisyChannelToy(ScoringModel):
             }
             for source, targets in lexical.items()
         }
-        # followers[prev][token] counts the bigram (prev, token)
-        followers: dict[str, dict[str, int]] = {}
-        vocab: set[str] = set()
-        for line in corpus:
-            prev = BOS
-            for token in line:
-                vocab.add(token)
-                row = followers.get(prev)
-                if row is None:
-                    row = followers[prev] = {}
-                row[token] = row.get(token, 0) + 1
-                prev = token
-            row = followers.get(prev)
-            if row is None:
-                row = followers[prev] = {}
-            row[EOS] = row.get(EOS, 0) + 1
-        self._followers = followers
-        self._contexts = {prev: sum(row.values()) for prev, row in followers.items()}
-        # +1 for the EOS event, which shares the smoothing mass
-        self._smoothing_vocab = len(vocab) + 1
+        corpus = list(corpus)
+        followers = _count_bigrams((line, 1) for line in corpus)
+        if _counted_reserved(followers):
+            raise ValueError(f"corpus line {_first_reserved(enumerate(corpus))}")
+        self._set_bigrams(followers)
         self.floor = float(floor)
         # only the current source is cached: its best lexical logprob per
         # target, and its step maps keyed by the last prefix token, which is
@@ -178,14 +208,36 @@ class NoisyChannelToy(ScoringModel):
         self._best: dict[str, float] = {}
         self._step_cache: dict[str, dict[str, float]] = {}
 
+    def _set_bigrams(self, followers: dict[str, dict[str, int]]) -> None:
+        self._followers = followers
+        self._contexts = {prev: sum(row.values()) for prev, row in followers.items()}
+        vocab = set().union(*followers.values())
+        vocab.discard(EOS)
+        # +1 for the EOS event, which shares the smoothing mass
+        self._smoothing_vocab = len(vocab) + 1
+
     @classmethod
     def from_files(cls, lexical_path: str | Path, corpus_path: str | Path,
                    floor: float = DEFAULT_FLOOR) -> "NoisyChannelToy":
-        """Lexical TSV `src<TAB>tgt<TAB>logprob` plus a plain-text target corpus."""
+        """Lexical TSV `src<TAB>tgt<TAB>logprob` plus a plain-text target
+        corpus, one whitespace-tokenized sentence per line. Blank and
+        whitespace-only lines are skipped; a line holding BOS or EOS raises
+        FormatError naming it.
+        Each distinct line is split and counted once, as many times as it
+        occurs, which gives the same counts in the same order as counting
+        every line."""
         lexical: dict[str, dict[str, float]] = {}
         for (source, target), lp in _read_logprobs(lexical_path, "\t", 3).items():
             lexical.setdefault(source, {})[target] = lp
-        return cls(lexical, filter(None, read_sentences(corpus_path)), floor=floor)
+        texts = Counter(map(operator.itemgetter(1), read_lines(corpus_path)))
+        followers = _count_bigrams((tokens, count) for text, count in texts.items()
+                                   if (tokens := text.split()))
+        if _counted_reserved(followers):
+            raise FormatError(f"{corpus_path}:" + _first_reserved(
+                (lineno, line.split()) for lineno, line in read_lines(corpus_path)))
+        model = cls(lexical, (), floor=floor)
+        model._set_bigrams(followers)
+        return model
 
     def next_scores(self, source: Sequence[str], prefix: Sequence[str]) -> Mapping[str, float]:
         if source is not self._step_source:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .decode import Hypothesis, NBestList
 from .errors import FormatError
 from .evaluation import TestSentence
-from .morpho import GenderLabel, data_lines, read_rows, read_sentences
+from .morpho import GenderLabel, _allowed_tags, _parse_gender, data_lines, read_rows, read_sentences
 from .rerank import AlignmentMap, EntitySpec
 
 NBEST_SEPARATOR = " ||| "
@@ -171,16 +171,19 @@ def _parse_anchor(trigger: str, indices: str) -> tuple[int | None, frozenset[int
     return trigger_index, frozenset(entity_indices)
 
 
-def read_entities(path) -> dict[int, list[EntitySpec]]:
+def read_entities(path, user_labels: Iterable[str] = ()) -> dict[int, list[EntitySpec]]:
     """Entity annotations `sent_id<TAB>gender<TAB>trigger_index<TAB>i,j,...`.
 
     A `-` trigger means no trigger position (named-entity mode). Multiple
-    lines per sentence accumulate in file order.
+    lines per sentence accumulate in file order. Gender tags outside the
+    built-ins must be declared via user_labels.
     """
+    allowed = _allowed_tags(user_labels)
+
     def parse(sent_id: str, gender: str, trigger: str, indices: str) -> tuple[int, EntitySpec]:
         sent_id = _parse_int(sent_id, "sent_id")
         trigger_index, entity_indices = _parse_anchor(trigger, indices)
-        return sent_id, EntitySpec(trigger_index, GenderLabel(gender), entity_indices)
+        return sent_id, EntitySpec(trigger_index, _parse_gender(gender, allowed), entity_indices)
 
     result: dict[int, list[EntitySpec]] = {}
     for _, (sent_id, spec) in read_rows(path, "\t", 4, FormatError, parse):
@@ -197,13 +200,15 @@ def write_entities(entities: Mapping[int, Sequence[EntitySpec]], path) -> None:
                 handle.write(f"{sent_id}\t{spec.required_gender}\t{trigger}\t{indices}\n")
 
 
-def read_pronoun_table(path) -> dict[str, GenderLabel]:
+def read_pronoun_table(path, user_labels: Iterable[str] = ()) -> dict[str, GenderLabel]:
     """Pronoun-to-gender TSV `pronoun<TAB>gender`. Repeats match ignoring case,
     as in pronoun_and_gender: one with the same gender collapses into the first
-    spelling; one with another gender is an error naming both lines."""
+    spelling; one with another gender is an error naming both lines. Gender
+    tags outside the built-ins must be declared via user_labels."""
+    allowed = _allowed_tags(user_labels)
     table: dict[str, tuple[str, GenderLabel, int]] = {}
-    for lineno, (pronoun, gender) in read_rows(path, "\t", 2, FormatError,
-                                               lambda pronoun, gender: (pronoun, GenderLabel(gender))):
+    for lineno, (pronoun, gender) in read_rows(path, "\t", 2, FormatError, lambda pronoun, gender:
+                                               (pronoun, _parse_gender(gender, allowed))):
         _, known, first = table.setdefault(pronoun.lower(), (pronoun, gender, lineno))
         if known != gender:
             raise FormatError(f"{path}:{lineno}: gender {gender} for pronoun {pronoun!r} conflicts "
@@ -216,15 +221,19 @@ def read_word_list(path) -> tuple[str, ...]:
     return tuple(line.strip() for _, line in data_lines(path))
 
 
-def read_testset(path) -> list[TestSentence]:
+def read_testset(path, user_labels: Iterable[str] = ()) -> list[TestSentence]:
     """Rows `sent_id<TAB>gold_gender<TAB>source sentence<TAB>trigger<TAB>i,j,...`.
 
-    A second row with the same sent_id is an error naming both lines.
+    A second row with the same sent_id is an error naming both lines. Gender
+    tags outside the built-ins must be declared via user_labels.
     """
+    allowed = _allowed_tags(user_labels)
+
     def parse(sent_id: str, gender: str, source: str, trigger: str, indices: str) -> TestSentence:
         sent_id = _parse_int(sent_id, "sent_id")
         trigger_index, entity_indices = _parse_anchor(trigger, indices)
-        return TestSentence(sent_id, GenderLabel(gender), tuple(source.split()), trigger_index, entity_indices)
+        return TestSentence(sent_id, _parse_gender(gender, allowed), tuple(source.split()),
+                            trigger_index, entity_indices)
 
     sentences: list[TestSentence] = []
     first_line: dict[int, int] = {}

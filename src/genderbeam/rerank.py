@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
@@ -219,11 +220,16 @@ def inject_placeholder(nbest: NBestList, placeholder: Sequence[str]) -> NBestLis
     """
     if len(nbest) == 0:
         raise RerankError(f"source {nbest.source_id}: cannot inject into an empty list")
+    logliks = [hyp.loglik for hyp in nbest]
     try:
-        mean = math.fsum(hyp.loglik for hyp in nbest) / len(nbest)
+        mean = math.fsum(logliks) / len(logliks)
+    except OverflowError:  # a running sum past the float range; the exact mean is within it
+        mean = statistics.mean(logliks)
     except ValueError:  # fsum of +inf and -inf
+        mean = math.nan
+    if math.isnan(mean):
         raise RerankError(f"source {nbest.source_id}: cannot average log likelihoods "
-                          f"holding both +inf and -inf") from None
+                          f"holding both +inf and -inf")
     return NBestList(
         nbest.source_id, [*nbest.hypotheses, Hypothesis(tuple(placeholder), mean)]
     )

@@ -20,6 +20,12 @@ TOY_PAIRS = ReinflectionPairSet(
 )
 
 
+def bigram_fields(model):
+    """The counted fields of a NoisyChannelToy, with every key order."""
+    return ([(prev, list(row.items())) for prev, row in model._followers.items()],
+            list(model._contexts.items()), model._smoothing_vocab)
+
+
 class HashScorer(ScoringModel):
     """Deterministic pseudo-random scorer over a fixed vocabulary.
 

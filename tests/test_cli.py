@@ -235,6 +235,22 @@ class TestRerankCommand:
         assert err.startswith(f"genderbeam: {align}: ")
         assert f"sent_id {testset[1].sent_id} rank 5" in err
 
+    def test_entity_tags_are_checked_against_patterns_labels(self, bench_dir, tmp_path, capsys):
+        nbest = tmp_path / "tp.nbest"
+        nbest.write_text("0 ||| a b ||| -1.0\n1 ||| c d ||| -1.0\n", encoding="utf-8")
+        align = tmp_path / "align.txt"
+        align.write_text("0\t0\t0-0\n1\t0\t0-0\n", encoding="utf-8")
+        entities = tmp_path / "entities.tsv"
+        entities.write_text("0\tfeminine\t-\t0\n1\tfemenine\t-\t0\n", encoding="utf-8")
+        args = ["rerank", "--nbest", str(nbest), "--align", str(align),
+                "--entities", str(entities), "--lexicon", str(bench_dir / "lexicon.tsv"),
+                "--out", str(tmp_path / "sel.nbest")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"genderbeam: {entities}:2: unknown gender tag 'femenine'\n"
+        patterns = tmp_path / "patterns.tsv"
+        patterns.write_text("suffix\t-x\tfemenine\n", encoding="utf-8")
+        assert main([*args, "--patterns", str(patterns)]) == 0
+
     def test_link_past_the_hypothesis_is_an_error(self, bench_dir, tmp_path, capsys):
         testset, tp = self.write_two_pass(bench_dir, tmp_path, range(3))
         lists = parse_nbest(tp)
@@ -300,6 +316,30 @@ class TestEvalCommand:
         assert main([*args, "--patterns", str(patterns)]) == 0
         assert calls == [str(patterns)]
 
+    def test_tags_are_checked_against_patterns_labels(self, bench_dir, tmp_path, capsys):
+        # a misspelt gold tag would otherwise be reported as gold_feminin
+        rows = (bench_dir / "testset.tsv").read_text(encoding="utf-8").splitlines()[:3]
+        rows[1] = rows[1].replace("\tfeminine\t", "\tfeminin\t")
+        testset = tmp_path / "testset.tsv"
+        testset.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        pronouns = tmp_path / "pronouns.tsv"
+        pronouns.write_text((bench_dir / "pronouns.tsv").read_text(encoding="utf-8") + "ze\tfeminin\n",
+                            encoding="utf-8")
+        report = tmp_path / "report.csv"
+        args = self.eval_args(bench_dir, report, rerank="inferred") + [
+            "--pronouns", str(pronouns), "--nouns", str(bench_dir / "nouns.txt")]
+        args[args.index("--testset") + 1] = str(testset)
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"genderbeam: {testset}:2: unknown gender tag 'feminin'\n"
+        testset.write_text("\n".join([rows[0], rows[2]]) + "\n", encoding="utf-8")
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"genderbeam: {pronouns}:3: unknown gender tag 'feminin'\n"
+        patterns = tmp_path / "patterns.tsv"
+        patterns.write_text("suffix\t-x\tfeminin\n", encoding="utf-8")
+        testset.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main([*args, "--patterns", str(patterns)]) == 0
+        assert "gold_feminin,1" in report.read_text(encoding="utf-8").splitlines()
+
     def test_inferred_requires_tables(self, bench_dir, tmp_path, capsys):
         report = tmp_path / "report.csv"
         code = main(self.eval_args(bench_dir, report, rerank="inferred"))
@@ -339,6 +379,20 @@ class TestSweepCommand:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("genderbeam: ")
+
+
+    def test_gold_tags_are_checked(self, bench_dir, tmp_path, capsys):
+        testset = tmp_path / "testset.tsv"
+        testset.write_text("0\tfeminin\tx\t-\t0\n", encoding="utf-8")
+        code = main([
+            "sweep", "--testset", str(testset),
+            *bench_args(bench_dir),
+            "--pairs", str(bench_dir / "pairs.tsv"),
+            "--lexicon", str(bench_dir / "lexicon.tsv"),
+            "--widths", "4", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"genderbeam: {testset}:1: unknown gender tag 'feminin'\n"
 
 
 class TestSynthCommand:

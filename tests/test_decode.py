@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import unicodedata
 import weakref
 import zlib
 
@@ -12,6 +13,7 @@ from helpers import (
     MEDIC_TABLE,
     TOY_PAIRS,
     HashScorer,
+    bigram_fields,
     oracle_nbest,
     random_lattice,
     realizations,
@@ -385,6 +387,25 @@ class TestNoisyChannelToy:
                                               r"conflicts with -0\.5 from line 1$"):
             NoisyChannelToy.from_files(lex, corpus)
 
+    @pytest.mark.parametrize("token", [BOS, EOS])
+    def test_reserved_token_in_corpus_file_names_its_line(self, tmp_path, token):
+        # counted as words, they would merge with the sentence boundaries
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("the\tla\t-0.2\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(f"la médica\n\nla {token} la\nla {token}\nla médica\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            NoisyChannelToy.from_files(lex, corpus)
+        assert str(info.value) == f"{corpus}:3: token {token!r} is reserved for the sentence boundaries"
+
+    @pytest.mark.parametrize("line", [(BOS,), (EOS,), (BOS, "la"), ("la", EOS), ("la", BOS, "la")],
+                             ids=["bos", "eos", "bos-first", "eos-last", "bos-inside"])
+    def test_reserved_token_in_corpus_names_its_index(self, line):
+        token = BOS if BOS in line else EOS
+        with pytest.raises(ValueError) as info:
+            NoisyChannelToy({}, iter([("la",), (), line, line]))
+        assert str(info.value) == f"corpus line 2: token {token!r} is reserved for the sentence boundaries"
+
     def test_step_cache_holds_only_current_source(self):
         other = ("doctor",)
         model = self.build()
@@ -439,6 +460,40 @@ class TestNoisyChannelToy:
             asked = {"held": source, "copy": tuple(list(source)), "list": list(source)}[form]
             scores = model.next_scores(asked, () if prev == BOS else ("x", prev))
             assert [(t, repr(lp)) for t, lp in scores.items()] == [(t, repr(lp)) for t, lp in naive.items()]
+
+
+CORPUS_WORDS = ("la", "m\u00e9dica", "me\u0301dica", "el", "x")
+
+
+class TestNoisyChannelFiles:
+    """from_files counts each distinct line once; the counts, their order and
+    every step map equal the constructor's on the NFC-split, non-empty lines."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pool=st.lists(st.lists(st.sampled_from(CORPUS_WORDS), min_size=1, max_size=4), min_size=1, max_size=4),
+        picks=st.lists(st.tuples(st.integers(0, 3), st.sampled_from((" ", "  ", "\t", " \t "))),
+                       max_size=12),
+        blanks=st.lists(st.tuples(st.integers(0, 12), st.sampled_from(("", " ", "\t  "))), max_size=3),
+    )
+    def test_files_count_like_the_constructor(self, tmp_path_factory, pool, picks, blanks):
+        lines = [sep.join(pool[index % len(pool)]) for index, sep in picks]
+        for position, blank in blanks:
+            lines.insert(min(position, len(lines)), blank)
+        directory = tmp_path_factory.mktemp("corpus")
+        lex = directory / "lex.tsv"
+        lex.write_text("s\tla\t-0.2\ns\tm\u00e9dica\t-0.3\nt\tel\t-1.0\nt\tx\t-0.1\n", encoding="utf-8")
+        corpus = directory / "corpus.txt"
+        corpus.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        split = [tuple(unicodedata.normalize("NFC", line).split()) for line in lines]
+        loaded = NoisyChannelToy.from_files(lex, corpus)
+        built = NoisyChannelToy(loaded._lexical, [tokens for tokens in split if tokens])
+        assert bigram_fields(loaded) == bigram_fields(built)
+        for source in (("s",), ("s", "t")):
+            for prev in (BOS, "la", "m\u00e9dica", "el", "x", "unseen"):
+                prefix = () if prev == BOS else (prev,)
+                assert (repr(list(loaded.next_scores(source, prefix).items()))
+                        == repr(list(built.next_scores(source, prefix).items())))
 
 
 class TestConstrainedSearch:

@@ -1,5 +1,6 @@
 """Interchange format parsing, writing, and round-trip identity."""
 
+import functools
 import re
 import unicodedata
 
@@ -228,12 +229,23 @@ class TestEntityFiles:
             "0\tfeminine\t2\t0,1\n0\tmasculine\t-\t3\n2\tneutral-new\t1\t0\n",
             encoding="utf-8",
         )
-        entities = read_entities(path)
+        entities = read_entities(path, user_labels={"neutral-new"})
         assert entities[0] == [
             EntitySpec(2, FEMININE, frozenset({0, 1})),
             EntitySpec(None, MASCULINE, frozenset({3})),
         ]
         assert entities[2][0].required_gender == GenderLabel("neutral-new")
+
+    def test_undeclared_tag_names_its_line(self, tmp_path):
+        # a misspelt tag would otherwise require a gender no token carries
+        path = tmp_path / "ents.tsv"
+        path.write_text("0\tfeminine\t2\t0,1\n1\tfemenine\t2\t0\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            read_entities(path)
+        assert str(info.value) == f"{path}:2: unknown gender tag 'femenine'"
+        with pytest.raises(FormatError, match=r"ents\.tsv:2: unknown gender tag 'femenine'$"):
+            read_entities(path, user_labels={"neutral-new"})
+        assert read_entities(path, user_labels={"femenine"})[1][0].required_gender == GenderLabel("femenine")
 
     def test_rejects_none_gender(self, tmp_path):
         path = tmp_path / "ents.tsv"
@@ -261,16 +273,24 @@ class TestEntityFiles:
     def test_fuzzed_round_trip(self, scratch, entities):
         path = scratch / "ents.tsv"
         write_entities(entities, path)
-        assert read_entities(path) == entities
+        labels = {spec.required_gender.tag for specs in entities.values() for spec in specs}
+        assert read_entities(path, user_labels=labels) == entities
 
 
 class TestPronounTable:
     def test_read(self, tmp_path):
         path = tmp_path / "pron.tsv"
         path.write_text("she\tneutral-new\nhe\tmasculine\n", encoding="utf-8")
-        table = read_pronoun_table(path)
+        table = read_pronoun_table(path, user_labels={"neutral-new"})
         assert table["he"] == MASCULINE
         assert table["she"] == GenderLabel("neutral-new")
+
+    def test_undeclared_tag_names_its_line(self, tmp_path):
+        path = tmp_path / "pron.tsv"
+        path.write_text("he\tmasculine\nshe\tneutral-new\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            read_pronoun_table(path)
+        assert str(info.value) == f"{path}:2: unknown gender tag 'neutral-new'"
 
     def test_exact_repeat_collapses(self, tmp_path):
         path = tmp_path / "pron.tsv"
@@ -375,7 +395,17 @@ class TestTestsetFiles:
         # the writer orders rows by id; an id is given once
         path = scratch / "test.tsv"
         write_testset(rows, path)
-        assert read_testset(path) == sorted(rows, key=lambda row: row.sent_id)
+        labels = {row.gold_gender.tag for row in rows}
+        assert read_testset(path, user_labels=labels) == sorted(rows, key=lambda row: row.sent_id)
+
+    def test_undeclared_gold_tag_names_its_line(self, tmp_path):
+        # a misspelt gold tag would otherwise be scored as a gender of its own
+        path = tmp_path / "test.tsv"
+        path.write_text("0\tfeminine\ta b\t-\t0\n1\tfeminin\ta b\t-\t1\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            read_testset(path)
+        assert str(info.value) == f"{path}:2: unknown gender tag 'feminin'"
+        assert read_testset(path, user_labels={"feminin"})[1].gold_gender == GenderLabel("feminin")
 
 
 # every reader's integer fields take ASCII digits only; int() alone would
@@ -491,6 +521,16 @@ def _noisy_lexical(path):
 
 MEDICA = "m\u00e9dica"  # NFC; the files below hold it decomposed
 
+
+def _declaring_medica(reader):
+    """reader with MEDICA declared as a user gender label, so that a row
+    with no other text field can show the line rule on its gender tag."""
+    @functools.wraps(reader)
+    def read(path):
+        return reader(path, user_labels={MEDICA})
+    return read
+
+
 # reader, its error class, a valid row mentioning MEDICA, a row with a
 # wrong field count, a row with a malformed value and the message it gets,
 # and where MEDICA lands in what the valid row reads to (None where the row
@@ -501,11 +541,11 @@ ANNOTATED_READERS = [
      lambda r: r[0][0].tokens[1]),
     (parse_alignments, FormatError, "0\t0\t0-0", "0\t0\t0-0\t1-1",
      "0\t1\t0-0 1-x", "malformed alignment pair '1-x'", None),
-    (read_entities, FormatError, f"0\t{MEDICA}\t-\t0", "0\tfeminine\t0",
+    (_declaring_medica(read_entities), FormatError, f"0\t{MEDICA}\t-\t0", "0\tfeminine\t0",
      "0\tnone\t-\t0", "entity requires a concrete gender, not none",
      lambda r: r[0][0].required_gender.tag),
     (read_pronoun_table, FormatError, f"{MEDICA}\tfeminine", "ella\tfeminine\tx",
-     "ella\tfem inine", "gender tag must be a nonempty token without whitespace: 'fem inine'",
+     "ella\tfem inine", "unknown gender tag 'fem inine'",
      lambda r: next(iter(r))),
     (read_testset, FormatError, f"0\tfeminine\tla {MEDICA}\t-\t1", "1\tfeminine\tla",
      "1\tfeminine\tla\t-\t1", "sentence 1: entity index 1 outside source of length 1",

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -347,6 +348,21 @@ class TestInjectPlaceholder:
         nbest = NBestList(7, [Hypothesis(("a",), float("inf")), Hypothesis(("b",), float("-inf"))])
         with pytest.raises(RerankError, match=r"^source 7: cannot average log likelihoods"):
             inject_placeholder(nbest, ("x",))
+
+    def test_overflowing_sum_gives_the_mean(self):
+        # the running sum leaves the float range, but the mean is within it
+        nbest = NBestList(3, [Hypothesis(("a",), -1e308), Hypothesis(("b",), -1e308)])
+        injected = inject_placeholder(nbest, ("x",))
+        assert [(h.tokens, h.loglik) for h in injected] == [
+            (("a",), -1e308), (("b",), -1e308), (("x",), -1e308)]
+        largest = NBestList(3, [Hypothesis((t,), -sys.float_info.max) for t in "abc"])
+        assert inject_placeholder(largest, ("x",))[3].loglik == -sys.float_info.max
+        with_inf = NBestList(3, [*nbest, Hypothesis(("c",), float("-inf"))])
+        assert inject_placeholder(with_inf, ("x",))[3].loglik == float("-inf")
+        both = NBestList(3, [Hypothesis(("a",), 1e308), Hypothesis(("b",), 1e308),
+                             Hypothesis(("c",), float("inf")), Hypothesis(("d",), float("-inf"))])
+        with pytest.raises(RerankError, match=r"^source 3: cannot average log likelihoods holding both"):
+            inject_placeholder(both, ("x",))
 
     def test_placeholder_wins_rerank_despite_rank(self):
         lexicon = register_placeholder_patterns(

@@ -16,7 +16,7 @@ from genderbeam.synth import (
     build_benchmark,
     write_benchmark,
 )
-from helpers import pipeline_report
+from helpers import bigram_fields, pipeline_report
 
 WIDE = BeamConfig(20, 20, max_len=16)
 
@@ -187,6 +187,13 @@ class TestWrittenFiles:
         assert read_word_list(paths["nouns"]) == bench.noun_words
 
         reloaded = NoisyChannelToy.from_files(paths["lexical"], paths["corpus"])
+        # the same counts, in the same order, as counting every corpus line;
+        # step maps follow the lexical file's order, so they are compared by
+        # repr against the corpus counted over the reloaded lexical table
+        assert bigram_fields(reloaded) == bigram_fields(bench.model)
+        counted = NoisyChannelToy(reloaded._lexical, bench.corpus)
         source = bench.testset[0].source
         for prefix in ((), ("pentristo",), ("pentristo", "pentras")):
             assert reloaded.next_scores(source, prefix) == bench.model.next_scores(source, prefix)
+            assert (repr(list(reloaded.next_scores(source, prefix).items()))
+                    == repr(list(counted.next_scores(source, prefix).items())))

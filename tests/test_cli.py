@@ -1,5 +1,6 @@
 """End-to-end command-line tests, mostly in-process through main()."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -410,3 +411,62 @@ class TestSynthCommand:
         assert main(helper.eval_args(bench_dir, first, rerank="off", constrain="off")) == 0
         assert main(helper.eval_args(bench_dir, second, rerank="off", constrain="off")) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestGoldenOutputs:
+    """The seed-0 outputs of every command that decodes, reranks or scores,
+    checked byte for byte against committed SHA-256 digests."""
+
+    DIGESTS = DATA / "golden_seed0_sha256.txt"
+
+    def outputs(self, bench_dir, tmp_path, capsys) -> dict[str, bytes]:
+        testset = read_testset(bench_dir / "testset.tsv")
+        outputs = {}
+
+        def run(name, args, out):
+            capsys.readouterr()
+            assert main(args) == 0
+            outputs[f"{name}.out"] = Path(out).read_bytes()
+            outputs[f"{name}.stdout"] = capsys.readouterr().out.replace(str(out), "OUT").encode()
+
+        evals = {"eval_off_off": ("off", "off", []), "eval_on_oracle": ("on", "oracle", []),
+                 "eval_on_inferred": ("on", "inferred", [
+                     "--pronouns", str(bench_dir / "pronouns.tsv"),
+                     "--nouns", str(bench_dir / "nouns.txt")])}
+        for name, (constrain, rerank, extra) in evals.items():
+            report = tmp_path / f"{name}.csv"
+            run(name, TestEvalCommand().eval_args(bench_dir, report, constrain, rerank) + extra,
+                report)
+        sweep = tmp_path / "sweep.csv"
+        run("sweep", ["sweep", "--testset", str(bench_dir / "testset.tsv"), *bench_args(bench_dir),
+                      "--pairs", str(bench_dir / "pairs.tsv"),
+                      "--lexicon", str(bench_dir / "lexicon.tsv"),
+                      "--widths", "4,8,12,16,20", "--max-len", "16", "--out", str(sweep)], sweep)
+        src = tmp_path / "src.txt"
+        src.write_text("".join(" ".join(s.source) + "\n" for s in testset), encoding="utf-8")
+        nbest = tmp_path / "two_pass.nbest"
+        run("two_pass", ["two-pass", *bench_args(bench_dir),
+                         "--pairs", str(bench_dir / "pairs.tsv"),
+                         "--lexicon", str(bench_dir / "lexicon.tsv"),
+                         "--src", str(src), "--beam", "20", "--max-len", "16", "--out", str(nbest)],
+            nbest)
+        # diagonal alignments and oracle entities, as test_pipeline_composability builds them
+        diagonal = " ".join(f"{i}-{i}" for i in range(11))
+        align = tmp_path / "align.txt"
+        align.write_text("".join(f"{s.sent_id}\t{rank}\t{diagonal}\n"
+                                 for s in testset for rank in range(20)), encoding="utf-8")
+        entities = tmp_path / "entities.tsv"
+        entities.write_text("".join(f"{s.sent_id}\t{s.gold_gender}\t{s.trigger_index}\t0\n"
+                                    for s in testset), encoding="utf-8")
+        selected = tmp_path / "rerank.nbest"
+        run("rerank", ["rerank", "--nbest", str(nbest), "--align", str(align),
+                       "--entities", str(entities), "--lexicon", str(bench_dir / "lexicon.tsv"),
+                       "--out", str(selected)], selected)
+        return outputs
+
+    def test_seed0_outputs_match_committed_digests(self, bench_dir, tmp_path, capsys):
+        digests = {name: hashlib.sha256(data).hexdigest()
+                   for name, data in self.outputs(bench_dir, tmp_path, capsys).items()}
+        committed = dict(line.split()[::-1] for line in
+                         self.DIGESTS.read_text(encoding="utf-8").splitlines())
+        assert digests == committed

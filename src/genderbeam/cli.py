@@ -133,7 +133,7 @@ def _alignment_for(alignments, path, sent_id: int, rank: int, tokens) -> Alignme
     except KeyError:
         raise FormatError(f"{path}: no alignment for sent_id {sent_id} rank {rank}") from None
     if alignment.target_end > len(tokens):
-        s, t = min(link for link in alignment.links if link[1] >= len(tokens))
+        s, t = min(link for link in alignment if link[1] >= len(tokens))
         raise FormatError(f"{path}: sent_id {sent_id} rank {rank}: link {s}-{t} is past "
                           f"the hypothesis of {len(tokens)} tokens")
     return alignment

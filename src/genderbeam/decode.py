@@ -54,6 +54,18 @@ def _check_logprob(value: float, where: str) -> float:
     return value
 
 
+def _reserved(token: str) -> str:
+    return f"token {token!r} is reserved for the sentence boundaries"
+
+
+def _check_entry(token: str, lp: float, reserved: tuple[str, ...], where: str) -> float:
+    """lp as a checked log probability of a model entry whose token must not
+    be one of the reserved boundary tokens."""
+    if token in reserved:
+        raise ValueError(f"{where}: {_reserved(token)}")
+    return _check_logprob(lp, where)
+
+
 def _parse_logprob(text: str) -> float:
     try:
         return _check_logprob(float(text), "logprob")
@@ -61,13 +73,20 @@ def _parse_logprob(text: str) -> float:
         raise ValueError(f"bad logprob {text!r}") from None
 
 
-def _read_logprobs(path, sep: str, count: int) -> dict[tuple[str, ...], float]:
+def _read_logprobs(path, sep: str, count: int,
+                   reserved: tuple[str, ...]) -> dict[tuple[str, ...], float]:
     """The logprob of each key of a model file whose rows are key fields and
-    then a logprob. An exact repeat collapses; a key given again with another
+    then a logprob; the last key field is the scored token, which must not be
+    reserved. An exact repeat collapses; a key given again with another
     logprob is an error naming both lines."""
+
+    def parse(*row: str) -> tuple[tuple[str, ...], float]:
+        if row[-2] in reserved:
+            raise ValueError(_reserved(row[-2]))
+        return row[:-1], _parse_logprob(row[-1])
+
     logprobs: dict[tuple[str, ...], tuple[float, int]] = {}
-    for lineno, (key, lp) in read_rows(path, sep, count, FormatError,
-                                       lambda *row: (row[:-1], _parse_logprob(row[-1]))):
+    for lineno, (key, lp) in read_rows(path, sep, count, FormatError, parse):
         known, first = logprobs.setdefault(key, (lp, lineno))
         if known != lp:
             raise FormatError(f"{path}:{lineno}: logprob {lp!r} for {key} conflicts with {known!r} "
@@ -98,7 +117,9 @@ class TableModel(ScoringModel):
 
     Keys are space-joined token sequences; the empty prefix is keyed as BOS.
     Unknown (source, prefix) keys yield an empty map, so unlisted
-    continuations score the floor only through forced decoding.
+    continuations score the floor only through forced decoding. BOS is no
+    token: an entry scoring it is refused, and a prefix of BOS alone is
+    unknown. EOS is scored as a token, and closes a hypothesis.
     """
 
     def __init__(
@@ -109,7 +130,8 @@ class TableModel(ScoringModel):
         table: dict[tuple[str, str], dict[str, float]] = {}
         for (source_key, prefix_key), scores in entries.items():
             checked = {
-                token: _check_logprob(lp, f"table entry ({source_key!r}, {prefix_key!r}, {token!r})")
+                token: _check_entry(token, lp, (BOS,),
+                                    f"table entry ({source_key!r}, {prefix_key!r}, {token!r})")
                 for token, lp in scores.items()
             }
             table[(source_key, prefix_key)] = checked
@@ -120,12 +142,15 @@ class TableModel(ScoringModel):
     def from_file(cls, path: str | Path, floor: float = DEFAULT_FLOOR) -> "TableModel":
         """Parse lines `source_key ||| prefix_key ||| token ||| logprob`."""
         entries: dict[tuple[str, str], dict[str, float]] = {}
-        for (source_key, prefix_key, token), lp in _read_logprobs(path, " ||| ", 4).items():
+        rows = _read_logprobs(path, " ||| ", 4, (BOS,))
+        for (source_key, prefix_key, token), lp in rows.items():
             entries.setdefault((source_key, prefix_key), {})[token] = lp
         return cls(entries, floor=floor)
 
     def next_scores(self, source: Sequence[str], prefix: Sequence[str]) -> Mapping[str, float]:
         prefix_key = " ".join(prefix) if prefix else BOS
+        if prefix and prefix_key == BOS:  # not the empty prefix's key
+            return {}
         return self._table.get((" ".join(source), prefix_key), {})
 
 
@@ -163,7 +188,7 @@ def _first_reserved(lines: Iterable[tuple[int, Sequence[str]]]) -> str:
     for number, tokens in lines:
         for token in (BOS, EOS):
             if token in tokens:
-                return f"{number}: token {token!r} is reserved for the sentence boundaries"
+                return f"{number}: {_reserved(token)}"
     return f"no line holds {BOS!r} or {EOS!r} on a second reading"
 
 
@@ -173,7 +198,8 @@ class NoisyChannelToy(ScoringModel):
     score(t) = max over source tokens of lexical logprob(t) plus the smoothed
     bigram logprob of t given the last prefix token. Targets with no lexical
     support under any source token are left out of the map and hence floor.
-    EOS is scored by the bigram term alone.
+    EOS is scored by the bigram term alone, so a lexical entry whose target is
+    BOS or EOS is refused.
 
     A corpus line is a sequence of tokens; an empty one counts the bigram
     (BOS, EOS). A line holding BOS or EOS is refused, since counting it would
@@ -190,7 +216,7 @@ class NoisyChannelToy(ScoringModel):
     ) -> None:
         self._lexical: dict[str, dict[str, float]] = {
             source: {
-                target: _check_logprob(lp, f"lexical entry ({source!r}, {target!r})")
+                target: _check_entry(target, lp, (BOS, EOS), f"lexical entry ({source!r}, {target!r})")
                 for target, lp in targets.items()
             }
             for source, targets in lexical.items()
@@ -221,13 +247,13 @@ class NoisyChannelToy(ScoringModel):
                    floor: float = DEFAULT_FLOOR) -> "NoisyChannelToy":
         """Lexical TSV `src<TAB>tgt<TAB>logprob` plus a plain-text target
         corpus, one whitespace-tokenized sentence per line. Blank and
-        whitespace-only lines are skipped; a line holding BOS or EOS raises
-        FormatError naming it.
+        whitespace-only lines are skipped; a lexical target or a corpus line
+        holding BOS or EOS raises FormatError naming its line.
         Each distinct line is split and counted once, as many times as it
         occurs, which gives the same counts in the same order as counting
         every line."""
         lexical: dict[str, dict[str, float]] = {}
-        for (source, target), lp in _read_logprobs(lexical_path, "\t", 3).items():
+        for (source, target), lp in _read_logprobs(lexical_path, "\t", 3, (BOS, EOS)).items():
             lexical.setdefault(source, {})[target] = lp
         texts = Counter(map(operator.itemgetter(1), read_lines(corpus_path)))
         followers = _count_bigrams((tokens, count) for text, count in texts.items()

@@ -20,12 +20,12 @@ from .morpho import (
     GenderLabel,
     GenderLexicon,
     ReinflectionPairSet,
-    analyze_gender,
 )
 from .rerank import (
     AlignmentMap,
     CoreferenceResolver,
     EntitySpec,
+    _target_genders,
     get_entity,
     pronoun_and_gender,
     rerank,
@@ -131,39 +131,35 @@ def extract_predicted_gender(
 ) -> GenderLabel | None:
     """Majority gender over the entity's aligned target tokens.
 
-    Each aligned token votes once per analyzed concrete gender; a tie or the
-    absence of any gendered aligned token yields None, which scoring counts
-    as wrong.
+    The vote for a concrete gender is the agreement count of an entity that
+    requires it over the same indices: each aligned token inside the
+    hypothesis votes once per analyzed gender. A tie, or no vote at all,
+    yields None, which scoring counts as wrong.
     """
-    votes: Counter[GenderLabel] = Counter()
-    for target in sorted(alignment.aligned_targets(entity_indices)):
-        if target >= len(hypothesis):
-            continue
-        for label in analyze_gender(lexicon, hypothesis[target]):
-            if label != NONE:
-                votes[label] += 1
-    if not votes:
-        return None
-    ranked = votes.most_common()
-    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
+    votes = Counter(
+        label
+        for target in alignment.aligned_targets(entity_indices)
+        for label in _target_genders(hypothesis, target, lexicon)
+        if label != NONE
+    )
+    ranked = votes.most_common(2)
+    if not ranked or (len(ranked) > 1 and ranked[0][1] == ranked[1][1]):
         return None
     return ranked[0][0]
 
 
-def diagonal_aligner(
-    source: Sequence[str], target: Sequence[str]
-) -> frozenset[tuple[int, int]]:
+def diagonal_aligner(source: Sequence[str], target: Sequence[str]) -> AlignmentMap:
     """Stub aligner linking i-i up to the shorter length.
 
-    Returns one shared, already checked link set per length: every hypothesis
-    of that length gets the same object, and AlignmentMap keeps it as is.
+    Returns one shared map per length: every hypothesis of that length gets
+    the same object, and AlignmentMap hands it back as it is.
     """
     return _diagonal(min(len(source), len(target)))
 
 
 @functools.lru_cache(maxsize=256)
-def _diagonal(length: int) -> frozenset[tuple[int, int]]:
-    return AlignmentMap((i, i) for i in range(length)).links
+def _diagonal(length: int) -> AlignmentMap:
+    return AlignmentMap((i, i) for i in range(length))
 
 
 def _entities_for(
@@ -217,7 +213,7 @@ def run_pipeline(
             )
         else:
             nbest = beam_search(model, sentence.source, cfg, source_id=sentence.sent_id)
-        alignments = [AlignmentMap(diagonal_aligner(sentence.source, hyp.tokens)) for hyp in nbest]
+        alignments = [diagonal_aligner(sentence.source, hyp.tokens) for hyp in nbest]
         entities = _entities_for(sentence, rerank_mode, pronoun_table, resolver)
         selected = rerank(nbest, alignments, entities, lexicon).selected_index
         predicted = extract_predicted_gender(

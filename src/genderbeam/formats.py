@@ -153,7 +153,7 @@ def parse_alignments(path) -> dict[tuple[int, int], AlignmentMap]:
 def write_alignments(alignments: Mapping[tuple[int, int], AlignmentMap], path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for (sent_id, rank), alignment in sorted(alignments.items()):
-            links = " ".join(f"{s}-{t}" for s, t in sorted(alignment.links))
+            links = " ".join(f"{s}-{t}" for s, t in sorted(alignment))
             handle.write(f"{sent_id}\t{rank}\t{links}\n")
 
 

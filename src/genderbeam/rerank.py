@@ -43,14 +43,19 @@ class EntitySpec:
         object.__setattr__(self, "entity_indices", frozenset(self.entity_indices))
 
 
-class _CheckedLinks(frozenset):
-    """A link set that has passed AlignmentMap's check: non-negative links,
-    each an exact tuple of two exact ints. A link of another type is rebuilt
-    as (int(s), int(t)); an exact one is kept."""
+class AlignmentMap(frozenset):
+    """Source-to-target index links for one (source, hypothesis) pair.
 
-    __slots__ = ()
+    A frozenset of links, checked once when built: each link must be
+    non-negative, and one that is not an exact tuple of two exact ints is
+    rebuilt as (int(s), int(t)). A map cannot change, so a map passed in
+    comes back as it is; any other container, a plain frozenset included,
+    is walked and checked. A map equals a frozenset with the same links.
+    """
 
-    def __new__(cls, links: Iterable) -> _CheckedLinks:
+    def __new__(cls, links: Iterable[tuple[int, int]] = ()) -> AlignmentMap:
+        if type(links) is cls:
+            return links
         checked = []
         for link in links:
             s, t = link
@@ -61,42 +66,17 @@ class _CheckedLinks(frozenset):
             checked.append(link)
         return super().__new__(cls, checked)
 
-
-class AlignmentMap:
-    """Source-to-target index links for one (source, hypothesis) pair.
-
-    The links are checked once, into a frozenset that records the check by
-    its type: the links of one map, passed to another, are kept as they are,
-    since a frozenset cannot change. Any other container, a plain frozenset
-    included, is walked and checked.
-    """
-
-    def __init__(self, links: Iterable[tuple[int, int]] = ()) -> None:
-        self._links = links if type(links) is _CheckedLinks else _CheckedLinks(links)
-
-    @property
-    def links(self) -> frozenset[tuple[int, int]]:
-        return self._links
-
     @functools.cached_property
     def target_end(self) -> int:
         """One past the largest target index; 0 with no links."""
-        return max((t for _, t in self._links), default=-1) + 1
+        return max((t for _, t in self), default=-1) + 1
 
     def aligned_targets(self, source_indices: Iterable[int]) -> frozenset[int]:
         wanted = set(source_indices)
-        return frozenset(t for s, t in self._links if s in wanted)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlignmentMap):
-            return NotImplemented
-        return self._links == other._links
-
-    def __hash__(self) -> int:
-        return hash(self._links)
+        return frozenset(t for s, t in self if s in wanted)
 
     def __repr__(self) -> str:
-        return f"AlignmentMap({len(self._links)} links)"
+        return f"AlignmentMap({len(self)} links)"
 
 
 @dataclass(frozen=True)
@@ -160,15 +140,25 @@ def _requirements(
     ]
 
 
+def _target_genders(
+    hypothesis: Sequence[str], target: int, lexicon: GenderLexicon
+) -> frozenset[GenderLabel]:
+    """The genders an aligned target agrees with: the analyzed genders of its
+    token, or none when it lies past the end of the hypothesis."""
+    if target < len(hypothesis):
+        return analyze_gender(lexicon, hypothesis[target])
+    return frozenset()
+
+
 def _agreeing(
     hypothesis: Sequence[str],
     requirements: Sequence[tuple[int, GenderLabel]],
     lexicon: GenderLexicon,
 ) -> int:
-    """Requirements whose target is in the hypothesis and has the required gender."""
+    """Requirements whose target agrees with the required gender."""
     total = 0
     for target, gender in requirements:
-        if target < len(hypothesis) and gender in analyze_gender(lexicon, hypothesis[target]):
+        if gender in _target_genders(hypothesis, target, lexicon):
             total += 1
     return total
 
@@ -191,8 +181,8 @@ def rerank(
 ) -> RerankResult:
     """Argmax by (agreement, loglik, earliest rank); deterministic.
 
-    Hypotheses whose alignments have equal links share one computation of
-    their aligned requirements, so each distinct link set is scanned once.
+    Hypotheses with equal alignment maps share one computation of their
+    aligned requirements, so each distinct link set is scanned once.
     An NBestList is non-increasing by loglik with ties in rank order, so the
     first index of the best score is that argmax, found in one pass.
     """
@@ -202,12 +192,12 @@ def rerank(
         raise RerankError(
             f"source {nbest.source_id}: {len(alignments)} alignments for {len(nbest)} hypotheses"
         )
-    by_links: dict[frozenset[tuple[int, int]], list[tuple[int, GenderLabel]]] = {}
+    by_links: dict[AlignmentMap, list[tuple[int, GenderLabel]]] = {}
     scores = []
     for hyp, alignment in zip(nbest, alignments):
-        requirements = by_links.get(alignment.links)
+        requirements = by_links.get(alignment)
         if requirements is None:
-            requirements = by_links[alignment.links] = _requirements(alignment, entities)
+            requirements = by_links[alignment] = _requirements(alignment, entities)
         scores.append(_agreeing(hyp.tokens, requirements, lexicon))
     selected = scores.index(max(scores))
     return RerankResult(selected, tuple(scores), nbest[selected])

@@ -2,13 +2,23 @@
 
 import hashlib
 import itertools
-from typing import Mapping, NamedTuple, Sequence
+from collections import Counter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from genderbeam.decode import EOS, Hypothesis, NBestList, ScoringModel
 from genderbeam.errors import DecodeError, LatticeError, RerankError
 from genderbeam.evaluation import run_pipeline, score_records
 from genderbeam.lattice import TOKEN_JOINER, HypothesisLattice, LatticeArc
-from genderbeam.morpho import FEMININE, MASCULINE, GenderLabel, ReinflectionPairSet
+from genderbeam.morpho import (
+    FEMININE,
+    MASCULINE,
+    NONE,
+    GenderLabel,
+    GenderLexicon,
+    ReinflectionPairSet,
+    analyze_gender,
+)
+from genderbeam.rerank import AlignmentMap
 
 TOY_PAIRS = ReinflectionPairSet(
     [
@@ -248,6 +258,33 @@ def reference_analyze_gender(lexicon, token):
     return frozenset()
 
 
+def reference_extract_predicted_gender(
+    hypothesis: Sequence[str],
+    alignment: AlignmentMap,
+    entity_indices: Iterable[int],
+    lexicon: GenderLexicon,
+) -> GenderLabel | None:
+    """Majority gender over the entity's aligned target tokens.
+
+    Each aligned token votes once per analyzed concrete gender; a tie or the
+    absence of any gendered aligned token yields None, which scoring counts
+    as wrong.
+    """
+    votes: Counter[GenderLabel] = Counter()
+    for target in sorted(alignment.aligned_targets(entity_indices)):
+        if target >= len(hypothesis):
+            continue
+        for label in analyze_gender(lexicon, hypothesis[target]):
+            if label != NONE:
+                votes[label] += 1
+    if not votes:
+        return None
+    ranked = votes.most_common()
+    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
+        return None
+    return ranked[0][0]
+
+
 def reference_rerank(nbest, alignments, entities, lexicon):
     """(selected index, agreement scores) with every hypothesis scanned on its
     own, as rerank did before it shared work between equal link sets."""
@@ -255,7 +292,7 @@ def reference_rerank(nbest, alignments, entities, lexicon):
     for hyp, alignment in zip(nbest, alignments):
         total = 0
         for spec in entities:
-            targets = frozenset(t for s, t in alignment.links if s in spec.entity_indices)
+            targets = frozenset(t for s, t in alignment if s in spec.entity_indices)
             for target in targets:
                 if target < len(hyp.tokens) and spec.required_gender in reference_analyze_gender(
                     lexicon, hyp.tokens[target]

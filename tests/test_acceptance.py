@@ -234,7 +234,7 @@ def test_criterion_4_rerank_equals_exhaustive_argmax():
             for spec in entities:
                 targets = {
                     tgt_index
-                    for src_index, tgt_index in alignment.links
+                    for src_index, tgt_index in alignment
                     if src_index in spec.entity_indices
                 }
                 total += sum(

@@ -142,6 +142,25 @@ class TestTableModel:
         with pytest.raises(FormatError, match=r":1:"):
             TableModel.from_file(path)
 
+    def test_bos_is_no_token(self, tmp_path):
+        # an entry scoring BOS is refused; EOS stays a token, the closing one
+        with pytest.raises(ValueError) as info:
+            TableModel({("x", BOS): {"a": -1.0, BOS: -0.5}})
+        assert str(info.value) == ("table entry ('x', '<s>', '<s>'): "
+                                   "token '<s>' is reserved for the sentence boundaries")
+        path = tmp_path / "model.tsv"
+        path.write_text("x ||| <s> ||| a ||| -1.0\nx ||| a ||| </s> ||| -0.5\n"
+                        "x ||| a ||| <s> ||| -0.5\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            TableModel.from_file(path)
+        assert str(info.value) == f"{path}:3: token '<s>' is reserved for the sentence boundaries"
+
+    def test_prefix_of_bos_is_not_the_empty_prefix(self):
+        model = TableModel({("x", BOS): {"a": -1.0}, ("x", "a"): {EOS: -0.5}})
+        assert model.next_scores(("x",), ()) == {"a": -1.0}
+        assert model.next_scores(("x",), (BOS,)) == {}
+        assert model.next_scores(("x",), [BOS]) == {}
+
     def test_from_file_repeated_entry(self, tmp_path):
         # an exact repeat collapses; another logprob for the same entry is an error
         path = tmp_path / "model.tsv"
@@ -388,6 +407,24 @@ class TestNoisyChannelToy:
             NoisyChannelToy.from_files(lex, corpus)
 
     @pytest.mark.parametrize("token", [BOS, EOS])
+    def test_reserved_lexical_target_names_its_entry(self, token):
+        # an EOS target was dropped without a word, and a BOS one was emitted
+        with pytest.raises(ValueError) as info:
+            NoisyChannelToy({"x": {"a": -1.0, token: -0.1}}, [("a",)])
+        assert str(info.value) == (f"lexical entry ('x', {token!r}): "
+                                   f"token {token!r} is reserved for the sentence boundaries")
+
+    @pytest.mark.parametrize("token", [BOS, EOS])
+    def test_reserved_lexical_target_in_file_names_its_line(self, tmp_path, token):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text(f"the\tla\t-0.2\nthe\t{token}\t-0.1\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("la\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            NoisyChannelToy.from_files(lex, corpus)
+        assert str(info.value) == f"{lex}:2: token {token!r} is reserved for the sentence boundaries"
+
+    @pytest.mark.parametrize("token", [BOS, EOS])
     def test_reserved_token_in_corpus_file_names_its_line(self, tmp_path, token):
         # counted as words, they would merge with the sentence boundaries
         lex = tmp_path / "lex.tsv"
@@ -422,7 +459,8 @@ class TestNoisyChannelToy:
         corpus=st.lists(st.lists(st.sampled_from(TARGETS), max_size=5), max_size=6),
         lexical=st.dictionaries(
             st.sampled_from(SOURCES),
-            st.dictionaries(st.sampled_from((*TARGETS, "lexonly", EOS)), st.sampled_from(LEXICAL_LPS),
+            # no EOS: a lexical EOS target is refused (test_reserved_lexical_target_*)
+            st.dictionaries(st.sampled_from((*TARGETS, "lexonly")), st.sampled_from(LEXICAL_LPS),
                             max_size=4),
             max_size=3,
         ),

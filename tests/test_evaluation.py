@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from genderbeam.decode import BeamConfig, EOS, Hypothesis, NBestList, TableModel
 from genderbeam.evaluation import (
@@ -21,14 +23,22 @@ from genderbeam.morpho import (
     FEMININE,
     MASCULINE,
     NEUTER,
+    NONE,
     GenderLabel,
     GenderLexicon,
     LexiconEntry,
+    PlaceholderPattern,
     build_reinflection_pairs,
 )
-from genderbeam.rerank import AlignmentMap, EntitySpec, NearestPrecedingNounResolver, rerank
+from genderbeam.rerank import (
+    AlignmentMap,
+    EntitySpec,
+    NearestPrecedingNounResolver,
+    agreement_score,
+    rerank,
+)
 from genderbeam.synth import build_benchmark
-from helpers import pipeline_report
+from helpers import pipeline_report, reference_extract_predicted_gender
 
 
 def record(sent_id, gold, predicted):
@@ -147,6 +157,51 @@ class TestExtractPredictedGender:
     def test_out_of_range_target_ignored(self):
         alignment = AlignmentMap({(0, 5)})
         assert extract_predicted_gender(("rey",), alignment, {0}, AMB_LEXICON) is None
+
+
+NEUTRAL_NEW = GenderLabel("neutral-new")
+# ambiguous surfaces, tokens read as none (by entry, by pattern, or with no
+# analysis at all) and placeholder patterns, one of them shadowed by an entry
+VOTE_LEXICON = GenderLexicon(
+    [
+        LexiconEntry("m0", "l0", "N", MASCULINE),
+        LexiconEntry("f0", "l0", "N", FEMININE),
+        LexiconEntry("amb", "amb", "N", MASCULINE),
+        LexiconEntry("amb", "amb", "N", FEMININE),
+        LexiconEntry("mn", "mn", "N", MASCULINE),
+        LexiconEntry("mn", "mn", "N", NONE),
+        LexiconEntry("nn", "nn", "N", NONE),
+        LexiconEntry("fX", "fX", "N", FEMININE),
+    ],
+    [PlaceholderPattern("suffix", "X", NEUTRAL_NEW), PlaceholderPattern("prefix", "z", NONE)],
+)
+VOTE_VOCAB = ["m0", "f0", "amb", "mn", "nn", "fX", "pX", "zed", "unk"]
+VOTE_GENDERS = [MASCULINE, FEMININE, NEUTER, NEUTRAL_NEW]
+
+
+class TestVoteReference:
+    @given(
+        tokens=st.lists(st.sampled_from(VOTE_VOCAB), min_size=1, max_size=5),
+        # targets up to 6 reach past every hypothesis of up to 5 tokens
+        links=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 6)), max_size=7),
+        indices=st.sets(st.integers(0, 2), min_size=1, max_size=3),
+    )
+    def test_vote_matches_the_reference(self, tokens, links, indices):
+        alignment = AlignmentMap(links)
+        got = extract_predicted_gender(tokens, alignment, indices, VOTE_LEXICON)
+        assert got == reference_extract_predicted_gender(tokens, alignment, indices, VOTE_LEXICON)
+        # the vote for a gender is the agreement count of an entity requiring it
+        votes = {gender: agreement_score(tokens, alignment, [EntitySpec(None, gender, indices)],
+                                         VOTE_LEXICON) for gender in VOTE_GENDERS}
+        best = max(votes.values())
+        winners = [gender for gender, count in votes.items() if count == best]
+        assert got == (winners[0] if best and len(winners) == 1 else None)
+
+    def test_tied_votes_yield_none(self):
+        alignment = AlignmentMap({(0, 0), (0, 1), (0, 2)})
+        assert extract_predicted_gender(("m0", "f0", "nn"), alignment, {0}, VOTE_LEXICON) is None
+        assert extract_predicted_gender(("m0", "mn", "f0"), alignment, {0}, VOTE_LEXICON) == MASCULINE
+        assert extract_predicted_gender(("pX", "amb", "zed"), alignment, {0}, VOTE_LEXICON) is None
 
 
 class TestTestSentence:
@@ -372,9 +427,14 @@ class TestDiagonalAligner:
 
     def test_one_shared_immutable_set_per_length(self):
         links = diagonal_aligner(("a", "b"), ("x", "y", "z"))
-        assert isinstance(links, frozenset)
+        assert type(links) is AlignmentMap
         assert diagonal_aligner(("c", "d", "e"), ("u", "v")) is links
-        assert AlignmentMap(links).links is links
+        assert AlignmentMap(links) is links
+        for length in range(6):
+            first = diagonal_aligner(("s",) * length, ("t",) * (length + 1))
+            assert type(first) is AlignmentMap
+            assert first == {(i, i) for i in range(length)}
+            assert diagonal_aligner(("u",) * (length + 2), ("v",) * length) is first
 
 
 class TestLabelF1:

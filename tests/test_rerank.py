@@ -449,7 +449,7 @@ LINK_CONTAINERS = {
     "frozenset": frozenset,
     "list of lists": lambda links: [list(link) for link in links],
     "generator": lambda links: (link for link in links),
-    "map links": lambda links: AlignmentMap(links).links,
+    "map": AlignmentMap,
 }
 
 
@@ -468,11 +468,12 @@ class TestAlignmentMapReference:
     def test_links_and_errors_match_the_reference(self, links, kind):
         make = LINK_CONTAINERS[kind]
         expected, expected_exc = _outcome(lambda: reference_alignment_links(make(links)))
-        actual, actual_exc = _outcome(lambda: AlignmentMap(make(links)).links)
+        actual, actual_exc = _outcome(lambda: AlignmentMap(make(links)))
         assert type(actual_exc) is type(expected_exc)
         if expected_exc is not None:
             assert str(actual_exc) == str(expected_exc)
             return
+        assert type(actual) is AlignmentMap
         assert actual == expected
         assert all(type(index) is int for link in actual for index in link)
 
@@ -480,14 +481,23 @@ class TestAlignmentMapReference:
 class TestAcceptedLinkSets:
     def test_map_links_are_kept_by_identity(self):
         first = AlignmentMap(frozenset({(0, 0), (1, 2)}))
-        second = AlignmentMap(first.links)
-        assert second.links is first.links
-        assert second.links == {(0, 0), (1, 2)}
-        assert all(type(index) is int for link in second.links for index in link)
+        second = AlignmentMap(first)
+        assert second is first
+        assert second == {(0, 0), (1, 2)}
+        assert all(type(index) is int for link in second for index in link)
+
+    def test_a_map_is_the_frozenset_of_its_links(self):
+        links = AlignmentMap([(1, 2), [0, 0]])
+        assert AlignmentMap(links) is links
+        assert isinstance(links, frozenset)
+        assert links == frozenset({(0, 0), (1, 2)}) and hash(links) == hash(frozenset(links))
+        assert {frozenset({(0, 0), (1, 2)}): "found"}[links] == "found"
+        assert links.target_end == 3 and links.aligned_targets({1}) == {2}
+        assert repr(links) == "AlignmentMap(2 links)"
 
     def test_mutated_set_is_checked_again(self):
         links = {(0, 0), (1, 1)}
-        assert AlignmentMap(links).links == {(0, 0), (1, 1)}
+        assert AlignmentMap(links) == {(0, 0), (1, 1)}
         links.add((-1, 2))
         with pytest.raises(RerankError, match=r"^alignment link \(-1, 2\) has a negative index$"):
             AlignmentMap(links)
@@ -497,7 +507,7 @@ class TestAcceptedLinkSets:
         AlignmentMap(ints)
         for other in (frozenset({(True, True), (0, 2)}), frozenset({(1.0, 1.0), (0.0, 2.0)})):
             assert other == ints and hash(other) == hash(ints)
-            links = AlignmentMap(other).links
+            links = AlignmentMap(other)
             assert links == ints
             assert all(type(index) is int for link in links for index in link)
 
@@ -511,7 +521,7 @@ class TestAcceptedLinkSets:
             if type(links) is set and data.draw(st.booleans()):
                 links.add(data.draw(st.tuples(LINK_INDICES, LINK_INDICES)))
             expected, expected_exc = _outcome(lambda: reference_alignment_links(links))
-            actual, actual_exc = _outcome(lambda: AlignmentMap(links).links)
+            actual, actual_exc = _outcome(lambda: AlignmentMap(links))
             assert type(actual_exc) is type(expected_exc)
             assert str(actual_exc) == str(expected_exc)
             assert actual == expected

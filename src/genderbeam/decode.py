@@ -149,7 +149,7 @@ class TableModel(ScoringModel):
 
     def next_scores(self, source: Sequence[str], prefix: Sequence[str]) -> Mapping[str, float]:
         prefix_key = " ".join(prefix) if prefix else BOS
-        if prefix and prefix_key == BOS:  # not the empty prefix's key
+        if prefix and prefix_key == BOS:  # BOS is no token, so no entry follows it
             return {}
         return self._table.get((" ".join(source), prefix_key), {})
 

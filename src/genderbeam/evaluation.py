@@ -136,13 +136,11 @@ def extract_predicted_gender(
     hypothesis votes once per analyzed gender. A tie, or no vote at all,
     yields None, which scoring counts as wrong.
     """
-    votes = Counter(
-        label
-        for target in alignment.aligned_targets(entity_indices)
-        for label in _target_genders(hypothesis, target, lexicon)
-        if label != NONE
-    )
-    ranked = votes.most_common(2)
+    votes: Counter[GenderLabel] = Counter()
+    for target in alignment.aligned_targets(entity_indices):
+        votes.update(_target_genders(hypothesis, target, lexicon))
+    del votes[NONE]  # no entity requires none
+    ranked = votes.most_common()
     if not ranked or (len(ranked) > 1 and ranked[0][1] == ranked[1][1]):
         return None
     return ranked[0][0]

@@ -45,6 +45,9 @@ from .segment import Segmenter, WholeWordSegmenter
 BOS = "<s>"
 EOS = "</s>"
 DEFAULT_FLOOR = -20.0
+# the sentence start as NoisyChannelToy keys it in its bigram rows and step
+# cache: no str equals it, so a forced BOS token is an unseen context there
+_START = object()
 
 
 def _check_logprob(value: float, where: str) -> float:
@@ -154,13 +157,13 @@ class TableModel(ScoringModel):
         return self._table.get((" ".join(source), prefix_key), {})
 
 
-def _count_bigrams(lines: Iterable[tuple[Sequence[str], int]]) -> dict[str, dict[str, int]]:
+def _count_bigrams(lines: Iterable[tuple[Sequence[str], int]]) -> dict[object, dict[str, int]]:
     """followers[prev][token] counts the bigram (prev, token), each line's
-    bigrams taken count times, BOS before the first token and EOS after the
-    last. Rows and their keys come in the order each first occurs."""
-    followers: dict[str, dict[str, int]] = {}
+    bigrams taken count times, _START before the first token and EOS after
+    the last. Rows and their keys come in the order each first occurs."""
+    followers: dict[object, dict[str, int]] = {}
     for line, count in lines:
-        prev = BOS
+        prev: object = _START
         for token in line:
             row = followers.get(prev)
             if row is None:
@@ -174,7 +177,7 @@ def _count_bigrams(lines: Iterable[tuple[Sequence[str], int]]) -> dict[str, dict
     return followers
 
 
-def _counted_reserved(followers: Mapping[str, Mapping[str, int]]) -> bool:
+def _counted_reserved(followers: Mapping[object, Mapping[str, int]]) -> bool:
     """Whether a line counted into followers held BOS or EOS: EOS as a token
     gets a row of its own, and BOS as a token is a key of some row. Rows are
     few, so the lines are searched only once this holds."""
@@ -206,6 +209,8 @@ class NoisyChannelToy(ScoringModel):
     merge a word with the sentence boundaries: the constructor raises
     ValueError naming the line's 0-based index. Every corpus token follows
     BOS or another token, so the vocabulary is read off the bigram rows.
+    Only the empty prefix reads the sentence-start row: a prefix ending in a
+    forced BOS token is a context the corpus never holds.
     """
 
     def __init__(
@@ -232,9 +237,9 @@ class NoisyChannelToy(ScoringModel):
         # all a step depends on
         self._step_source: tuple[str, ...] | None = None
         self._best: dict[str, float] = {}
-        self._step_cache: dict[str, dict[str, float]] = {}
+        self._step_cache: dict[object, dict[str, float]] = {}
 
-    def _set_bigrams(self, followers: dict[str, dict[str, int]]) -> None:
+    def _set_bigrams(self, followers: dict[object, dict[str, int]]) -> None:
         self._followers = followers
         self._contexts = {prev: sum(row.values()) for prev, row in followers.items()}
         vocab = set().union(*followers.values())
@@ -276,13 +281,13 @@ class NoisyChannelToy(ScoringModel):
                             best[target] = lp
                 self._best, self._step_cache = best, {}
             self._step_source = source
-        prev = prefix[-1] if prefix else BOS
+        prev = prefix[-1] if prefix else _START
         cached = self._step_cache.get(prev)
         if cached is None:
             cached = self._step_cache[prev] = self._build_step(prev)
         return cached
 
-    def _build_step(self, prev: str) -> dict[str, float]:
+    def _build_step(self, prev: object) -> dict[str, float]:
         """The current source's step map after prev: each target's best
         lexical logprob plus log((count + 1) / (context + V)), the smoothed
         bigram term, with the context's denominator and the unseen-bigram log

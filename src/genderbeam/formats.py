@@ -52,10 +52,13 @@ def parse_nbest(path) -> dict[int, NBestList]:
     File order within a group is rank order, so a group must be listed best
     first: a loglik above the one before it in its group is an error naming
     its line. Equal logliks keep file order. Each distinct id field is
-    parsed once.
+    parsed once, and each distinct token is held once: every hypothesis the
+    call returns shares one string per distinct token, since the variants of
+    one translation repeat almost all of their tokens.
     """
     groups: dict[int, list[Hypothesis]] = {}
     ids: dict[str, int] = {}  # id field -> id, this call only
+    words: dict[str, str] = {}  # token -> the one string held for it, this call only
 
     def parse(sent_id: str, tokens: str, loglik: str) -> tuple[int, Hypothesis]:
         key = ids.get(sent_id)
@@ -67,7 +70,8 @@ def parse_nbest(path) -> dict[int, NBestList]:
             raise ValueError(f"loglik must be a number, got {loglik!r}") from None
         if not math.isfinite(value):
             raise ValueError(f"loglik must be finite, got {loglik!r}")
-        return key, Hypothesis(tuple(tokens.split()), value)
+        parts = tokens.split()
+        return key, Hypothesis(tuple(map(words.setdefault, parts, parts)), value)
 
     for lineno, (sent_id, hyp) in read_rows(path, NBEST_SEPARATOR, 3, FormatError, parse):
         group = groups.setdefault(sent_id, [])
@@ -81,8 +85,21 @@ def parse_nbest(path) -> dict[int, NBestList]:
 
 
 def write_nbest(lists: Iterable[NBestList], path) -> None:
+    """Lines parse_nbest reads back, ordered by sent_id.
+
+    A hypothesis whose tokens would read back otherwise, a token that is
+    empty or holds str.split whitespace, raises ValueError naming its
+    sent_id, 0-based rank and token before the file is opened.
+    """
+    ordered = sorted(lists, key=lambda l: l.source_id)
+    for nbest in ordered:
+        for rank, hyp in enumerate(nbest):
+            if " ".join(hyp.tokens).split() != list(hyp.tokens):
+                token = next(token for token in hyp.tokens if token.split() != [token])
+                raise ValueError(f"sent_id {nbest.source_id} rank {rank}: token {token!r} "
+                                 f"would not read back as itself")
     with open(path, "w", encoding="utf-8") as handle:
-        for nbest in sorted(lists, key=lambda l: l.source_id):
+        for nbest in ordered:
             for hyp in nbest:
                 tokens = " ".join(hyp.tokens)
                 handle.write(f"{nbest.source_id}{NBEST_SEPARATOR}{tokens}"
@@ -116,12 +133,12 @@ def parse_alignments(path) -> dict[tuple[int, int], AlignmentMap]:
     """Pharaoh lines `sent_id<TAB>hyp_rank<TAB>0-0 1-2 ...`; links deduplicated.
 
     Ids, ranks and link indices are ASCII digits. A second line for the same
-    (sent_id, hyp_rank) is an error naming both lines. Each distinct id, rank
-    and link field is parsed once, and lines with the same link field share
-    one map.
+    (sent_id, hyp_rank) is an error naming both lines; the file is searched
+    for the first of them only then. Each distinct id, rank and link field
+    is parsed once, and lines with the same link field share one map, so
+    each distinct link set is held once.
     """
     result: dict[tuple[int, int], AlignmentMap] = {}
-    first_line: dict[tuple[int, int], int] = {}
     # field text -> parsed value, this call only: each no larger than result
     maps: dict[str, AlignmentMap] = {}
     ids: dict[str, int] = {}
@@ -142,8 +159,9 @@ def parse_alignments(path) -> dict[tuple[int, int], AlignmentMap]:
         return key, alignment
 
     for lineno, (key, alignment) in read_rows(path, "\t", 3, FormatError, parse):
-        first = first_line.setdefault(key, lineno)
-        if first != lineno:
+        if key in result:
+            rows = read_rows(path, "\t", 3, FormatError, parse)
+            first = next((n for n, (k, _) in rows if k == key), "?")
             raise FormatError(f"{path}:{lineno}: duplicate alignment for sent_id {key[0]} "
                               f"rank {key[1]}, first given on line {first}")
         result[key] = alignment

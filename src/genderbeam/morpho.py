@@ -140,9 +140,6 @@ class GenderLexicon:
     def patterns(self) -> tuple[PlaceholderPattern, ...]:
         return self._patterns
 
-    def entries_for(self, surface: str) -> frozenset[LexiconEntry]:
-        return self._by_surface.get(surface, frozenset())
-
     def all_entries(self) -> Iterator[LexiconEntry]:
         for surface in sorted(self._by_surface):
             yield from sorted(self._by_surface[surface])

@@ -163,16 +163,6 @@ def _agreeing(
     return total
 
 
-def agreement_score(
-    hypothesis: Sequence[str],
-    alignment: AlignmentMap,
-    entities: Sequence[EntitySpec],
-    lexicon: GenderLexicon,
-) -> int:
-    """Aligned target tokens whose gender set contains the required gender."""
-    return _agreeing(hypothesis, _requirements(alignment, entities), lexicon)
-
-
 def rerank(
     nbest: NBestList,
     alignments: Sequence[AlignmentMap],

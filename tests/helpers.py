@@ -246,10 +246,15 @@ def reference_alignment_links(links):
     return frozenset(checked)
 
 
+def entries_for(lexicon, surface):
+    """The lexicon's entries for one surface."""
+    return frozenset(entry for entry in lexicon.all_entries() if entry.surface == surface)
+
+
 def reference_analyze_gender(lexicon, token):
     """Union of genders over the token's entries; the first matching pattern
     when it has none."""
-    entries = lexicon.entries_for(token)
+    entries = entries_for(lexicon, token)
     if entries:
         return frozenset(entry.gender for entry in entries)
     for pattern in lexicon.patterns:
@@ -285,20 +290,25 @@ def reference_extract_predicted_gender(
     return ranked[0][0]
 
 
+def agreement_score(hypothesis, alignment, entities, lexicon):
+    """Aligned target tokens whose gender set contains the required gender,
+    once per entity and aligned target: one hypothesis scanned on its own."""
+    total = 0
+    for spec in entities:
+        targets = frozenset(t for s, t in alignment if s in spec.entity_indices)
+        for target in targets:
+            if target < len(hypothesis) and spec.required_gender in reference_analyze_gender(
+                lexicon, hypothesis[target]
+            ):
+                total += 1
+    return total
+
+
 def reference_rerank(nbest, alignments, entities, lexicon):
     """(selected index, agreement scores) with every hypothesis scanned on its
     own, as rerank did before it shared work between equal link sets."""
-    scores = []
-    for hyp, alignment in zip(nbest, alignments):
-        total = 0
-        for spec in entities:
-            targets = frozenset(t for s, t in alignment if s in spec.entity_indices)
-            for target in targets:
-                if target < len(hyp.tokens) and spec.required_gender in reference_analyze_gender(
-                    lexicon, hyp.tokens[target]
-                ):
-                    total += 1
-        scores.append(total)
+    scores = [agreement_score(hyp.tokens, alignment, entities, lexicon)
+              for hyp, alignment in zip(nbest, alignments)]
     selected = max(range(len(nbest)), key=lambda i: (scores[i], nbest[i].loglik, -i))
     return selected, tuple(scores)
 

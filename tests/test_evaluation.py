@@ -34,11 +34,10 @@ from genderbeam.rerank import (
     AlignmentMap,
     EntitySpec,
     NearestPrecedingNounResolver,
-    agreement_score,
     rerank,
 )
 from genderbeam.synth import build_benchmark
-from helpers import pipeline_report, reference_extract_predicted_gender
+from helpers import agreement_score, pipeline_report, reference_extract_predicted_gender
 
 
 def record(sent_id, gold, predicted):

@@ -20,14 +20,13 @@ from genderbeam.rerank import (
     AlignmentMap,
     EntitySpec,
     NearestPrecedingNounResolver,
-    agreement_score,
     get_entity,
     inject_placeholder,
     pronoun_and_gender,
     rerank,
     rerank_named_entity,
 )
-from helpers import reference_alignment_links, reference_rerank
+from helpers import agreement_score, reference_alignment_links, reference_rerank
 
 NEUTRAL_NEW = GenderLabel("neutral-new")
 

@@ -443,6 +443,14 @@ class TestNoisyChannelToy:
             NoisyChannelToy({}, iter([("la",), (), line, line]))
         assert str(info.value) == f"corpus line 2: token {token!r} is reserved for the sentence boundaries"
 
+    def test_forced_bos_is_an_unseen_context(self):
+        # only the empty prefix reads the sentence-start row
+        model = NoisyChannelToy({"x": {"a": -1.0}}, [("a",), ("a", "a")])
+        start = model.next_scores(("x",), ())
+        forced = model.next_scores(("x",), (BOS,))
+        assert forced is not start
+        assert forced == model.next_scores(("x",), ("zz",)) != start
+
     def test_step_cache_holds_only_current_source(self):
         other = ("doctor",)
         model = self.build()

@@ -2,6 +2,7 @@
 
 import functools
 import re
+import tracemalloc
 import unicodedata
 
 import pytest
@@ -138,6 +139,25 @@ class TestNBestFiles:
         write_nbest(lists.values(), path)
         assert parse_nbest(path) == lists
 
+    def test_equal_tokens_are_one_object(self, tmp_path):
+        # across hypotheses and across sent_ids of one call
+        path = tmp_path / "nbest.txt"
+        path.write_text("0 ||| la médica canta ||| -1.0\n0 ||| el médico canta ||| -2.0\n"
+                        "7 ||| el médico canta bien ||| -0.5\n", encoding="utf-8")
+        tokens = [token for nbest in parse_nbest(path).values() for hyp in nbest for token in hyp.tokens]
+        assert len({id(token) for token in tokens}) == len(set(tokens)) == 6
+
+    @pytest.mark.parametrize("tokens, token", [(("a b",), "a b"), (("a", ""), ""), ((" a",), " a")],
+                             ids=["inner-space", "empty", "leading-space"])
+    def test_writer_refuses_a_token_that_reads_back_otherwise(self, tmp_path, tokens, token):
+        path = tmp_path / "nbest.txt"
+        lists = [NBestList(0, [Hypothesis(("ok",), -0.5)]),
+                 NBestList(4, [Hypothesis(("ok",), -0.5), Hypothesis(tokens, -1.0)])]
+        with pytest.raises(ValueError) as info:
+            write_nbest(lists, path)
+        assert str(info.value) == f"sent_id 4 rank 1: token {token!r} would not read back as itself"
+        assert not path.exists()
+
     def test_nfc_normalization_on_read(self, tmp_path):
         path = tmp_path / "nbest.txt"
         decomposed = "médica"
@@ -209,6 +229,18 @@ class TestAlignmentFiles:
                            r"sent_id 0 rank 0, first given on line 1$"):
             parse_alignments(path)
 
+    @pytest.mark.parametrize("text, line, first", [
+        ("0\t0\t0-0\n0\t1\t1-1\n1\t0\t0-0\n2\t1\t0-0\n0\t1\t2-2\n", 5, 2),
+        ("\n# header\n  \n0\t1\t0-0\n1\t1\t1-1\n0\t1\t0-0\n", 6, 4),
+    ], ids=["keys-between", "comments-before"])
+    def test_duplicate_names_a_later_first_line(self, tmp_path, text, line, first):
+        # the first line is found by reading the file again
+        path = tmp_path / "align.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"^\S*align\.txt:{line}: duplicate alignment for "
+                           rf"sent_id 0 rank 1, first given on line {first}$"):
+            parse_alignments(path)
+
     def test_field_count_checked(self, tmp_path):
         path = tmp_path / "align.txt"
         path.write_text("0\t0-0\n", encoding="utf-8")
@@ -221,6 +253,59 @@ class TestAlignmentFiles:
         path = scratch / "align.txt"
         write_alignments(table, path)
         assert parse_alignments(path) == table
+
+
+# six gendered words, so each sentence has 64 variants, as in an n-best list
+# of gendered variants of one translation
+GENDERED_FORMS = (("elo", "ela"), ("muro", "mura"), ("lernanto", "lernantino"),
+                  ("alto", "alta"), ("juno", "juna"), ("lerto", "lerta"))
+
+
+@pytest.fixture(scope="module")
+def variant_files(tmp_path_factory):
+    """An n-best file of 64 eleven-token variants for each of 200 sentences,
+    and an alignment file with one diagonal line per variant."""
+    directory = tmp_path_factory.mktemp("variants")
+    links = " ".join(f"{i}-{i}" for i in range(11))
+    nbest, align = [], []
+    for sent_id in range(200):
+        for rank in range(64):
+            w = [forms[(rank >> bit) & 1] for bit, forms in enumerate(GENDERED_FORMS)]
+            tokens = (f"s{sent_id % 10}", w[0], w[1], "cxar", w[2], "estis", w[3], "sed", w[4], "kaj", w[5])
+            nbest.append(f"{sent_id} ||| {' '.join(tokens)} ||| {-1.0 - rank / 64!r}\n")
+            align.append(f"{sent_id}\t{rank}\t{links}\n")
+    (directory / "variants.nbest").write_text("".join(nbest), encoding="utf-8")
+    (directory / "variants.align").write_text("".join(align), encoding="utf-8")
+    return directory, len(nbest)
+
+
+def _traced_peak_per_line(read, path, lines):
+    """Peak bytes traced by tracemalloc during read(path), result included, per line."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result
+    return (peak - start) / lines
+
+
+class TestReaderMemory:
+    """The rerank command's readers hold each distinct token and link set
+    once per call. On CPython 3.11, holding every token of every line on its
+    own measured 822 bytes per line for parse_nbest, and a parse_alignments
+    that also kept each key's line number 189; holding each once measured
+    238 and 120."""
+
+    def test_nbest_reader_peak_per_line(self, variant_files):
+        directory, lines = variant_files
+        assert _traced_peak_per_line(parse_nbest, directory / "variants.nbest", lines) < 500
+
+    def test_alignment_reader_peak_per_line(self, variant_files):
+        directory, lines = variant_files
+        assert _traced_peak_per_line(parse_alignments, directory / "variants.align", lines) < 150
 
 
 class TestEntityFiles:

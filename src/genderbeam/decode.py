@@ -32,14 +32,13 @@ import heapq
 import math
 import operator
 from abc import ABC, abstractmethod
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DecodeError, FormatError
 from .lattice import HypothesisLattice, compose_lattice
-from .morpho import GenderLexicon, ReinflectionPairSet, read_lines, read_rows
+from .morpho import GenderLexicon, ReinflectionPairSet, _is_token, _not_token, count_lines, read_lines, read_rows
 from .segment import Segmenter, WholeWordSegmenter
 
 BOS = "<s>"
@@ -61,11 +60,24 @@ def _reserved(token: str) -> str:
     return f"token {token!r} is reserved for the sentence boundaries"
 
 
-def _check_entry(token: str, lp: float, reserved: tuple[str, ...], where: str) -> float:
-    """lp as a checked log probability of a model entry whose token must not
-    be one of the reserved boundary tokens."""
-    if token in reserved:
-        raise ValueError(f"{where}: {_reserved(token)}")
+def _refused_key(tokens: Sequence[str], reserved: tuple[str, ...]) -> str | None:
+    """Why a model entry with these token fields is refused, or None: each
+    must be a token, and the last, the scored token, must not be one of the
+    reserved boundary tokens."""
+    for token in tokens:
+        if not _is_token(token):
+            return _not_token(token)
+    if tokens[-1] in reserved:
+        return _reserved(tokens[-1])
+    return None
+
+
+def _check_entry(tokens: Sequence[str], lp: float, reserved: tuple[str, ...], where: str) -> float:
+    """lp as a checked log probability of a model entry whose token fields
+    _refused_key accepts."""
+    reason = _refused_key(tokens, reserved)
+    if reason is not None:
+        raise ValueError(f"{where}: {reason}")
     return _check_logprob(lp, where)
 
 
@@ -76,17 +88,20 @@ def _parse_logprob(text: str) -> float:
         raise ValueError(f"bad logprob {text!r}") from None
 
 
-def _read_logprobs(path, sep: str, count: int,
+def _read_logprobs(path, sep: str, count: int, tokens: int,
                    reserved: tuple[str, ...]) -> dict[tuple[str, ...], float]:
     """The logprob of each key of a model file whose rows are key fields and
-    then a logprob; the last key field is the scored token, which must not be
-    reserved. An exact repeat collapses; a key given again with another
-    logprob is an error naming both lines."""
+    then a logprob; the last `tokens` key fields are token fields as
+    _refused_key checks them, and the last is the scored token. An exact
+    repeat collapses; a key given again with another logprob is an error
+    naming both lines."""
 
     def parse(*row: str) -> tuple[tuple[str, ...], float]:
-        if row[-2] in reserved:
-            raise ValueError(_reserved(row[-2]))
-        return row[:-1], _parse_logprob(row[-1])
+        key = row[:-1]
+        reason = _refused_key(key[-tokens:], reserved)
+        if reason is not None:
+            raise ValueError(reason)
+        return key, _parse_logprob(row[-1])
 
     logprobs: dict[tuple[str, ...], tuple[float, int]] = {}
     for lineno, (key, lp) in read_rows(path, sep, count, FormatError, parse):
@@ -122,7 +137,9 @@ class TableModel(ScoringModel):
     Unknown (source, prefix) keys yield an empty map, so unlisted
     continuations score the floor only through forced decoding. BOS is no
     token: an entry scoring it is refused, and a prefix of BOS alone is
-    unknown. EOS is scored as a token, and closes a hypothesis.
+    unknown. EOS is scored as a token, and closes a hypothesis. A scored
+    token must be nonempty and hold no whitespace, so that a hypothesis
+    written space-joined reads back as the same tokens.
     """
 
     def __init__(
@@ -133,7 +150,7 @@ class TableModel(ScoringModel):
         table: dict[tuple[str, str], dict[str, float]] = {}
         for (source_key, prefix_key), scores in entries.items():
             checked = {
-                token: _check_entry(token, lp, (BOS,),
+                token: _check_entry((token,), lp, (BOS,),
                                     f"table entry ({source_key!r}, {prefix_key!r}, {token!r})")
                 for token, lp in scores.items()
             }
@@ -145,7 +162,7 @@ class TableModel(ScoringModel):
     def from_file(cls, path: str | Path, floor: float = DEFAULT_FLOOR) -> "TableModel":
         """Parse lines `source_key ||| prefix_key ||| token ||| logprob`."""
         entries: dict[tuple[str, str], dict[str, float]] = {}
-        rows = _read_logprobs(path, " ||| ", 4, (BOS,))
+        rows = _read_logprobs(path, " ||| ", 4, 1, (BOS,))
         for (source_key, prefix_key, token), lp in rows.items():
             entries.setdefault((source_key, prefix_key), {})[token] = lp
         return cls(entries, floor=floor)
@@ -184,14 +201,18 @@ def _counted_reserved(followers: Mapping[object, Mapping[str, int]]) -> bool:
     return EOS in followers or any(BOS in row for row in followers.values())
 
 
-def _first_reserved(lines: Iterable[tuple[int, Sequence[str]]]) -> str:
-    """`number: reason` for the first numbered line holding BOS or EOS: they
-    mark the sentence boundaries, so counting either as a word would merge
-    it with the boundary events."""
+def _first_refused(lines: Iterable[tuple[int, Sequence[str]]]) -> str:
+    """`number: reason` for the first numbered line holding BOS or EOS, or a
+    token that is empty or holds whitespace. BOS and EOS mark the sentence
+    boundaries, so counting either as a word would merge it with the
+    boundary events."""
     for number, tokens in lines:
         for token in (BOS, EOS):
             if token in tokens:
                 return f"{number}: {_reserved(token)}"
+        for token in tokens:
+            if not _is_token(token):
+                return f"{number}: {_not_token(token)}"
     return f"no line holds {BOS!r} or {EOS!r} on a second reading"
 
 
@@ -202,11 +223,14 @@ class NoisyChannelToy(ScoringModel):
     bigram logprob of t given the last prefix token. Targets with no lexical
     support under any source token are left out of the map and hence floor.
     EOS is scored by the bigram term alone, so a lexical entry whose target is
-    BOS or EOS is refused.
+    BOS or EOS is refused. Both tokens of a lexical entry must be nonempty
+    and hold no whitespace, so that a hypothesis written space-joined reads
+    back as the same tokens.
 
     A corpus line is a sequence of tokens; an empty one counts the bigram
     (BOS, EOS). A line holding BOS or EOS is refused, since counting it would
-    merge a word with the sentence boundaries: the constructor raises
+    merge a word with the sentence boundaries, and so is a line holding a
+    token that is empty or holds whitespace: the constructor raises
     ValueError naming the line's 0-based index. Every corpus token follows
     BOS or another token, so the vocabulary is read off the bigram rows.
     Only the empty prefix reads the sentence-start row: a prefix ending in a
@@ -221,15 +245,17 @@ class NoisyChannelToy(ScoringModel):
     ) -> None:
         self._lexical: dict[str, dict[str, float]] = {
             source: {
-                target: _check_entry(target, lp, (BOS, EOS), f"lexical entry ({source!r}, {target!r})")
+                target: _check_entry((source, target), lp, (BOS, EOS),
+                                     f"lexical entry ({source!r}, {target!r})")
                 for target, lp in targets.items()
             }
             for source, targets in lexical.items()
         }
         corpus = list(corpus)
         followers = _count_bigrams((line, 1) for line in corpus)
-        if _counted_reserved(followers):
-            raise ValueError(f"corpus line {_first_reserved(enumerate(corpus))}")
+        if _counted_reserved(followers) or not all(
+                _is_token(token) for row in followers.values() for token in row):
+            raise ValueError(f"corpus line {_first_refused(enumerate(corpus))}")
         self._set_bigrams(followers)
         self.floor = float(floor)
         # only the current source is cached: its best lexical logprob per
@@ -253,20 +279,22 @@ class NoisyChannelToy(ScoringModel):
         """Lexical TSV `src<TAB>tgt<TAB>logprob` plus a plain-text target
         corpus, one whitespace-tokenized sentence per line. Blank and
         whitespace-only lines are skipped; a lexical target or a corpus line
-        holding BOS or EOS raises FormatError naming its line.
-        Each distinct line is split and counted once, as many times as it
-        occurs, which gives the same counts in the same order as counting
-        every line."""
+        holding BOS or EOS, or a lexical field that is not a token, raises
+        FormatError naming its line.
+        Each distinct raw line is normalized, split and counted once, as many
+        times as it occurs. Raw spellings of one text add their counts in the
+        order each first occurs, which gives the same counts in the same
+        order as counting every line."""
         lexical: dict[str, dict[str, float]] = {}
-        for (source, target), lp in _read_logprobs(lexical_path, "\t", 3, (BOS, EOS)).items():
+        for (source, target), lp in _read_logprobs(lexical_path, "\t", 3, 2, (BOS, EOS)).items():
             lexical.setdefault(source, {})[target] = lp
-        texts = Counter(map(operator.itemgetter(1), read_lines(corpus_path)))
-        followers = _count_bigrams((tokens, count) for text, count in texts.items()
-                                   if (tokens := text.split()))
+        followers = _count_bigrams((tokens, count) for line, count in count_lines(corpus_path)
+                                   if (tokens := line.split()))
         if _counted_reserved(followers):
-            raise FormatError(f"{corpus_path}:" + _first_reserved(
+            raise FormatError(f"{corpus_path}:" + _first_refused(
                 (lineno, line.split()) for lineno, line in read_lines(corpus_path)))
-        model = cls(lexical, (), floor=floor)
+        model = cls({}, (), floor=floor)
+        model._lexical = lexical  # each entry is checked as the constructor would
         model._set_bigrams(followers)
         return model
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .decode import Hypothesis, NBestList
 from .errors import FormatError
 from .evaluation import TestSentence
-from .morpho import GenderLabel, _allowed_tags, _parse_gender, data_lines, read_rows, read_sentences
+from .morpho import GenderLabel, _gender_parser, _is_token, data_lines, read_rows, read_sentences
 from .rerank import AlignmentMap, EntitySpec
 
 NBEST_SEPARATOR = " ||| "
@@ -95,7 +95,7 @@ def write_nbest(lists: Iterable[NBestList], path) -> None:
     for nbest in ordered:
         for rank, hyp in enumerate(nbest):
             if " ".join(hyp.tokens).split() != list(hyp.tokens):
-                token = next(token for token in hyp.tokens if token.split() != [token])
+                token = next(token for token in hyp.tokens if not _is_token(token))
                 raise ValueError(f"sent_id {nbest.source_id} rank {rank}: token {token!r} "
                                  f"would not read back as itself")
     with open(path, "w", encoding="utf-8") as handle:
@@ -196,12 +196,12 @@ def read_entities(path, user_labels: Iterable[str] = ()) -> dict[int, list[Entit
     lines per sentence accumulate in file order. Gender tags outside the
     built-ins must be declared via user_labels.
     """
-    allowed = _allowed_tags(user_labels)
+    gender_of = _gender_parser(user_labels)
 
     def parse(sent_id: str, gender: str, trigger: str, indices: str) -> tuple[int, EntitySpec]:
         sent_id = _parse_int(sent_id, "sent_id")
         trigger_index, entity_indices = _parse_anchor(trigger, indices)
-        return sent_id, EntitySpec(trigger_index, _parse_gender(gender, allowed), entity_indices)
+        return sent_id, EntitySpec(trigger_index, gender_of(gender), entity_indices)
 
     result: dict[int, list[EntitySpec]] = {}
     for _, (sent_id, spec) in read_rows(path, "\t", 4, FormatError, parse):
@@ -223,10 +223,10 @@ def read_pronoun_table(path, user_labels: Iterable[str] = ()) -> dict[str, Gende
     as in pronoun_and_gender: one with the same gender collapses into the first
     spelling; one with another gender is an error naming both lines. Gender
     tags outside the built-ins must be declared via user_labels."""
-    allowed = _allowed_tags(user_labels)
+    gender_of = _gender_parser(user_labels)
     table: dict[str, tuple[str, GenderLabel, int]] = {}
     for lineno, (pronoun, gender) in read_rows(path, "\t", 2, FormatError, lambda pronoun, gender:
-                                               (pronoun, _parse_gender(gender, allowed))):
+                                               (pronoun, gender_of(gender))):
         _, known, first = table.setdefault(pronoun.lower(), (pronoun, gender, lineno))
         if known != gender:
             raise FormatError(f"{path}:{lineno}: gender {gender} for pronoun {pronoun!r} conflicts "
@@ -245,12 +245,12 @@ def read_testset(path, user_labels: Iterable[str] = ()) -> list[TestSentence]:
     A second row with the same sent_id is an error naming both lines. Gender
     tags outside the built-ins must be declared via user_labels.
     """
-    allowed = _allowed_tags(user_labels)
+    gender_of = _gender_parser(user_labels)
 
     def parse(sent_id: str, gender: str, source: str, trigger: str, indices: str) -> TestSentence:
         sent_id = _parse_int(sent_id, "sent_id")
         trigger_index, entity_indices = _parse_anchor(trigger, indices)
-        return TestSentence(sent_id, _parse_gender(gender, allowed), tuple(source.split()),
+        return TestSentence(sent_id, gender_of(gender), tuple(source.split()),
                             trigger_index, entity_indices)
 
     sentences: list[TestSentence] = []

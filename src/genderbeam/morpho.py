@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -23,6 +24,16 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 
 
+def _is_token(text: str) -> bool:
+    """Whether text is a token: nonempty and free of str.split whitespace,
+    so that it is written space-joined and read back by str.split as itself."""
+    return text.split() == [text]
+
+
+def _not_token(text: str) -> str:
+    return f"token {text!r} is empty or holds whitespace"
+
+
 @dataclass(frozen=True, order=True)
 class GenderLabel:
     """A grammatical gender tag: one of the built-ins or a user-registered label."""
@@ -30,7 +41,7 @@ class GenderLabel:
     tag: str
 
     def __post_init__(self) -> None:
-        if not self.tag or any(ch.isspace() for ch in self.tag):
+        if not _is_token(self.tag):
             raise ValueError(f"gender tag must be a nonempty token without whitespace: {self.tag!r}")
 
     def __str__(self) -> str:
@@ -45,10 +56,24 @@ NONE = GenderLabel("none")
 BUILTIN_LABELS = frozenset({MASCULINE, FEMININE, NEUTER, NONE})
 
 
-def _allowed_tags(user_labels: Iterable[str]) -> frozenset[str]:
-    tags = {label.tag for label in BUILTIN_LABELS}
-    tags.update(user_labels)
-    return frozenset(tags)
+def _gender_parser(user_labels: Iterable[str] | None = ()) -> Callable[[str], GenderLabel]:
+    """The gender-tag parser of one reader call. Each tag gives one shared
+    label: a built-in tag gives its constant, any other tag a label built at
+    its first row, so a malformed one fails there. A tag outside the
+    built-ins must be one of user_labels; with None, any well-formed tag is
+    taken."""
+    labels = {label.tag: label for label in BUILTIN_LABELS}
+    allowed = None if user_labels is None else frozenset(user_labels)
+
+    def parse(tag: str) -> GenderLabel:
+        label = labels.get(tag)
+        if label is None:
+            if allowed is not None and tag not in allowed:
+                raise ValueError(f"unknown gender tag {tag!r}")
+            label = labels[tag] = GenderLabel(tag)
+        return label
+
+    return parse
 
 
 @dataclass(frozen=True, order=True)
@@ -61,8 +86,8 @@ class LexiconEntry:
     gender: GenderLabel
 
     def __post_init__(self) -> None:
-        if not self.surface:
-            raise ValueError("lexicon entry surface must be nonempty")
+        if not _is_token(self.surface):
+            raise ValueError(f"lexicon entry surface must be a token: {_not_token(self.surface)}")
 
 
 PATTERN_KINDS = ("exact-token", "prefix", "suffix")
@@ -73,7 +98,8 @@ class PlaceholderPattern:
     """Fallback gender rule for tokens with no lexicon entry.
 
     kind is one of "exact-token", "prefix", "suffix". Patterns are consulted
-    in registration order and the first match wins.
+    in registration order and the first match wins. The text of every kind
+    must be a token, since a token holds no whitespace to match.
     """
 
     kind: str
@@ -83,8 +109,8 @@ class PlaceholderPattern:
     def __post_init__(self) -> None:
         if self.kind not in PATTERN_KINDS:
             raise PatternError(f"unknown pattern kind {self.kind!r}; expected one of {PATTERN_KINDS}")
-        if not self.text:
-            raise PatternError("pattern text must be nonempty")
+        if not _is_token(self.text):
+            raise PatternError(f"pattern text must be a token: {_not_token(self.text)}")
 
     def matches(self, token: str) -> bool:
         if self.kind == "exact-token":
@@ -159,18 +185,27 @@ class GenderLexicon:
         return f"GenderLexicon({len(self)} entries, {len(self._patterns)} patterns)"
 
 
+def _check_pair(source: str, target: str) -> None:
+    """Refuse a pair with a form that is not a token, or a reflexive one."""
+    for form in (source, target):
+        if not _is_token(form):
+            raise PairSetError(f"pair {source!r} -> {target!r}: {_not_token(form)}")
+    if source == target:
+        raise PairSetError(f"reflexive pair {source!r} -> {target!r} not allowed")
+
+
 class ReinflectionPairSet:
     """Bidirectional surface substitutions (source form, target form, target gender).
 
-    Closed under reversal and free of reflexive pairs by construction.
+    Closed under reversal and free of reflexive pairs by construction. Both
+    forms of a pair are tokens.
     """
 
     def __init__(self, pairs: Iterable[tuple[str, str, GenderLabel]]) -> None:
         self._pairs = pair_set = frozenset(pairs)  # first, so a rejected set has a repr
         forms = {(a, b) for a, b, _ in pair_set}
         for a, b, _ in pair_set:
-            if a == b:
-                raise PairSetError(f"reflexive pair {a!r} -> {b!r} not allowed")
+            _check_pair(a, b)
             if (b, a) not in forms:
                 raise PairSetError(f"pair {a!r} -> {b!r} missing its reverse")
         by_source: dict[str, list[tuple[str, GenderLabel]]] = {}
@@ -250,21 +285,37 @@ def read_lines(path, error: type[Exception] = FormatError) -> Iterator[tuple[int
             for lineno, raw in enumerate(handle, 1):
                 yield lineno, unicodedata.normalize("NFC", raw.rstrip("\n"))
         except UnicodeDecodeError as exc:
-            raise error(_undecodable_line(path) or f"{path}: {exc}") from exc
+            raise error(_undecodable(path, exc)) from exc
 
 
-def _undecodable_line(path) -> str | None:
+def count_lines(path, error: type[Exception] = FormatError) -> Iterator[tuple[str, int]]:
+    """(line, count) for each distinct raw line of a UTF-8 file, in the order
+    each first occurs, the line as read_lines gives it. The raw lines, line
+    ends included, are counted by Counter in C, and only each distinct one
+    is normalized, so spellings of one text that differ before NFC or in
+    their line end come as separate items. Bytes that are not UTF-8 raise
+    error as in read_lines."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            counts = Counter(handle)
+        except UnicodeDecodeError as exc:
+            raise error(_undecodable(path, exc)) from exc
+    for raw, count in counts.items():
+        yield unicodedata.normalize("NFC", raw.rstrip("\n")), count
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> str:
     """`path:line: reason` for the first line of path that is not UTF-8.
     Lines end as in text mode: at \\n, \\r or \\r\\n, none of which can
     occur inside a UTF-8 sequence. Each is decoded with its line end, so
-    the reason is the one text mode gives."""
+    the reason is the one text mode gives; `path: exc` if no line fails."""
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle.read().splitlines(keepends=True), 1):
             try:
                 raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return f"{path}:{lineno}: {exc}"
-    return None
+            except UnicodeDecodeError as line_exc:
+                return f"{path}:{lineno}: {line_exc}"
+    return f"{path}: {exc}"
 
 
 def data_lines(path, error: type[Exception] = FormatError) -> Iterator[tuple[int, str]]:
@@ -301,23 +352,17 @@ def read_sentences(path) -> Iterator[tuple[str, ...]]:
         yield tuple(line.split())
 
 
-def _parse_gender(tag: str, allowed: frozenset[str]) -> GenderLabel:
-    if tag not in allowed:
-        raise ValueError(f"unknown gender tag {tag!r}")
-    return GenderLabel(tag)
-
-
 def load_lexicon(path: str | Path, user_labels: Iterable[str] = ()) -> GenderLexicon:
     """Load a lexicon TSV: surface<TAB>lemma<TAB>features<TAB>gender.
 
     Gender tags outside the built-ins must be declared via user_labels.
     """
     path = Path(path)
-    allowed = _allowed_tags(user_labels)
+    gender_of = _gender_parser(user_labels)
     entries: list[LexiconEntry] = []
     lemma_for: dict[tuple[str, str, GenderLabel], tuple[str, int]] = {}
     for lineno, entry in read_rows(path, "\t", 4, LexiconError, lambda surface, lemma, features, tag:
-                                   LexiconEntry(surface, lemma, features, _parse_gender(tag, allowed))):
+                                   LexiconEntry(surface, lemma, features, gender_of(tag))):
         key = (entry.surface, entry.features, entry.gender)
         known = lemma_for.get(key)
         if known is not None and known[0] != entry.lemma:
@@ -341,15 +386,14 @@ def write_lexicon(lexicon: GenderLexicon, path: str | Path) -> None:
 def read_pairs(path: str | Path, user_labels: Iterable[str] = ()) -> ReinflectionPairSet:
     """Read a pair-set TSV: source_form<TAB>target_form<TAB>target_gender.
 
-    A reflexive row is an error naming its line, and so is the first pair
-    whose reverse is missing.
+    A reflexive row or a form that is not a token is an error naming its
+    line, and so is the first pair whose reverse is missing.
     """
-    allowed = _allowed_tags(user_labels)
+    gender_of = _gender_parser(user_labels)
 
     def parse(source: str, target: str, tag: str) -> tuple[str, str, GenderLabel]:
-        gender = _parse_gender(tag, allowed)
-        if source == target:
-            raise ValueError(f"reflexive pair {source!r} -> {target!r} not allowed")
+        gender = gender_of(tag)
+        _check_pair(source, target)
         return source, target, gender
 
     first_line: dict[tuple[str, str, GenderLabel], int] = {}
@@ -375,10 +419,11 @@ def read_patterns(path: str | Path) -> tuple[PlaceholderPattern, ...]:
     accepted here); file order is preserved because first match wins. A
     second row with the same kind and text is an error naming both lines.
     """
+    gender_of = _gender_parser(None)
     patterns: list[PlaceholderPattern] = []
     first_line: dict[tuple[str, str], int] = {}
     for lineno, pattern in read_rows(path, "\t", 3, PatternError, lambda kind, text, tag:
-                                     PlaceholderPattern(kind, text, GenderLabel(tag))):
+                                     PlaceholderPattern(kind, text, gender_of(tag))):
         first = first_line.setdefault((pattern.kind, pattern.text), lineno)
         if first != lineno:
             raise PatternError(f"{path}:{lineno}: duplicate placeholder pattern {pattern.kind} "

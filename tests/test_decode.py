@@ -1,9 +1,12 @@
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 import unicodedata
 import weakref
 import zlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +44,12 @@ from genderbeam.morpho import MASCULINE, ReinflectionPairSet
 
 SRC = ("the", "doctor")
 SRC_KEY = "the doctor"
+# values that are not tokens: each would be written as other tokens, or none
+NOT_TOKENS = ["a b", "", " a", "a\t", "a\u00a0b", "a\x1cb"]
+
+
+def _not_token(token):
+    return f"token {token!r} is empty or holds whitespace"
 
 
 def masc_biased_table():
@@ -154,6 +163,28 @@ class TestTableModel:
         with pytest.raises(FormatError) as info:
             TableModel.from_file(path)
         assert str(info.value) == f"{path}:3: token '<s>' is reserved for the sentence boundaries"
+
+    @pytest.mark.parametrize("token", NOT_TOKENS)
+    def test_scored_token_must_be_a_token(self, tmp_path, token):
+        with pytest.raises(ValueError) as info:
+            TableModel({("x", BOS): {"a": -1.0, token: -0.1}})
+        assert str(info.value) == f"table entry ('x', '<s>', {token!r}): {_not_token(token)}"
+        path = tmp_path / "model.tsv"
+        path.write_text(f"x ||| <s> ||| a ||| -1.0\nx ||| <s> ||| {token} ||| -0.1\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            TableModel.from_file(path)
+        assert str(info.value) == f"{path}:2: {_not_token(token)}"
+
+    def test_spaced_token_no_longer_decodes_as_one(self, tmp_path):
+        # beam_search returned the one-token hypothesis ('a b',), which the
+        # n-best file reads back as two tokens; keys may still hold spaces
+        path = tmp_path / "model.tsv"
+        path.write_text("x ||| a b ||| </s> ||| -0.1\n", encoding="utf-8")
+        assert TableModel.from_file(path).next_scores(("x",), ("a", "b")) == {EOS: -0.1}
+        path.write_text("x ||| <s> ||| a b ||| -0.1\nx ||| a b ||| </s> ||| -0.1\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            TableModel.from_file(path)
+        assert str(info.value) == f"{path}:1: {_not_token('a b')}"
 
     def test_prefix_of_bos_is_not_the_empty_prefix(self):
         model = TableModel({("x", BOS): {"a": -1.0}, ("x", "a"): {EOS: -0.5}})
@@ -406,6 +437,30 @@ class TestNoisyChannelToy:
                                               r"conflicts with -0\.5 from line 1$"):
             NoisyChannelToy.from_files(lex, corpus)
 
+    @pytest.mark.parametrize("source, target", [("x", token) for token in NOT_TOKENS]
+                             + [(token, "c") for token in NOT_TOKENS])
+    def test_lexical_fields_must_be_tokens(self, tmp_path, source, target):
+        # a lexical row x<TAB>c d<TAB>-0.5 decoded the one-token hypothesis ('c d',)
+        bad = target if source == "x" else source
+        with pytest.raises(ValueError) as info:
+            NoisyChannelToy({"x": {"c": -1.0}, source: {target: -0.5}}, [("c",)])
+        assert str(info.value) == f"lexical entry ({source!r}, {target!r}): {_not_token(bad)}"
+        if "\t" in bad:
+            return  # a tab is the field separator of the file
+        lex = tmp_path / "lex.tsv"
+        lex.write_text(f"x\tc\t-1.0\n{source}\t{target}\t-0.5\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("c\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            NoisyChannelToy.from_files(lex, corpus)
+        assert str(info.value) == f"{lex}:2: {_not_token(bad)}"
+
+    @pytest.mark.parametrize("token", NOT_TOKENS)
+    def test_corpus_tokens_must_be_tokens(self, token):
+        with pytest.raises(ValueError) as info:
+            NoisyChannelToy({"x": {"c": -0.5}}, [("c",), ("c", token), (token,)])
+        assert str(info.value) == f"corpus line 1: {_not_token(token)}"
+
     @pytest.mark.parametrize("token", [BOS, EOS])
     def test_reserved_lexical_target_names_its_entry(self, token):
         # an EOS target was dropped without a word, and a BOS one was emitted
@@ -512,25 +567,35 @@ CORPUS_WORDS = ("la", "m\u00e9dica", "me\u0301dica", "el", "x")
 
 
 class TestNoisyChannelFiles:
-    """from_files counts each distinct line once; the counts, their order and
-    every step map equal the constructor's on the NFC-split, non-empty lines."""
+    """from_files counts each distinct raw line once; the counts, their order
+    and every step map equal the constructor's on the NFC-split, non-empty
+    lines. Raw lines that differ only in their spelling before NFC or in
+    their line end are distinct there but add to the same counts."""
 
     @settings(max_examples=200, deadline=None)
     @given(
         pool=st.lists(st.lists(st.sampled_from(CORPUS_WORDS), min_size=1, max_size=4), min_size=1, max_size=4),
-        picks=st.lists(st.tuples(st.integers(0, 3), st.sampled_from((" ", "  ", "\t", " \t "))),
+        picks=st.lists(st.tuples(st.integers(0, 3), st.sampled_from((" ", "  ", "\t", " \t ")),
+                                 st.sampled_from((None, "NFC", "NFD"))),
                        max_size=12),
         blanks=st.lists(st.tuples(st.integers(0, 12), st.sampled_from(("", " ", "\t  "))), max_size=3),
+        ends=st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=16, max_size=16),
+        last_end=st.booleans(),
     )
-    def test_files_count_like_the_constructor(self, tmp_path_factory, pool, picks, blanks):
-        lines = [sep.join(pool[index % len(pool)]) for index, sep in picks]
+    def test_files_count_like_the_constructor(self, tmp_path_factory, pool, picks, blanks, ends, last_end):
+        lines = [sep.join(pool[index % len(pool)]) for index, sep, _ in picks]
+        lines = [line if form is None else unicodedata.normalize(form, line)
+                 for line, (_, _, form) in zip(lines, picks)]
         for position, blank in blanks:
             lines.insert(min(position, len(lines)), blank)
         directory = tmp_path_factory.mktemp("corpus")
         lex = directory / "lex.tsv"
         lex.write_text("s\tla\t-0.2\ns\tm\u00e9dica\t-0.3\nt\tel\t-1.0\nt\tx\t-0.1\n", encoding="utf-8")
         corpus = directory / "corpus.txt"
-        corpus.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if lines and not last_end:
+            text = text[:-len(ends[len(lines) - 1])]
+        corpus.write_bytes(text.encode("utf-8"))
         split = [tuple(unicodedata.normalize("NFC", line).split()) for line in lines]
         loaded = NoisyChannelToy.from_files(lex, corpus)
         built = NoisyChannelToy(loaded._lexical, [tokens for tokens in split if tokens])
@@ -540,6 +605,34 @@ class TestNoisyChannelFiles:
                 prefix = () if prev == BOS else (prev,)
                 assert (repr(list(loaded.next_scores(source, prefix).items()))
                         == repr(list(built.next_scores(source, prefix).items())))
+
+    def test_distinct_lines_are_held_once(self, tmp_path):
+        """On a corpus of distinct lines the counter of raw lines is most of
+        from_files' traced peak. On CPython 3.11 and these 10,000 lines,
+        from_files measured 1.00 times that counter's peak, and a variant
+        that also kept a second table of the normalized lines 1.99."""
+        rng = random.Random(5)
+        words = ("la", "el", "m\u00e9dica", "m\u00e9dico", "una", "un", "pinta", "alta")
+        lines = set()
+        while len(lines) < 10_000:
+            lines.add(" ".join(rng.choice(words) for _ in range(rng.randint(6, 10))))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(line + "\n" for line in sorted(lines)), encoding="utf-8")
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("s\tla\t-0.2\n", encoding="utf-8")
+
+        def traced_peak(load):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                load()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with open(corpus, encoding="utf-8") as handle:
+            counted = traced_peak(lambda: Counter(handle))
+        assert traced_peak(lambda: NoisyChannelToy.from_files(lex, corpus)) < 1.4 * counted
 
 
 class TestConstrainedSearch:

@@ -605,6 +605,12 @@ def _noisy_lexical(path):
     return NoisyChannelToy.from_files(path, corpus)
 
 
+def _noisy_corpus(path):
+    lexical = path.with_suffix(".lexical")
+    lexical.write_text("s\tla\t-1.0\n", encoding="utf-8")
+    return NoisyChannelToy.from_files(lexical, path)
+
+
 MEDICA = "m\u00e9dica"  # NFC; the files below hold it decomposed
 
 
@@ -715,7 +721,8 @@ class TestUndecodableBytes:
         assert str(info.value) == (f"{path}:3: 'utf-8' codec can't decode byte 0xe9 in position "
                                    f"{len(row)}: invalid continuation byte")
 
-    @pytest.mark.parametrize("reader", [read_sentences, read_word_list], ids=lambda r: r.__name__)
+    @pytest.mark.parametrize("reader", [read_sentences, read_word_list, _noisy_corpus],
+                             ids=lambda r: r.__name__)
     def test_plain_readers_count_lines_as_text_mode_does(self, tmp_path, reader):
         # \r and \r\n end lines too, so the bad byte sits on line 4
         path = tmp_path / "data.txt"
@@ -732,6 +739,8 @@ ROW_PIECES = st.sampled_from([
     b"\t", b" ||| ", b"|", b"0", b"1", b"7", b"12", "²".encode(), b"-", b"#", b",",
     b" ", " ".encode(), " ".encode(), b"\x0b", b"\x1c", b"\xe9", b"\xff", b"\xc3",
     b"feminine", b"masculine", b"none", b"suffix", b"la", b"<s>", b"-1.0", b"0.5", b"nan", b"0-0",
+    # whitespace inside what would be one token
+    b"el medico", "la\u00a0m".encode(), b"un\x0bo", "fem\u2003inine".encode(),
 ])
 ROW_FILES = st.lists(
     st.builds(lambda sep, fields: sep.join(fields),
@@ -739,6 +748,58 @@ ROW_FILES = st.lists(
               st.lists(st.lists(ROW_PIECES, max_size=3).map(b"".join), min_size=1, max_size=5)),
     max_size=4,
 ).map(lambda lines: b"".join(line + b"\n" for line in lines))
+
+
+# each reader of gender tags: its error class, a row carrying a tag (the
+# n-th of a file), and the labels of what it read, in file order
+TAGGED_READERS = [
+    (load_lexicon, LexiconError, lambda n, tag: f"la{n}\tel\tART.sg\t{tag}",
+     lambda r: [entry.gender for entry in r.all_entries()]),
+    (read_pairs, PairSetError, lambda n, tag: f"{('el', 'la')[n]}\t{('la', 'el')[n]}\t{tag}",
+     lambda r: [gender for _, _, gender in r]),
+    (lambda path, user_labels: read_patterns(path), PatternError, lambda n, tag: f"suffix\tNEND{n}\t{tag}",
+     lambda r: [pattern.gender for pattern in r]),
+    (read_entities, FormatError, lambda n, tag: f"{n}\t{tag}\t-\t0",
+     lambda r: [spec.required_gender for specs in r.values() for spec in specs]),
+    (read_pronoun_table, FormatError, lambda n, tag: f"ella{n}\t{tag}", lambda r: list(r.values())),
+    (read_testset, FormatError, lambda n, tag: f"{n}\t{tag}\tla\t-\t0",
+     lambda r: [sentence.gold_gender for sentence in r]),
+]
+TAGGED_IDS = ["load_lexicon", "read_pairs", "read_patterns", "read_entities", "read_pronoun_table",
+              "read_testset"]
+
+
+class TestSharedLabels:
+    """A reader parses each gender tag to one label per call: a built-in tag
+    to its constant, a user tag to a label built at its first row."""
+
+    @pytest.mark.parametrize("reader, error, row, labels", TAGGED_READERS, ids=TAGGED_IDS)
+    def test_builtin_tags_give_the_constants(self, tmp_path, reader, error, row, labels):
+        path = tmp_path / "tagged.tsv"
+        path.write_text(f"{row(0, 'feminine')}\n{row(1, 'feminine')}\n", encoding="utf-8")
+        read = labels(reader(path, user_labels=()))
+        assert len(read) == 2
+        assert all(label is FEMININE for label in read)
+
+    @pytest.mark.parametrize("reader, error, row, labels", TAGGED_READERS, ids=TAGGED_IDS)
+    def test_patterns_user_label_is_built_once(self, tmp_path, reader, error, row, labels):
+        patterns = tmp_path / "patterns.tsv"
+        patterns.write_text("suffix\tNEND\tneutral-new\n", encoding="utf-8")
+        user_labels = {str(pattern.gender) for pattern in read_patterns(patterns)}
+        path = tmp_path / "tagged.tsv"
+        path.write_text(f"{row(0, 'neutral-new')}\n{row(1, 'neutral-new')}\n", encoding="utf-8")
+        first, second = labels(reader(path, user_labels=user_labels))
+        assert first == GenderLabel("neutral-new")
+        assert first is second
+
+    @pytest.mark.parametrize("reader, error, row, labels", TAGGED_READERS, ids=TAGGED_IDS)
+    def test_malformed_user_label_fails_at_its_row(self, tmp_path, reader, error, row, labels):
+        path = tmp_path / "tagged.tsv"
+        path.write_text(f"{row(0, 'feminine')}\n{row(1, 'neutral new')}\n", encoding="utf-8")
+        with pytest.raises(error) as info:
+            reader(path, user_labels={"neutral new"})
+        assert str(info.value) == (f"{path}:2: gender tag must be a nonempty token without whitespace: "
+                                   f"'neutral new'")
 
 
 class TestReaderFuzz:

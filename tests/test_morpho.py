@@ -277,6 +277,71 @@ class TestPairSet:
         assert pairs.substitutions_for("missing") == ()
 
 
+# values that are not tokens: a split word never equals them
+NOT_TOKENS = ["el medico", "", " el", "el\t", "el\u2003medico", "el\x1cmedico"]
+
+
+def _not_token(text):
+    return f"token {text!r} is empty or holds whitespace"
+
+
+class TestTokenContract:
+    """Lexicon surfaces, pair forms and pattern text are tokens: nonempty,
+    with no str.split whitespace. Text with whitespace can never match a
+    token, so a row holding it was dead or, through the API, wrote a token
+    that reads back as two."""
+
+    @pytest.mark.parametrize("surface", NOT_TOKENS)
+    def test_lexicon_entry_surface(self, surface):
+        with pytest.raises(ValueError) as info:
+            LexiconEntry(surface, "medico", "NOUN.sg", MASCULINE)
+        assert str(info.value) == f"lexicon entry surface must be a token: {_not_token(surface)}"
+
+    def test_lexicon_file_names_the_line_instead_of_building_dead_pairs(self, tmp_path):
+        # build_reinflection_pairs returned ('el medico', 'la medica', feminine)
+        path = tmp_path / "lex.tsv"
+        path.write_text("el\tel\tART.sg\tmasculine\nel medico\tmedico\tNOUN.sg\tmasculine\n"
+                        "la medica\tmedico\tNOUN.sg\tfeminine\n", encoding="utf-8")
+        with pytest.raises(LexiconError) as info:
+            load_lexicon(path)
+        assert str(info.value) == (f"{path}:2: lexicon entry surface must be a token: "
+                                   f"{_not_token('el medico')}")
+
+    @pytest.mark.parametrize("form", NOT_TOKENS)
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_pair_forms(self, form, side):
+        a, b = (form, "la") if side == "source" else ("la", form)
+        with pytest.raises(PairSetError) as info:
+            ReinflectionPairSet([(a, b, FEMININE), (b, a, MASCULINE)])
+        # either pair may be checked first; both hold the form
+        assert str(info.value) in (f"pair {a!r} -> {b!r}: {_not_token(form)}",
+                                   f"pair {b!r} -> {a!r}: {_not_token(form)}")
+
+    @pytest.mark.parametrize("form", [form for form in NOT_TOKENS if form.strip() and "\t" not in form])
+    def test_pairs_file_names_the_line(self, tmp_path, form):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(f"el\tla\tfeminine\nla\tel\tmasculine\n{form}\tla\tfeminine\n",
+                        encoding="utf-8")
+        with pytest.raises(PairSetError) as info:
+            read_pairs(path)
+        assert str(info.value) == f"{path}:3: pair {form!r} -> 'la': {_not_token(form)}"
+
+    @pytest.mark.parametrize("kind", PATTERN_KINDS)
+    @pytest.mark.parametrize("text", NOT_TOKENS)
+    def test_pattern_text_of_every_kind(self, kind, text):
+        with pytest.raises(PatternError) as info:
+            PlaceholderPattern(kind, text, NEUTRAL_NEW)
+        assert str(info.value) == f"pattern text must be a token: {_not_token(text)}"
+
+    @pytest.mark.parametrize("kind", PATTERN_KINDS)
+    def test_patterns_file_names_the_line(self, tmp_path, kind):
+        path = tmp_path / "patterns.tsv"
+        path.write_text(f"suffix\tNEND\tneutral-new\n{kind}\tDEF NOM\tneutral-new\n", encoding="utf-8")
+        with pytest.raises(PatternError) as info:
+            read_patterns(path)
+        assert str(info.value) == f"{path}:2: pattern text must be a token: {_not_token('DEF NOM')}"
+
+
 def random_lexicon(rng):
     stems = ["gat", "perr", "nin", "abuel", "ti", "herman", "secretari", "lobat"]
     suffix_for = {MASCULINE: "o", FEMININE: "a", NEUTER: "e"}

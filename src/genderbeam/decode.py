@@ -293,8 +293,7 @@ class NoisyChannelToy(ScoringModel):
         if _counted_reserved(followers):
             raise FormatError(f"{corpus_path}:" + _first_refused(
                 (lineno, line.split()) for lineno, line in read_lines(corpus_path)))
-        model = cls({}, (), floor=floor)
-        model._lexical = lexical  # each entry is checked as the constructor would
+        model = cls(lexical, (), floor=floor)
         model._set_bigrams(followers)
         return model
 

@@ -56,7 +56,7 @@ NONE = GenderLabel("none")
 BUILTIN_LABELS = frozenset({MASCULINE, FEMININE, NEUTER, NONE})
 
 
-def _gender_parser(user_labels: Iterable[str] | None = ()) -> Callable[[str], GenderLabel]:
+def _gender_parser(user_labels: Iterable[str] | None) -> Callable[[str], GenderLabel]:
     """The gender-tag parser of one reader call. Each tag gives one shared
     label: a built-in tag gives its constant, any other tag a label built at
     its first row, so a malformed one fails there. A tag outside the
@@ -288,18 +288,18 @@ def read_lines(path, error: type[Exception] = FormatError) -> Iterator[tuple[int
             raise error(_undecodable(path, exc)) from exc
 
 
-def count_lines(path, error: type[Exception] = FormatError) -> Iterator[tuple[str, int]]:
+def count_lines(path) -> Iterator[tuple[str, int]]:
     """(line, count) for each distinct raw line of a UTF-8 file, in the order
     each first occurs, the line as read_lines gives it. The raw lines, line
     ends included, are counted by Counter in C, and only each distinct one
     is normalized, so spellings of one text that differ before NFC or in
     their line end come as separate items. Bytes that are not UTF-8 raise
-    error as in read_lines."""
+    FormatError naming path and line, as in read_lines."""
     with open(path, encoding="utf-8") as handle:
         try:
             counts = Counter(handle)
         except UnicodeDecodeError as exc:
-            raise error(_undecodable(path, exc)) from exc
+            raise FormatError(_undecodable(path, exc)) from exc
     for raw, count in counts.items():
         yield unicodedata.normalize("NFC", raw.rstrip("\n")), count
 

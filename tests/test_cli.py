@@ -414,8 +414,9 @@ class TestSynthCommand:
 
 
 class TestGoldenOutputs:
-    """The seed-0 outputs of every command that decodes, reranks or scores,
-    checked byte for byte against committed SHA-256 digests."""
+    """The seed-0 outputs of every command that builds pairs or a lattice,
+    decodes, reranks or scores, checked byte for byte against committed
+    SHA-256 digests. The lattice is that of sentence 0's first-pass 1-best."""
 
     DIGESTS = DATA / "golden_seed0_sha256.txt"
 
@@ -429,6 +430,12 @@ class TestGoldenOutputs:
             outputs[f"{name}.out"] = Path(out).read_bytes()
             outputs[f"{name}.stdout"] = capsys.readouterr().out.replace(str(out), "OUT").encode()
 
+        pairs = tmp_path / "pairs.tsv"
+        run("pairs", ["pairs", "--lexicon", str(bench_dir / "lexicon.tsv"), "--out", str(pairs)], pairs)
+        lattice = tmp_path / "lattice.txt"
+        run("lattice", ["lattice", "--pairs", str(bench_dir / "pairs.tsv"),
+                        "--hyp", "pentristo pentras muro cxar elo estis alto sed juno kaj lerto",
+                        "--lexicon", str(bench_dir / "lexicon.tsv"), "--out", str(lattice)], lattice)
         evals = {"eval_off_off": ("off", "off", []), "eval_on_oracle": ("on", "oracle", []),
                  "eval_on_inferred": ("on", "inferred", [
                      "--pronouns", str(bench_dir / "pronouns.tsv"),

@@ -430,9 +430,9 @@ def _lattice_moves(lattice: HypothesisLattice) -> _Moves:
     """Compile a lattice into a token automaton: moves[state] lists
     (token, next_state) in arc order.
 
-    Each lattice state is an automaton state, followed by one state per
-    token already emitted inside each of its multi-token arcs, so state ids
-    increase in (lattice state, arc index, offset) order. The last state is
+    Each lattice position starts an automaton state, followed by one state
+    per token already emitted inside each of its multi-token arcs, so state
+    ids increase in (position, arc index, offset) order. The last state is
     the final one; its only move is EOS, back to itself.
     """
     moves: _Moves = []

@@ -142,7 +142,7 @@ class _LatticeItem(NamedTuple):
     score: float
     closed: bool
     state: int
-    arc_index: int  # -1 at a state boundary, else index into arcs_at(state)
+    arc_index: int  # -1 at a position boundary, else index into arcs_at(state)
     offset: int     # arc tokens already emitted
 
 
@@ -157,7 +157,7 @@ def reference_constrained_beam_search(model, source, lattice, cfg, source_id=0):
     source = tuple(source)
     if not source:
         raise DecodeError(f"source {source_id}: source sentence is empty")
-    final_state = lattice.final_state
+    final_state = lattice.num_positions
     beam = [_LatticeItem((), 0.0, False, 0, -1, 0)]
     while beam and any(not it.closed for it in beam):
         candidates = []
@@ -178,7 +178,7 @@ def reference_constrained_beam_search(model, source, lattice, cfg, source_id=0):
                 lp = model.next_scores(source, item.tokens).get(token, model.floor)
                 tokens = (*item.tokens, token)
                 if item.offset + 1 == len(arc.model_tokens):
-                    candidates.append(_LatticeItem(tokens, item.score + lp, False, arc.to_state, -1, 0))
+                    candidates.append(_LatticeItem(tokens, item.score + lp, False, item.state + 1, -1, 0))
                 else:
                     candidates.append(
                         _LatticeItem(tokens, item.score + lp, False, item.state, item.arc_index, item.offset + 1)
@@ -189,7 +189,7 @@ def reference_constrained_beam_search(model, source, lattice, cfg, source_id=0):
                 lp = model.next_scores(source, item.tokens).get(token, model.floor)
                 tokens = (*item.tokens, token)
                 if len(arc.model_tokens) == 1:
-                    candidates.append(_LatticeItem(tokens, item.score + lp, False, arc.to_state, -1, 0))
+                    candidates.append(_LatticeItem(tokens, item.score + lp, False, item.state + 1, -1, 0))
                 else:
                     candidates.append(_LatticeItem(tokens, item.score + lp, False, item.state, arc_index, 1))
         candidates.sort(key=_lattice_item_key)
@@ -204,16 +204,16 @@ def reference_constrained_beam_search(model, source, lattice, cfg, source_id=0):
 
 def random_lattice(rng, max_positions=4, max_arcs=3, multi_token=True):
     """Small random linear-chain lattice with unique words per position."""
-    arcs = []
-    for position in range(rng.randint(1, max_positions)):
+    positions = [[] for _ in range(rng.randint(1, max_positions))]
+    for position, arcs in enumerate(positions):
         for variant in range(rng.randint(1, max_arcs)):
             word = f"w{position}v{variant}"
             if multi_token and rng.random() < 0.3:
                 tokens = (f"{word}@@", rng.choice(("x", "y")))
             else:
                 tokens = (word,)
-            arcs.append(LatticeArc(position, position + 1, word, tokens))
-    return HypothesisLattice(arcs)
+            arcs.append(LatticeArc(word, tokens))
+    return HypothesisLattice(positions)
 
 
 def pipeline_report(*args, **kwargs):
@@ -362,8 +362,11 @@ MEDIC_TABLE = SubwordTable({"médica": ("médic", "a"), "médico": ("médic", "o
 
 
 def deserialize_lattice(text: str) -> HypothesisLattice:
-    """Parse the serialize_lattice format; errors carry 1-based line numbers."""
-    arcs: list[LatticeArc] = []
+    """Parse the serialize_lattice format; errors carry 1-based line numbers.
+
+    An arc line runs from its position's state to the next, and positions
+    come in order from 0 with none left out."""
+    positions: dict[int, list[LatticeArc]] = {}
     final_state: int | None = None
     last_position = -1
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -390,20 +393,27 @@ def deserialize_lattice(text: str) -> HypothesisLattice:
             gender = GenderLabel(tag)
         except ValueError as exc:
             raise LatticeError(f"line {lineno}: {exc}") from exc
+        if from_state < 0:
+            raise LatticeError(f"line {lineno}: negative arc state {from_state}")
+        if to_state != from_state + 1:
+            raise LatticeError(f"line {lineno}: arc must advance one state: {from_state} -> {to_state}")
         if from_state < last_position:
             raise LatticeError(f"line {lineno}: arcs must be grouped by position in order")
         last_position = from_state
         try:
-            arcs.append(LatticeArc(from_state, to_state, word, tokens, gender))
+            positions.setdefault(from_state, []).append(LatticeArc(word, tokens, gender))
         except LatticeError as exc:
             raise LatticeError(f"line {lineno}: {exc}") from exc
-    if not arcs:
+    if not positions:
         raise LatticeError("lattice text contains no arcs")
     if final_state is None:
         raise LatticeError("lattice text missing the FINAL line")
-    lattice = HypothesisLattice(arcs)
-    if lattice.final_state != final_state:
+    missing = [i for i in range(last_position) if i not in positions]
+    if missing:
+        raise LatticeError(f"no outgoing arcs at positions {missing}")
+    lattice = HypothesisLattice(positions.values())
+    if lattice.num_positions != final_state:
         raise LatticeError(
-            f"FINAL state {final_state} does not match arc structure ({lattice.final_state})"
+            f"FINAL state {final_state} does not match arc structure ({lattice.num_positions})"
         )
     return lattice

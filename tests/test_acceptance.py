@@ -105,11 +105,10 @@ def test_criterion_1_article_noun_lattice_fidelity():
 
 def random_lattice_and_model(rng, case):
     words = [f"w{k}" for k in range(10)]
-    arcs = []
-    for position in range(rng.randint(1, 4)):
-        for word in rng.sample(words, rng.randint(1, 3)):
-            arcs.append(LatticeArc(position, position + 1, word, (word,)))
-    lattice = HypothesisLattice(arcs)
+    lattice = HypothesisLattice(
+        [LatticeArc(word, (word,)) for word in rng.sample(words, rng.randint(1, 3))]
+        for _ in range(rng.randint(1, 4))
+    )
 
     source = (f"case{case}",)
     src = " ".join(source)
@@ -158,11 +157,7 @@ def test_criterion_3_permissive_lattice_equals_unconstrained():
     vocab = ("a", "b", "c")
     length = 4
     rng = random.Random(3)
-    permissive = HypothesisLattice([
-        LatticeArc(position, position + 1, word, (word,))
-        for position in range(length)
-        for word in vocab
-    ])
+    permissive = HypothesisLattice([LatticeArc(word, (word,)) for word in vocab] for _ in range(length))
     for sentence in range(20):
         source = (f"sent{sentence}",)
         src = " ".join(source)
@@ -416,12 +411,12 @@ def test_criterion_9_round_trips(tmp_path):
 
     genders = (MASCULINE, FEMININE, NEUTER, NONE)
     for _ in range(200):
-        arcs = []
-        for position in range(rng.randint(1, 4)):
+        positions = [[] for _ in range(rng.randint(1, 4))]
+        for arcs in positions:
             for word in rng.sample(TOKEN_POOL, rng.randint(1, 3)):
                 tokens = (word,) if rng.random() < 0.7 else (word[:2] + "@@", word[2:] or "x")
-                arcs.append(LatticeArc(position, position + 1, word, tokens, rng.choice(genders)))
-        lattice = HypothesisLattice(arcs)
+                arcs.append(LatticeArc(word, tokens, rng.choice(genders)))
+        lattice = HypothesisLattice(positions)
         assert deserialize_lattice(serialize_lattice(lattice)) == lattice
 
     lexicon_path = tmp_path / "lex.tsv"

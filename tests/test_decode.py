@@ -752,12 +752,12 @@ class GridScorer(ScoringModel):
 
 @st.composite
 def token_lattices(draw):
-    arcs = []
-    for position in range(draw(st.integers(1, 3))):
+    positions = [[] for _ in range(draw(st.integers(1, 3)))]
+    for position, arcs in enumerate(positions):
         for variant in range(draw(st.integers(1, 3))):
             tokens = draw(st.lists(st.sampled_from(LATTICE_TOKENS), min_size=1, max_size=3))
-            arcs.append(LatticeArc(position, position + 1, f"w{position}v{variant}", tuple(tokens)))
-    return HypothesisLattice(arcs)
+            arcs.append(LatticeArc(f"w{position}v{variant}", tuple(tokens)))
+    return HypothesisLattice(positions)
 
 
 class TestConstrainedSearchMatchesReference:
@@ -785,9 +785,8 @@ class TestConstrainedSearchMatchesReference:
         # ties; p's inner state is numbered first, so it wins width 1 and
         # the result is the shorter, better path
         lattice = HypothesisLattice([
-            LatticeArc(0, 1, "p", ("a", "x")),
-            LatticeArc(0, 1, "q", ("a", "x", "b")),
-            LatticeArc(1, 2, "r", ("a",)),
+            [LatticeArc("p", ("a", "x")), LatticeArc("q", ("a", "x", "b"))],
+            [LatticeArc("r", ("a",))],
         ])
         model = TableModel({}, floor=-1.0)
         for width in (1, 2, 3):

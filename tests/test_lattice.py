@@ -17,40 +17,41 @@ from genderbeam.morpho import (
 from genderbeam.segment import WholeWordSegmenter
 
 
-def arc(position, word, tokens=None, gender=NONE):
-    return LatticeArc(position, position + 1, word, tokens or (word,), gender)
+def arc(word, tokens=None, gender=NONE):
+    return LatticeArc(word, tokens or (word,), gender)
 
 
 class TestArcValidation:
     def test_must_advance_one_state(self):
-        with pytest.raises(LatticeError):
-            LatticeArc(0, 2, "el", ("el",))
+        # only the text form numbers states, so only its reader can break this
+        with pytest.raises(LatticeError, match="line 1: arc must advance one state: 0 -> 2"):
+            deserialize_lattice("0\t2\tel\tel\tnone\nFINAL\t2\n")
 
     def test_tokens_nonempty(self):
         with pytest.raises(LatticeError):
-            LatticeArc(0, 1, "el", ())
+            LatticeArc("el", ())
 
     def test_no_empty_token(self):
         with pytest.raises(LatticeError):
-            LatticeArc(0, 1, "el", ("el", ""))
+            LatticeArc("el", ("el", ""))
 
 
 class TestLatticeStructure:
     def test_duplicate_word_at_position_rejected(self):
-        with pytest.raises(LatticeError):
-            HypothesisLattice([arc(0, "el"), arc(0, "el")])
+        with pytest.raises(LatticeError, match="duplicate arc for word 'el' at position 1"):
+            HypothesisLattice([[arc("un")], [arc("el"), arc("la"), arc("el")]])
 
-    def test_gap_rejected(self):
-        with pytest.raises(LatticeError):
-            HypothesisLattice([arc(0, "el"), arc(2, "rojo")])
+    def test_empty_position_rejected(self):
+        with pytest.raises(LatticeError, match=r"no outgoing arcs at positions \[1\]"):
+            HypothesisLattice([[arc("el")], [], [arc("rojo")]])
 
     def test_empty_rejected(self):
-        with pytest.raises(LatticeError):
+        with pytest.raises(LatticeError, match="lattice needs at least one arc"):
             HypothesisLattice([])
 
     def test_path_count_is_arc_product(self):
         lattice = HypothesisLattice(
-            [arc(0, "a"), arc(0, "b"), arc(1, "c"), arc(1, "d"), arc(1, "e"), arc(2, "f"), arc(2, "g")]
+            [[arc("a"), arc("b")], [arc("c"), arc("d"), arc("e")], [arc("f"), arc("g")]]
         )
         assert lattice.path_count == 2 * 3 * 2
         assert len(enumerate_paths(lattice)) == 12
@@ -202,6 +203,15 @@ class TestSerialization:
         text = "1\t2\tb\tb\tnone\n0\t1\ta\ta\tnone\nFINAL\t2\n"
         with pytest.raises(LatticeError, match="grouped"):
             deserialize_lattice(text)
+
+    def test_position_gap_rejected(self):
+        text = "0\t1\tel\tel\tnone\n2\t3\trojo\trojo\tnone\nFINAL\t3\n"
+        with pytest.raises(LatticeError, match=r"no outgoing arcs at positions \[1\]"):
+            deserialize_lattice(text)
+
+    def test_negative_state_rejected(self):
+        with pytest.raises(LatticeError, match="line 1: negative arc state -1"):
+            deserialize_lattice("-1\t0\tel\tel\tnone\nFINAL\t0\n")
 
     def test_final_mismatch_rejected(self):
         text = "0\t1\tel\tel\tnone\nFINAL\t3\n"

@@ -502,11 +502,6 @@ def _search(
         if not room:
             heapq.heapify(best)
             threshold = best[0]
-        # the three walks below differ only in where the children come from
-        # and in whether a child below the threshold ends the walk. Each
-        # writes out the bookkeeping for a kept child: one loop for both
-        # passes measured slower, and one loop for both unconstrained walks
-        # would test on every skipped child of a map that never comes back
         for neg, tokens, _, state in expand:
             scores = model.next_scores(source, tokens)
             base = -neg
@@ -531,37 +526,25 @@ def _search(
                 continue
             key = id(scores)
             entry = ranked.get(key)
-            if entry is None and seen.pop(key, None) is None:
+            ordered = entry is not None or seen.pop(key, None) is not None
+            if ordered:
+                if entry is None:
+                    entry = ranked[key] = (
+                        scores, sorted(scores.items(), key=operator.itemgetter(1), reverse=True))
+                children = entry[1]
+            else:
                 # first sight: walk in map order, since a map that never
                 # comes back is not worth a sort
                 if len(seen) == width:
                     del seen[next(iter(seen))]
                 seen[key] = scores
-                for token, lp in scores.items():
-                    score = base + lp
-                    if score < threshold:
-                        continue
-                    if token == EOS:
-                        candidates.append((-score, tokens, False, 0))
-                    else:
-                        candidates.append((-score, tokens + (token,), True, 0))
-                    if room:
-                        best.append(score)
-                        room -= 1
-                        if room:
-                            continue
-                        heapq.heapify(best)
-                    else:
-                        heapq.heappushpop(best, score)
-                    threshold = best[0]
-                continue
-            if entry is None:
-                entry = ranked[key] = (
-                    scores, sorted(scores.items(), key=operator.itemgetter(1), reverse=True))
-            for token, lp in entry[1]:
+                children = scores.items()
+            for token, lp in children:
                 score = base + lp
                 if score < threshold:
-                    break  # every later child scores no more
+                    if ordered:
+                        break  # every later child scores no more
+                    continue
                 if token == EOS:
                     candidates.append((-score, tokens, False, 0))
                 else:

@@ -60,14 +60,18 @@ def _reserved(token: str) -> str:
     return f"token {token!r} is reserved for the sentence boundaries"
 
 
-def _refused_key(tokens: Sequence[str], reserved: tuple[str, ...]) -> str | None:
-    """Why a model entry with these token fields is refused, or None: each
-    must be a token, and the last, the scored token, must not be one of the
-    reserved boundary tokens."""
+def _refused_key(keys: Sequence[str], tokens: Sequence[str], reserved: tuple[str, ...]) -> str | None:
+    """Why a model entry with these key and token fields is refused, or
+    None: each key must be tokens joined by single spaces, each token field
+    a token, and the last token field, the scored token, must not be one of
+    the reserved boundary tokens."""
+    for key in keys:
+        if not key or key != " ".join(key.split()):
+            return f"key {key!r} is empty or not tokens joined by single spaces"
     for token in tokens:
         if not _is_token(token):
             return _not_token(token)
-    if tokens[-1] in reserved:
+    if tokens and tokens[-1] in reserved:
         return _reserved(tokens[-1])
     return None
 
@@ -75,7 +79,7 @@ def _refused_key(tokens: Sequence[str], reserved: tuple[str, ...]) -> str | None
 def _check_entry(tokens: Sequence[str], lp: float, reserved: tuple[str, ...], where: str) -> float:
     """lp as a checked log probability of a model entry whose token fields
     _refused_key accepts."""
-    reason = _refused_key(tokens, reserved)
+    reason = _refused_key((), tokens, reserved)
     if reason is not None:
         raise ValueError(f"{where}: {reason}")
     return _check_logprob(lp, where)
@@ -91,14 +95,14 @@ def _parse_logprob(text: str) -> float:
 def _read_logprobs(path, sep: str, count: int, tokens: int,
                    reserved: tuple[str, ...]) -> dict[tuple[str, ...], float]:
     """The logprob of each key of a model file whose rows are key fields and
-    then a logprob; the last `tokens` key fields are token fields as
-    _refused_key checks them, and the last is the scored token. An exact
-    repeat collapses; a key given again with another logprob is an error
-    naming both lines."""
+    then a logprob; _refused_key checks the last `tokens` key fields as
+    token fields, the last being the scored token, and any before them as
+    space-joined keys. An exact repeat collapses; a key given again with
+    another logprob is an error naming both lines."""
 
     def parse(*row: str) -> tuple[tuple[str, ...], float]:
         key = row[:-1]
-        reason = _refused_key(key[-tokens:], reserved)
+        reason = _refused_key(key[:-tokens], key[-tokens:], reserved)
         if reason is not None:
             raise ValueError(reason)
         return key, _parse_logprob(row[-1])
@@ -133,22 +137,22 @@ class ScoringModel(ABC):
 class TableModel(ScoringModel):
     """Exact-match lookup scorer for deterministic tests.
 
-    Keys are space-joined token sequences; the empty prefix is keyed as BOS.
-    Unknown (source, prefix) keys yield an empty map, so unlisted
-    continuations score the floor only through forced decoding. BOS is no
-    token: an entry scoring it is refused, and a prefix of BOS alone is
-    unknown. EOS is scored as a token, and closes a hypothesis. A scored
-    token must be nonempty and hold no whitespace, so that a hypothesis
-    written space-joined reads back as the same tokens.
+    Keys are tokens joined by single spaces; a key that is empty or spaced
+    otherwise is refused, since no sequence joins to it. The empty prefix is
+    keyed as BOS. Unknown (source, prefix) keys yield an empty map, so
+    unlisted continuations score the floor only through forced decoding.
+    BOS is no token: an entry scoring it is refused, and a prefix of BOS
+    alone is unknown. EOS is scored as a token, and closes a hypothesis. A
+    scored token must be nonempty and hold no whitespace, so that a
+    hypothesis written space-joined reads back as the same tokens.
     """
 
-    def __init__(
-        self,
-        entries: Mapping[tuple[str, str], Mapping[str, float]],
-        floor: float = DEFAULT_FLOOR,
-    ) -> None:
+    def __init__(self, entries: Mapping[tuple[str, str], Mapping[str, float]]) -> None:
         table: dict[tuple[str, str], dict[str, float]] = {}
         for (source_key, prefix_key), scores in entries.items():
+            reason = _refused_key((source_key, prefix_key), (), ())
+            if reason is not None:
+                raise ValueError(f"table entry ({source_key!r}, {prefix_key!r}): {reason}")
             checked = {
                 token: _check_entry((token,), lp, (BOS,),
                                     f"table entry ({source_key!r}, {prefix_key!r}, {token!r})")
@@ -156,16 +160,15 @@ class TableModel(ScoringModel):
             }
             table[(source_key, prefix_key)] = checked
         self._table = table
-        self.floor = float(floor)
 
     @classmethod
-    def from_file(cls, path: str | Path, floor: float = DEFAULT_FLOOR) -> "TableModel":
+    def from_file(cls, path: str | Path) -> "TableModel":
         """Parse lines `source_key ||| prefix_key ||| token ||| logprob`."""
         entries: dict[tuple[str, str], dict[str, float]] = {}
         rows = _read_logprobs(path, " ||| ", 4, 1, (BOS,))
         for (source_key, prefix_key, token), lp in rows.items():
             entries.setdefault((source_key, prefix_key), {})[token] = lp
-        return cls(entries, floor=floor)
+        return cls(entries)
 
     def next_scores(self, source: Sequence[str], prefix: Sequence[str]) -> Mapping[str, float]:
         prefix_key = " ".join(prefix) if prefix else BOS
@@ -241,7 +244,6 @@ class NoisyChannelToy(ScoringModel):
         self,
         lexical: Mapping[str, Mapping[str, float]],
         corpus: Iterable[Sequence[str]],
-        floor: float = DEFAULT_FLOOR,
     ) -> None:
         self._lexical: dict[str, dict[str, float]] = {
             source: {
@@ -257,7 +259,6 @@ class NoisyChannelToy(ScoringModel):
                 _is_token(token) for row in followers.values() for token in row):
             raise ValueError(f"corpus line {_first_refused(enumerate(corpus))}")
         self._set_bigrams(followers)
-        self.floor = float(floor)
         # only the current source is cached: its best lexical logprob per
         # target, and its step maps keyed by the last prefix token, which is
         # all a step depends on
@@ -274,8 +275,7 @@ class NoisyChannelToy(ScoringModel):
         self._smoothing_vocab = len(vocab) + 1
 
     @classmethod
-    def from_files(cls, lexical_path: str | Path, corpus_path: str | Path,
-                   floor: float = DEFAULT_FLOOR) -> "NoisyChannelToy":
+    def from_files(cls, lexical_path: str | Path, corpus_path: str | Path) -> "NoisyChannelToy":
         """Lexical TSV `src<TAB>tgt<TAB>logprob` plus a plain-text target
         corpus, one whitespace-tokenized sentence per line. Blank and
         whitespace-only lines are skipped; a lexical target or a corpus line
@@ -293,7 +293,7 @@ class NoisyChannelToy(ScoringModel):
         if _counted_reserved(followers):
             raise FormatError(f"{corpus_path}:" + _first_refused(
                 (lineno, line.split()) for lineno, line in read_lines(corpus_path)))
-        model = cls(lexical, (), floor=floor)
+        model = cls(lexical, ())
         model._set_bigrams(followers)
         return model
 

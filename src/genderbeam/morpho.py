@@ -198,22 +198,20 @@ class ReinflectionPairSet:
     """Bidirectional surface substitutions (source form, target form, target gender).
 
     Closed under reversal and free of reflexive pairs by construction. Both
-    forms of a pair are tokens.
+    forms of a pair are tokens. Pairs are checked in sorted order, so a set
+    with several bad pairs names the same one under any hash seed.
     """
 
     def __init__(self, pairs: Iterable[tuple[str, str, GenderLabel]]) -> None:
         self._pairs = pair_set = frozenset(pairs)  # first, so a rejected set has a repr
         forms = {(a, b) for a, b, _ in pair_set}
-        for a, b, _ in pair_set:
+        by_source: dict[str, list[tuple[str, GenderLabel]]] = {}
+        for a, b, gender in sorted(pair_set):
             _check_pair(a, b)
             if (b, a) not in forms:
                 raise PairSetError(f"pair {a!r} -> {b!r} missing its reverse")
-        by_source: dict[str, list[tuple[str, GenderLabel]]] = {}
-        for a, b, gender in pair_set:
             by_source.setdefault(a, []).append((b, gender))
-        self._by_source = {
-            source: tuple(sorted(targets)) for source, targets in by_source.items()
-        }
+        self._by_source = {source: tuple(targets) for source, targets in by_source.items()}
 
     @property
     def pairs(self) -> frozenset[tuple[str, str, GenderLabel]]:

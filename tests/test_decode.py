@@ -186,6 +186,21 @@ class TestTableModel:
             TableModel.from_file(path)
         assert str(info.value) == f"{path}:1: {_not_token('a b')}"
 
+    @pytest.mark.parametrize("key", ["", " x", "x ", "a  b", "a\tb", "\u00a0"])
+    def test_keys_must_be_single_spaced_tokens(self, tmp_path, key):
+        # such a key loaded as a row that no source or prefix joins to
+        reason = f"key {key!r} is empty or not tokens joined by single spaces"
+        for entry in ((key, BOS), ("x", key)):
+            with pytest.raises(ValueError) as info:
+                TableModel({entry: {"a": -0.2}})
+            assert str(info.value) == f"table entry {entry!r}: {reason}"
+        path = tmp_path / "model.tsv"
+        for row in (f"{key} ||| <s> ||| a ||| -0.2", f"x ||| {key} ||| a ||| -0.2"):
+            path.write_text(f"x ||| <s> ||| a ||| -1.0\n{row}\n", encoding="utf-8")
+            with pytest.raises(FormatError) as info:
+                TableModel.from_file(path)
+            assert str(info.value) == f"{path}:2: {reason}"
+
     def test_prefix_of_bos_is_not_the_empty_prefix(self):
         model = TableModel({("x", BOS): {"a": -1.0}, ("x", "a"): {EOS: -0.5}})
         assert model.next_scores(("x",), ()) == {"a": -1.0}
@@ -788,7 +803,7 @@ class TestConstrainedSearchMatchesReference:
             [LatticeArc("p", ("a", "x")), LatticeArc("q", ("a", "x", "b"))],
             [LatticeArc("r", ("a",))],
         ])
-        model = TableModel({}, floor=-1.0)
+        model = TableModel({})
         for width in (1, 2, 3):
             cfg = BeamConfig(width, 1)
             result = constrained_beam_search(model, ("s",), lattice, cfg)

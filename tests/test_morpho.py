@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -263,6 +267,22 @@ class TestPairSet:
             ReinflectionPairSet([("un", "una", FEMININE)])
         rejected = excinfo.traceback[-1].frame.f_locals["self"]
         assert repr(rejected) == "ReinflectionPairSet(1 pairs)"
+
+    def test_error_names_the_same_pair_under_any_hash_seed(self):
+        # the frozenset's order moves with PYTHONHASHSEED, so each seed is a
+        # child process; the first bad pair in sorted order is named
+        script = ("from genderbeam.morpho import FEMININE, ReinflectionPairSet\n"
+                  "try:\n"
+                  "    ReinflectionPairSet([('x', 'y', FEMININE), ('un', 'una', FEMININE), ('el', 'la', FEMININE)])\n"
+                  "except Exception as exc:\n"
+                  "    print(exc)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        messages = {
+            subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}).stdout
+            for seed in range(1, 6)
+        }
+        assert messages == {"pair 'el' -> 'la' missing its reverse\n"}
 
     def test_substitutions_sorted(self):
         pairs = ReinflectionPairSet(

@@ -38,7 +38,8 @@ class LatticeArc:
 
 class HypothesisLattice:
     """Immutable linear-chain lattice over one hypothesis, built from one
-    iterable of arcs per position.
+    iterable of arcs per position. A lattice with no positions, a position
+    with no arcs and a word repeated at one position are refused.
 
     Arc order within a position is preserved from construction; composition
     puts the identity arc first, then pair substitutions in pair-set sort

@@ -451,6 +451,10 @@ class TestGoldenOutputs:
                       "--widths", "4,8,12,16,20", "--max-len", "16", "--out", str(sweep)], sweep)
         src = tmp_path / "src.txt"
         src.write_text("".join(" ".join(s.source) + "\n" for s in testset), encoding="utf-8")
+        decoded = tmp_path / "decode.nbest"
+        run("decode", ["decode", *bench_args(bench_dir),
+                       "--src", str(src), "--beam", "20", "--max-len", "16", "--out", str(decoded)],
+            decoded)
         nbest = tmp_path / "two_pass.nbest"
         run("two_pass", ["two-pass", *bench_args(bench_dir),
                          "--pairs", str(bench_dir / "pairs.tsv"),

@@ -46,19 +46,14 @@ def _load_lexicon(args, patterns):
     return lexicon
 
 
-def _load_pairs_and_lexicon(args, patterns):
-    """The pair set and the lexicon (None without --lexicon)."""
-    pairs = read_pairs(args.pairs, user_labels=_user_labels(patterns))
-    lexicon = None if args.lexicon is None else _load_lexicon(args, patterns)
-    return pairs, lexicon
+def _read_pairs(args, patterns):
+    return read_pairs(args.pairs, user_labels=_user_labels(patterns))
 
 
 def _load_model(args):
-    if args.model_kind == "noisy":
-        if args.corpus is None:
-            raise ValueError("--corpus is required with --model-kind noisy")
-        return NoisyChannelToy.from_files(args.model, args.corpus)
-    return TableModel.from_file(args.model)
+    if args.corpus is None:
+        return TableModel.from_file(args.model)
+    return NoisyChannelToy.from_files(args.model, args.corpus)
 
 
 def _beam_config(args) -> BeamConfig:
@@ -66,9 +61,8 @@ def _beam_config(args) -> BeamConfig:
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", required=True, help="model file (score table, or lexical table for noisy)")
-    parser.add_argument("--model-kind", choices=("table", "noisy"), default="table")
-    parser.add_argument("--corpus", default=None, help="target corpus file, required for --model-kind noisy")
+    parser.add_argument("--model", required=True, help="exact-match score table, or with --corpus a lexical table")
+    parser.add_argument("--corpus", default=None, help="target corpus file; loads a noisy-channel model")
 
 
 def _add_beam_flags(parser: argparse.ArgumentParser) -> None:
@@ -90,7 +84,9 @@ def _cmd_pairs(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    pairs, lexicon = _load_pairs_and_lexicon(args, _read_patterns(args))
+    patterns = _read_patterns(args)
+    pairs = _read_pairs(args, patterns)
+    lexicon = None if args.lexicon is None else _load_lexicon(args, patterns)
     lattice = compose_lattice(pairs, tuple(args.hyp.split()), lexicon=lexicon)
     Path(args.out).write_text(serialize_lattice(lattice), encoding="utf-8")
     print(f"wrote lattice with {lattice.path_count} paths to {args.out}")
@@ -119,10 +115,10 @@ def _cmd_decode(args) -> int:
 
 def _cmd_two_pass(args) -> int:
     model = _load_model(args)
-    pairs, lexicon = _load_pairs_and_lexicon(args, _read_patterns(args))
+    pairs = _read_pairs(args, _read_patterns(args))
     cfg = _beam_config(args)
     return _decode_file(args, lambda source, sent_id: two_pass_decode(
-        model, source, pairs, cfg, cfg, lexicon=lexicon, source_id=sent_id))
+        model, source, pairs, cfg, cfg, source_id=sent_id))
 
 
 def _alignment_for(alignments, path, sent_id: int, rank: int, tokens) -> AlignmentMap:
@@ -182,7 +178,7 @@ def _load_eval_inputs(args):
     patterns = _read_patterns(args)
     labels = _user_labels(patterns)
     return (read_testset(args.testset, user_labels=labels), _load_model(args),
-            *_load_pairs_and_lexicon(args, patterns), labels)
+            _read_pairs(args, patterns), _load_lexicon(args, patterns), labels)
 
 
 def _cmd_eval(args) -> int:
@@ -261,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(two_pass_p)
     two_pass_p.add_argument("--pairs", required=True)
     two_pass_p.add_argument("--src", required=True, help="one tokenized sentence per line; ids are 0-based line numbers")
-    two_pass_p.add_argument("--lexicon", default=None, help="optional, analyzes identity-arc gender")
     _add_patterns_flag(two_pass_p)
     _add_beam_flags(two_pass_p)
     two_pass_p.add_argument("--out", required=True)

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DecodeError, FormatError
 from .lattice import HypothesisLattice, compose_lattice
-from .morpho import GenderLexicon, ReinflectionPairSet, _is_token, _not_token, count_lines, read_lines, read_rows
+from .morpho import ReinflectionPairSet, _is_token, _not_token, count_lines, read_lines, read_rows
 from .segment import Segmenter, WholeWordSegmenter
 
 BOS = "<s>"
@@ -336,48 +336,37 @@ class Hypothesis(NamedTuple):
     loglik: float
 
 
+@dataclass(frozen=True, repr=False)
 class NBestList:
     """Hypotheses for one source sentence, log likelihood non-increasing.
 
-    Construction re-sorts stably, so equal scores keep the caller's order.
-    A NaN log likelihood is refused: it compares false both ways, so no sort
-    could place it.
+    Construction takes any iterable of hypotheses and re-sorts it stably, so
+    equal scores keep the caller's order. A NaN log likelihood is refused:
+    it compares false both ways, so no sort could place it.
     """
 
-    def __init__(self, source_id: int, hypotheses: Iterable[Hypothesis]) -> None:
-        self._source_id = int(source_id)
+    source_id: int
+    hypotheses: tuple[Hypothesis, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "source_id", int(self.source_id))
         # a reverse sort is stable too
-        self._hypotheses = tuple(sorted(hypotheses, key=operator.attrgetter("loglik"), reverse=True))
-        if any(map(math.isnan, map(operator.attrgetter("loglik"), self._hypotheses))):
-            raise ValueError(f"source {self._source_id}: a hypothesis has a NaN loglik")
-
-    @property
-    def source_id(self) -> int:
-        return self._source_id
-
-    @property
-    def hypotheses(self) -> tuple[Hypothesis, ...]:
-        return self._hypotheses
+        hypotheses = tuple(sorted(self.hypotheses, key=operator.attrgetter("loglik"), reverse=True))
+        object.__setattr__(self, "hypotheses", hypotheses)
+        if any(map(math.isnan, map(operator.attrgetter("loglik"), hypotheses))):
+            raise ValueError(f"source {self.source_id}: a hypothesis has a NaN loglik")
 
     def __len__(self) -> int:
-        return len(self._hypotheses)
+        return len(self.hypotheses)
 
     def __iter__(self) -> Iterator[Hypothesis]:
-        return iter(self._hypotheses)
+        return iter(self.hypotheses)
 
     def __getitem__(self, index: int) -> Hypothesis:
-        return self._hypotheses[index]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NBestList):
-            return NotImplemented
-        return self._source_id == other._source_id and self._hypotheses == other._hypotheses
-
-    def __hash__(self) -> int:
-        return hash((self._source_id, self._hypotheses))
+        return self.hypotheses[index]
 
     def __repr__(self) -> str:
-        return f"NBestList(source_id={self._source_id}, {len(self._hypotheses)} hypotheses)"
+        return f"NBestList(source_id={self.source_id}, {len(self.hypotheses)} hypotheses)"
 
 
 @dataclass(frozen=True)
@@ -580,7 +569,6 @@ def two_pass_decode(
     pairs: ReinflectionPairSet,
     cfg_first: BeamConfig,
     cfg_second: BeamConfig,
-    lexicon: GenderLexicon | None = None,
     source_id: int = 0,
     *,
     segmenter: Segmenter | None = None,
@@ -591,5 +579,5 @@ def two_pass_decode(
     if not first[0].tokens:
         raise DecodeError(f"source {source_id}: first-pass 1-best is empty")
     words = segmenter.words(first[0].tokens)
-    variants = compose_lattice(pairs, words, segmenter=segmenter, lexicon=lexicon)
+    variants = compose_lattice(pairs, words, segmenter=segmenter)
     return constrained_beam_search(model, source, variants, cfg_second, source_id=source_id)

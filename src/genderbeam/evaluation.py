@@ -205,10 +205,7 @@ def run_pipeline(
     outcomes = []
     for sentence in testset:
         if constrain:
-            nbest = two_pass_decode(
-                model, sentence.source, pairs, cfg, cfg,
-                lexicon=lexicon, source_id=sentence.sent_id,
-            )
+            nbest = two_pass_decode(model, sentence.source, pairs, cfg, cfg, source_id=sentence.sent_id)
         else:
             nbest = beam_search(model, sentence.source, cfg, source_id=sentence.sent_id)
         alignments = [diagonal_aligner(sentence.source, hyp.tokens) for hyp in nbest]

@@ -27,7 +27,6 @@ def bench_dir(tmp_path_factory):
 def bench_args(bench_dir):
     return [
         "--model", str(bench_dir / "model.lexical.tsv"),
-        "--model-kind", "noisy",
         "--corpus", str(bench_dir / "corpus.txt"),
     ]
 
@@ -70,14 +69,16 @@ class TestDecodeCommands:
         assert len(lists[0]) == 4
         assert lists[0][0].tokens[0] == "pentristo"
 
-    def test_noisy_kind_requires_corpus(self, bench_dir, tmp_path, capsys):
-        code = main([
-            "decode", "--model", str(bench_dir / "model.lexical.tsv"),
-            "--model-kind", "noisy",
-            "--src", str(bench_dir / "nouns.txt"), "--beam", "4", "--out", str(tmp_path / "x"),
-        ])
+    def test_corpus_makes_the_model_a_lexical_table(self, bench_dir, tmp_path, capsys):
+        # a score table given with --corpus is read as a lexical table, not decoded with
+        table, src = tmp_path / "table.txt", tmp_path / "src.txt"
+        table.write_text("ok ||| <s> ||| ok ||| -0.1\nok ||| ok ||| </s> ||| -0.1\n", encoding="utf-8")
+        src.write_text("ok\n", encoding="utf-8")
+        code = main(["decode", "--model", str(table), "--corpus", str(bench_dir / "corpus.txt"),
+                     "--src", str(src), "--beam", "2", "--out", str(tmp_path / "out.nbest")])
         assert code == 1
-        assert "--corpus is required" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"genderbeam: {table}:1: expected 3 tab-separated fields, got 1\n")
 
     def test_missing_file_is_a_diagnostic_not_a_traceback(self, tmp_path, capsys):
         code = main([
@@ -91,8 +92,7 @@ class TestDecodeCommands:
     def test_ids_are_line_numbers(self, bench_dir, tmp_path, capsys, command):
         # a blank line gets no row and shifts no id; plain text has no comments
         first, second = (" ".join(s.source) for s in read_testset(bench_dir / "testset.tsv")[:2])
-        extra = [] if command == "decode" else [
-            "--pairs", str(bench_dir / "pairs.tsv"), "--lexicon", str(bench_dir / "lexicon.tsv")]
+        extra = [] if command == "decode" else ["--pairs", str(bench_dir / "pairs.tsv")]
 
         def decode(text, name):
             src, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.nbest"
@@ -134,7 +134,6 @@ class TestRerankCommand:
         code = main([
             "two-pass", *bench_args(bench_dir),
             "--pairs", str(bench_dir / "pairs.tsv"),
-            "--lexicon", str(bench_dir / "lexicon.tsv"),
             "--src", str(src), "--beam", "20", "--max-len", "16", "--out", str(out),
         ])
         assert code == 0
@@ -458,7 +457,6 @@ class TestGoldenOutputs:
         nbest = tmp_path / "two_pass.nbest"
         run("two_pass", ["two-pass", *bench_args(bench_dir),
                          "--pairs", str(bench_dir / "pairs.tsv"),
-                         "--lexicon", str(bench_dir / "lexicon.tsv"),
                          "--src", str(src), "--beam", "20", "--max-len", "16", "--out", str(nbest)],
             nbest)
         # diagonal alignments and oracle entities, as test_pipeline_composability builds them

@@ -76,10 +76,7 @@ class TestModelBias:
 def first_agree_rank(bench, row, width):
     sentence = bench.testset[row]
     cfg = BeamConfig(width, width, 16)
-    nbest = two_pass_decode(
-        bench.model, sentence.source, bench.pairs, cfg, cfg,
-        lexicon=bench.lexicon, source_id=row,
-    )
+    nbest = two_pass_decode(bench.model, sentence.source, bench.pairs, cfg, cfg, source_id=row)
     for position, hyp in enumerate(nbest, 1):
         if FEMININE in analyze_gender(bench.lexicon, hyp.tokens[0]):
             return position

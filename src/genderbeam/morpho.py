@@ -121,7 +121,7 @@ class PlaceholderPattern:
 
 
 class GenderLexicon:
-    """Immutable multimap from surface form to lexicon entries, plus patterns.
+    """Immutable set of lexicon entries, plus patterns.
 
     Entry lookup always wins over patterns; patterns are only consulted when a
     token has no entries at all. A table from each surface to the set of its
@@ -134,8 +134,10 @@ class GenderLexicon:
         entries: Iterable[LexiconEntry] = (),
         patterns: Iterable[PlaceholderPattern] = (),
     ) -> None:
-        by_surface: dict[str, set[LexiconEntry]] = {}
+        entries = tuple(entries)
+        genders: dict[str, set[GenderLabel]] = {}
         lemma_for: dict[tuple[str, str, GenderLabel], str] = {}
+        # in the caller's order, so a conflict names the same pair under any hash seed
         for entry in entries:
             key = (entry.surface, entry.features, entry.gender)
             known = lemma_for.get(key)
@@ -145,14 +147,9 @@ class GenderLexicon:
                     f"surface {entry.surface!r} features {entry.features!r} gender {entry.gender}"
                 )
             lemma_for[key] = entry.lemma
-            by_surface.setdefault(entry.surface, set()).add(entry)
-        self._by_surface: dict[str, frozenset[LexiconEntry]] = {
-            surface: frozenset(group) for surface, group in by_surface.items()
-        }
-        self._genders: dict[str, frozenset[GenderLabel]] = {
-            surface: frozenset(entry.gender for entry in group)
-            for surface, group in by_surface.items()
-        }
+            genders.setdefault(entry.surface, set()).add(entry.gender)
+        self._entries = frozenset(entries)
+        self._genders = {surface: frozenset(group) for surface, group in genders.items()}
         pattern_list = tuple(patterns)
         seen_keys: set[tuple[str, str]] = set()
         for pattern in pattern_list:
@@ -167,19 +164,18 @@ class GenderLexicon:
         return self._patterns
 
     def all_entries(self) -> Iterator[LexiconEntry]:
-        for surface in sorted(self._by_surface):
-            yield from sorted(self._by_surface[surface])
+        return iter(sorted(self._entries))
 
     def __len__(self) -> int:
-        return sum(len(group) for group in self._by_surface.values())
+        return len(self._entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GenderLexicon):
             return NotImplemented
-        return self._by_surface == other._by_surface and self._patterns == other._patterns
+        return self._entries == other._entries and self._patterns == other._patterns
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._by_surface.items()), self._patterns))
+        return hash((self._entries, self._patterns))
 
     def __repr__(self) -> str:
         return f"GenderLexicon({len(self)} entries, {len(self._patterns)} patterns)"

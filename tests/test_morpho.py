@@ -118,6 +118,15 @@ class TestLexiconLoading:
         with pytest.raises(LexiconError, match=r":2:"):
             load_lexicon(path)
 
+    @pytest.mark.parametrize("lemmas", [("el", "lo", "le"), ("le", "lo", "el")])
+    def test_conflict_names_the_first_two_lemmas_given(self, lemmas):
+        # entries are checked in the caller's order, never in the entry set's
+        entries = [LexiconEntry("la", lemma, "ART.sg", FEMININE) for lemma in lemmas]
+        with pytest.raises(LexiconError) as info:
+            GenderLexicon(entries)
+        assert str(info.value) == (f"conflicting lemmas {lemmas[0]!r} and {lemmas[1]!r} for "
+                                   "surface 'la' features 'ART.sg' gender feminine")
+
     def test_nfc_normalization_on_read(self, tmp_path):
         # decomposed e + combining acute must collapse to the precomposed form
         path = tmp_path / "lex.tsv"

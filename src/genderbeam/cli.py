@@ -108,15 +108,13 @@ def _decode_file(args, decode) -> int:
 
 
 def _cmd_decode(args) -> int:
+    if args.pairs is None and args.patterns is not None:
+        raise ValueError("--patterns needs --pairs: decoding without a pair set reads no gender tag")
     model = _load_model(args)
     cfg = _beam_config(args)
-    return _decode_file(args, lambda source, sent_id: beam_search(model, source, cfg, source_id=sent_id))
-
-
-def _cmd_two_pass(args) -> int:
-    model = _load_model(args)
+    if args.pairs is None:
+        return _decode_file(args, lambda source, sent_id: beam_search(model, source, cfg, source_id=sent_id))
     pairs = _read_pairs(args, _read_patterns(args))
-    cfg = _beam_config(args)
     return _decode_file(args, lambda source, sent_id: two_pass_decode(
         model, source, pairs, cfg, cfg, source_id=sent_id))
 
@@ -173,27 +171,31 @@ def _write_report(report: MetricReport, path) -> None:
 
 
 def _load_eval_inputs(args):
-    """The test set, model, pair set and lexicon, and the --patterns labels
-    their gender tags were checked against."""
+    """The test set, model, pair set (None without --pairs) and lexicon, and
+    the --patterns labels their gender tags were checked against."""
     patterns = _read_patterns(args)
     labels = _user_labels(patterns)
+    pairs = None if args.pairs is None else _read_pairs(args, patterns)
     return (read_testset(args.testset, user_labels=labels), _load_model(args),
-            _read_pairs(args, patterns), _load_lexicon(args, patterns), labels)
+            pairs, _load_lexicon(args, patterns), labels)
 
 
 def _cmd_eval(args) -> int:
+    inferred = args.rerank == "inferred"
+    if inferred and (args.pronouns is None or args.nouns is None):
+        raise ValueError("--pronouns and --nouns are required with --rerank inferred")
+    if not inferred and (args.pronouns is not None or args.nouns is not None):
+        raise ValueError(f"--pronouns and --nouns are read only with --rerank inferred, not {args.rerank}")
     testset, model, pairs, lexicon, labels = _load_eval_inputs(args)
     extra = {}
-    if args.rerank == "inferred":
-        if args.pronouns is None or args.nouns is None:
-            raise ValueError("--pronouns and --nouns are required with --rerank inferred")
+    if inferred:
         extra = {
             "pronoun_table": read_pronoun_table(args.pronouns, user_labels=labels),
             "resolver": NearestPrecedingNounResolver(read_word_list(args.nouns)),
         }
     outcomes = run_pipeline(
         testset, model, pairs, lexicon,
-        constrain=args.constrain == "on",
+        constrain=pairs is not None,
         rerank_mode=args.rerank,
         cfg=_beam_config(args),
         **extra,
@@ -246,21 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     lattice_p.add_argument("--out", required=True)
     lattice_p.set_defaults(handler=_cmd_lattice)
 
-    decode_p = sub.add_parser("decode", help="unconstrained beam search over a source file")
+    decode_p = sub.add_parser("decode", help="n-best decoding of a source file; two-pass with --pairs")
     _add_model_flags(decode_p)
+    decode_p.add_argument("--pairs", default=None, help="pair set; searches the gendered lattice of each 1-best")
     decode_p.add_argument("--src", required=True, help="one tokenized sentence per line; ids are 0-based line numbers")
+    _add_patterns_flag(decode_p)
     _add_beam_flags(decode_p)
     decode_p.add_argument("--out", required=True)
     decode_p.set_defaults(handler=_cmd_decode)
-
-    two_pass_p = sub.add_parser("two-pass", help="1-best decode, then constrained search over its gendered lattice")
-    _add_model_flags(two_pass_p)
-    two_pass_p.add_argument("--pairs", required=True)
-    two_pass_p.add_argument("--src", required=True, help="one tokenized sentence per line; ids are 0-based line numbers")
-    _add_patterns_flag(two_pass_p)
-    _add_beam_flags(two_pass_p)
-    two_pass_p.add_argument("--out", required=True)
-    two_pass_p.set_defaults(handler=_cmd_two_pass)
 
     rerank_p = sub.add_parser("rerank", help="pick the agreement-maximizing hypothesis per sentence")
     rerank_p.add_argument("--nbest", required=True)
@@ -274,14 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p = sub.add_parser("eval", help="score a labelled test set end to end")
     eval_p.add_argument("--testset", required=True)
     _add_model_flags(eval_p)
-    eval_p.add_argument("--pairs", required=True)
+    eval_p.add_argument("--pairs", default=None, help="pair set; turns on two-pass decoding")
     eval_p.add_argument("--lexicon", required=True)
     _add_patterns_flag(eval_p)
-    eval_p.add_argument("--constrain", choices=("on", "off"), required=True)
     eval_p.add_argument("--rerank", choices=RERANK_MODES, required=True)
     _add_beam_flags(eval_p)
-    eval_p.add_argument("--pronouns", default=None, help="pronoun gender table, required for --rerank inferred")
-    eval_p.add_argument("--nouns", default=None, help="known-noun list, required for --rerank inferred")
+    eval_p.add_argument("--pronouns", default=None, help="pronoun gender table; --rerank inferred only, and required there")
+    eval_p.add_argument("--nouns", default=None, help="known-noun list; --rerank inferred only, and required there")
     eval_p.add_argument("--report", required=True, help="metric CSV output path")
     eval_p.set_defaults(handler=_cmd_eval)
 

@@ -38,11 +38,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DecodeError, FormatError
 from .lattice import HypothesisLattice, compose_lattice
-from .morpho import ReinflectionPairSet, _is_token, _not_token, count_lines, read_lines, read_rows
+from .morpho import BOS, EOS, ReinflectionPairSet, _is_token, _not_token, count_lines, read_lines, read_rows
 from .segment import Segmenter, WholeWordSegmenter
 
-BOS = "<s>"
-EOS = "</s>"
 DEFAULT_FLOOR = -20.0
 # the sentence start as NoisyChannelToy keys it in its bigram rows and step
 # cache: no str equals it, so a forced BOS token is an unseen context there

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .decode import Hypothesis, NBestList
 from .errors import FormatError
 from .evaluation import TestSentence
-from .morpho import GenderLabel, _gender_parser, _is_token, data_lines, read_rows, read_sentences
+from .morpho import GenderLabel, _gender_parser, _is_token, _not_token, data_lines, read_rows, read_sentences
 from .rerank import AlignmentMap, EntitySpec
 
 NBEST_SEPARATOR = " ||| "
@@ -218,15 +218,22 @@ def write_entities(entities: Mapping[int, Sequence[EntitySpec]], path) -> None:
                 handle.write(f"{sent_id}\t{spec.required_gender}\t{trigger}\t{indices}\n")
 
 
+def _pronoun_row(pronoun: str, gender: GenderLabel) -> tuple[str, GenderLabel]:
+    if not _is_token(pronoun):
+        raise ValueError(f"pronoun {_not_token(pronoun)}")
+    return pronoun, gender
+
+
 def read_pronoun_table(path, user_labels: Iterable[str] = ()) -> dict[str, GenderLabel]:
-    """Pronoun-to-gender TSV `pronoun<TAB>gender`. Repeats match ignoring case,
-    as in pronoun_and_gender: one with the same gender collapses into the first
-    spelling; one with another gender is an error naming both lines. Gender
-    tags outside the built-ins must be declared via user_labels."""
+    """Pronoun-to-gender TSV `pronoun<TAB>gender`; the pronoun is a token. Repeats
+    match ignoring case, as in pronoun_and_gender: one with the same gender
+    collapses into the first spelling; one with another gender is an error
+    naming both lines. Gender tags outside the built-ins must be declared via
+    user_labels."""
     gender_of = _gender_parser(user_labels)
     table: dict[str, tuple[str, GenderLabel, int]] = {}
     for lineno, (pronoun, gender) in read_rows(path, "\t", 2, FormatError, lambda pronoun, gender:
-                                               (pronoun, gender_of(gender))):
+                                               _pronoun_row(pronoun, gender_of(gender))):
         _, known, first = table.setdefault(pronoun.lower(), (pronoun, gender, lineno))
         if known != gender:
             raise FormatError(f"{path}:{lineno}: gender {gender} for pronoun {pronoun!r} conflicts "
@@ -235,8 +242,15 @@ def read_pronoun_table(path, user_labels: Iterable[str] = ()) -> dict[str, Gende
 
 
 def read_word_list(path) -> tuple[str, ...]:
-    """One word per data line; used for known-noun lists."""
-    return tuple(line.strip() for _, line in data_lines(path))
+    """One word per data line, its ends stripped; used for known-noun lists.
+    A word that is still not a token is an error naming its line."""
+    words = []
+    for lineno, line in data_lines(path):
+        word = line.strip()
+        if not _is_token(word):
+            raise FormatError(f"{path}:{lineno}: noun {_not_token(word)}")
+        words.append(word)
+    return tuple(words)
 
 
 def read_testset(path, user_labels: Iterable[str] = ()) -> list[TestSentence]:

@@ -15,7 +15,7 @@ from math import prod
 from typing import Iterable, Sequence
 
 from .errors import LatticeError
-from .morpho import NONE, GenderLabel, GenderLexicon, ReinflectionPairSet, analyze_gender
+from .morpho import BOS, EOS, NONE, GenderLabel, GenderLexicon, ReinflectionPairSet, _is_token, _not_token, analyze_gender
 from .segment import Segmenter, WholeWordSegmenter
 
 TOKEN_JOINER = "+"
@@ -23,17 +23,22 @@ TOKEN_JOINER = "+"
 
 @dataclass(frozen=True)
 class LatticeArc:
-    """One-position rewrite: word plus its model-token expansion and gender."""
+    """One-position rewrite: word plus its model-token expansion and gender.
+    The word and every model token are tokens, and no model token is a
+    sentence boundary, which the scorer would read as one."""
 
     word: str
     model_tokens: tuple[str, ...]
     gender: GenderLabel = NONE
 
     def __post_init__(self) -> None:
-        if not self.word:
-            raise LatticeError("arc word must be nonempty")
-        if not self.model_tokens or any(not token for token in self.model_tokens):
+        if not self.model_tokens:
             raise LatticeError(f"arc {self.word!r} needs a nonempty model-token sequence")
+        for token in (self.word, *self.model_tokens):
+            if not _is_token(token):
+                raise LatticeError(f"arc {self.word!r}: {_not_token(token)}")
+        if BOS in self.model_tokens or EOS in self.model_tokens:
+            raise LatticeError(f"arc {self.word!r}: model tokens {self.model_tokens!r} hold a sentence boundary")
 
 
 class HypothesisLattice:

@@ -23,6 +23,10 @@ from .errors import FormatError, GenderBeamError, LexiconError, PairSetError, Pa
 logger = logging.getLogger(__name__)
 T = TypeVar("T")
 
+# the sentence boundaries a scorer sees around every hypothesis
+BOS = "<s>"
+EOS = "</s>"
+
 
 def _is_token(text: str) -> bool:
     """Whether text is a token: nonempty and free of str.split whitespace,

@@ -88,16 +88,16 @@ class TestDecodeCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("genderbeam: ")
 
-    @pytest.mark.parametrize("command", ["decode", "two-pass"])
-    def test_ids_are_line_numbers(self, bench_dir, tmp_path, capsys, command):
+    @pytest.mark.parametrize("two_pass", [False, True], ids=["decode", "two-pass"])
+    def test_ids_are_line_numbers(self, bench_dir, tmp_path, capsys, two_pass):
         # a blank line gets no row and shifts no id; plain text has no comments
         first, second = (" ".join(s.source) for s in read_testset(bench_dir / "testset.tsv")[:2])
-        extra = [] if command == "decode" else ["--pairs", str(bench_dir / "pairs.tsv")]
+        extra = ["--pairs", str(bench_dir / "pairs.tsv")] if two_pass else []
 
         def decode(text, name):
             src, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.nbest"
             src.write_text(text, encoding="utf-8")
-            code = main([command, *bench_args(bench_dir), *extra,
+            code = main(["decode", *bench_args(bench_dir), *extra,
                          "--src", str(src), "--beam", "4", "--max-len", "16", "--out", str(out)])
             assert code == 0
             return parse_nbest(out), capsys.readouterr().out
@@ -119,10 +119,27 @@ class TestDecodeCommands:
             encoding="utf-8",
         )
         src.write_text("ok\nempty\n", encoding="utf-8")
-        code = main(["two-pass", "--model", str(model), "--pairs", str(bench_dir / "pairs.tsv"),
+        code = main(["decode", "--model", str(model), "--pairs", str(bench_dir / "pairs.tsv"),
                      "--src", str(src), "--beam", "2", "--out", str(tmp_path / "out.nbest")])
         assert code == 1
         assert capsys.readouterr().err == "genderbeam: source 1: first-pass 1-best is empty\n"
+
+    def test_patterns_need_pairs(self, bench_dir, tmp_path, capsys):
+        # a pattern's label is read only by the pair set of two-pass decoding
+        patterns, pairs, src = tmp_path / "patterns.tsv", tmp_path / "pairs.tsv", tmp_path / "src.txt"
+        patterns.write_text("suffix\t-x\tneutral-new\n", encoding="utf-8")
+        pairs.write_text("pentristo\tpentrix\tneutral-new\npentrix\tpentristo\tmasculine\n",
+                         encoding="utf-8")
+        src.write_text("worker000 paints walls because she was tall but young and deft\n", encoding="utf-8")
+        args = ["decode", *bench_args(bench_dir), "--src", str(src), "--beam", "2", "--max-len", "16",
+                "--patterns", str(patterns), "--out", str(tmp_path / "out.nbest")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "genderbeam: --patterns needs --pairs: decoding without a pair set reads no gender tag\n")
+        assert not (tmp_path / "out.nbest").exists()
+        assert main([*args, "--pairs", str(pairs)]) == 0
+        words = {token for hyp in parse_nbest(tmp_path / "out.nbest")[0] for token in hyp.tokens}
+        assert {"pentristo", "pentrix"} <= words
 
 
 class TestRerankCommand:
@@ -132,7 +149,7 @@ class TestRerankCommand:
         src.write_text("".join(" ".join(s.source) + "\n" for s in testset), encoding="utf-8")
         out = tmp_path / "tp.nbest"
         code = main([
-            "two-pass", *bench_args(bench_dir),
+            "decode", *bench_args(bench_dir),
             "--pairs", str(bench_dir / "pairs.tsv"),
             "--src", str(src), "--beam", "20", "--max-len", "16", "--out", str(out),
         ])
@@ -140,7 +157,7 @@ class TestRerankCommand:
         return testset, out
 
     def test_pipeline_composability(self, bench_dir, tmp_path):
-        # two-pass piped through rerank equals the in-process pipeline result
+        # two-pass decoding piped through rerank equals the in-process pipeline result
         testset, tp = self.write_two_pass(bench_dir, tmp_path, range(12))
         diagonal = " ".join(f"{i}-{i}" for i in range(11))
         align = tmp_path / "align.txt"
@@ -281,13 +298,13 @@ class TestRerankCommand:
 
 
 class TestEvalCommand:
-    def eval_args(self, bench_dir, report, constrain="on", rerank="oracle"):
+    def eval_args(self, bench_dir, report, two_pass=True, rerank="oracle"):
         return [
             "eval", "--testset", str(bench_dir / "testset.tsv"),
             *bench_args(bench_dir),
-            "--pairs", str(bench_dir / "pairs.tsv"),
+            *(["--pairs", str(bench_dir / "pairs.tsv")] if two_pass else []),
             "--lexicon", str(bench_dir / "lexicon.tsv"),
-            "--constrain", constrain, "--rerank", rerank,
+            "--rerank", rerank,
             "--beam", "20", "--max-len", "16",
             "--report", str(report),
         ]
@@ -311,7 +328,7 @@ class TestEvalCommand:
             return read_patterns(path)
 
         monkeypatch.setattr(genderbeam.cli, "read_patterns", counting)
-        args = self.eval_args(bench_dir, tmp_path / "report.csv", constrain="off", rerank="off")
+        args = self.eval_args(bench_dir, tmp_path / "report.csv", two_pass=False, rerank="off")
         args[args.index("--beam") + 1] = "1"
         assert main([*args, "--patterns", str(patterns)]) == 0
         assert calls == [str(patterns)]
@@ -345,6 +362,16 @@ class TestEvalCommand:
         code = main(self.eval_args(bench_dir, report, rerank="inferred"))
         assert code == 1
         assert "--pronouns and --nouns are required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rerank", ["off", "oracle"])
+    @pytest.mark.parametrize("flag, name", [("--pronouns", "pronouns.tsv"), ("--nouns", "nouns.txt")])
+    def test_tables_are_refused_without_inferred(self, bench_dir, tmp_path, capsys, rerank, flag, name):
+        # a table no mode reads would be ignored, so it is an error and no report is written
+        report = tmp_path / "report.csv"
+        assert main(self.eval_args(bench_dir, report, rerank=rerank) + [flag, str(bench_dir / name)]) == 1
+        assert capsys.readouterr().err == (
+            f"genderbeam: --pronouns and --nouns are read only with --rerank inferred, not {rerank}\n")
+        assert not report.exists()
 
     def test_inferred_runs_with_tables(self, bench_dir, tmp_path):
         report = tmp_path / "report.csv"
@@ -407,8 +434,8 @@ class TestSynthCommand:
     def test_eval_report_is_deterministic(self, bench_dir, tmp_path):
         helper = TestEvalCommand()
         first, second = tmp_path / "r1.csv", tmp_path / "r2.csv"
-        assert main(helper.eval_args(bench_dir, first, rerank="off", constrain="off")) == 0
-        assert main(helper.eval_args(bench_dir, second, rerank="off", constrain="off")) == 0
+        assert main(helper.eval_args(bench_dir, first, rerank="off", two_pass=False)) == 0
+        assert main(helper.eval_args(bench_dir, second, rerank="off", two_pass=False)) == 0
         assert first.read_bytes() == second.read_bytes()
 
 
@@ -435,13 +462,14 @@ class TestGoldenOutputs:
         run("lattice", ["lattice", "--pairs", str(bench_dir / "pairs.tsv"),
                         "--hyp", "pentristo pentras muro cxar elo estis alto sed juno kaj lerto",
                         "--lexicon", str(bench_dir / "lexicon.tsv"), "--out", str(lattice)], lattice)
-        evals = {"eval_off_off": ("off", "off", []), "eval_on_oracle": ("on", "oracle", []),
-                 "eval_on_inferred": ("on", "inferred", [
+        # the digest names: off/on is whether --pairs is given, then the rerank mode
+        evals = {"eval_off_off": (False, "off", []), "eval_on_oracle": (True, "oracle", []),
+                 "eval_on_inferred": (True, "inferred", [
                      "--pronouns", str(bench_dir / "pronouns.tsv"),
                      "--nouns", str(bench_dir / "nouns.txt")])}
-        for name, (constrain, rerank, extra) in evals.items():
+        for name, (two_pass, rerank, extra) in evals.items():
             report = tmp_path / f"{name}.csv"
-            run(name, TestEvalCommand().eval_args(bench_dir, report, constrain, rerank) + extra,
+            run(name, TestEvalCommand().eval_args(bench_dir, report, two_pass, rerank) + extra,
                 report)
         sweep = tmp_path / "sweep.csv"
         run("sweep", ["sweep", "--testset", str(bench_dir / "testset.tsv"), *bench_args(bench_dir),
@@ -455,7 +483,7 @@ class TestGoldenOutputs:
                        "--src", str(src), "--beam", "20", "--max-len", "16", "--out", str(decoded)],
             decoded)
         nbest = tmp_path / "two_pass.nbest"
-        run("two_pass", ["two-pass", *bench_args(bench_dir),
+        run("two_pass", ["decode", *bench_args(bench_dir),
                          "--pairs", str(bench_dir / "pairs.tsv"),
                          "--src", str(src), "--beam", "20", "--max-len", "16", "--out", str(nbest)],
             nbest)

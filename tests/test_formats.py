@@ -410,12 +410,31 @@ class TestPronounTable:
         with pytest.raises(FormatError, match="2 tab-separated"):
             read_pronoun_table(path)
 
+    @pytest.mark.parametrize("pronoun", ["she ", "", " she", "s he"])
+    def test_pronoun_is_a_token(self, tmp_path, pronoun):
+        # a split source token never equals such a key, so the pronoun would be dropped
+        path = tmp_path / "pron.tsv"
+        path.write_text(f"he\tmasculine\n{pronoun}\tfeminine\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            read_pronoun_table(path)
+        assert str(info.value) == f"{path}:2: pronoun token {pronoun!r} is empty or holds whitespace"
+
 
 class TestWordList:
     def test_read(self, tmp_path):
         path = tmp_path / "nouns.txt"
         path.write_text("# known nouns\ndoctor\n\nnurse\n", encoding="utf-8")
         assert read_word_list(path) == ("doctor", "nurse")
+
+    def test_word_is_a_token(self, tmp_path):
+        # the ends are stripped; a word still holding whitespace matches no source token
+        path = tmp_path / "nouns.txt"
+        path.write_text("  doctor \t\nworker001 x\n", encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            read_word_list(path)
+        assert str(info.value) == f"{path}:2: noun token 'worker001 x' is empty or holds whitespace"
+        path.write_text("  doctor \t\n", encoding="utf-8")
+        assert read_word_list(path) == ("doctor",)
 
     def test_sentences(self, tmp_path):
         # plain text has no comments; ids are 0-based line numbers

@@ -35,6 +35,24 @@ class TestArcValidation:
         with pytest.raises(LatticeError):
             LatticeArc("el", ("el", ""))
 
+    @pytest.mark.parametrize("word, tokens, bad", [
+        ("a b", ("a",), "a b"), ("", ("a",), ""), ("a", ("a b",), "a b"), ("a", ("a", "\t"), "\t"),
+    ])
+    def test_word_and_model_tokens_are_tokens(self, word, tokens, bad):
+        # such an arc would decode to a hypothesis that write_nbest refuses
+        with pytest.raises(LatticeError) as info:
+            LatticeArc(word, tokens)
+        assert str(info.value) == f"arc {word!r}: token {bad!r} is empty or holds whitespace"
+
+    @pytest.mark.parametrize("boundary", ["<s>", "</s>"])
+    def test_model_token_is_no_sentence_boundary(self, boundary):
+        # the scorer would read it as the sentence start or end
+        with pytest.raises(LatticeError) as info:
+            LatticeArc("a", ("a@@", boundary))
+        assert str(info.value) == f"arc 'a': model tokens ('a@@', {boundary!r}) hold a sentence boundary"
+        with pytest.raises(LatticeError, match="hold a sentence boundary"):
+            compose_lattice(ReinflectionPairSet([]), ("a", boundary, "b"))
+
 
 class TestLatticeStructure:
     def test_duplicate_word_at_position_rejected(self):

@@ -19,11 +19,23 @@ scores are kept in a plain list and turned into a heap only once it is full.
 The unconstrained pass ranks a step map by descending score when it comes
 back within a search, and from then on walks an item's children in that
 order, stopping at the first one below the k-th best: float addition is
-monotone and the threshold only rises, so no later child could be kept. A
-map seen for the first time is walked in map order; the search holds the
-width latest of those to notice one coming back. So a scorer that builds a
-new map on every call pays for no sort. The constrained pass walks its moves
-in lattice order.
+monotone and the threshold only rises, so no later child could be kept. It
+asks for every item's step map before it builds any child, and each item
+whose map is ranked puts its best child's score, the same float that child
+will carry, among the k-th best scores. So a step's threshold starts from
+the carried items and the best child of every ranked item, not from the
+first width children built. That child is still built in its item's walk,
+but its score is not counted again: counting one child twice could raise
+the threshold above the true k-th best. A map seen for the first time is
+walked in map order, unsorted and unseeded; the search holds the width
+latest of those to notice one coming back. So a scorer that builds a new
+map on every call pays for no sort. The constrained pass walks its moves in
+lattice order.
+
+A step score must be a finite log probability, at most 0, and so must the
+model's floor. A map is checked whole before it is ranked, and any other
+child once it is kept; a score that fails raises DecodeError naming the
+source, the prefix and the token.
 """
 
 from __future__ import annotations
@@ -120,7 +132,8 @@ class ScoringModel(ABC):
     A scorer implements next_scores and floor, and search reads nothing
     else. next_scores returns a finite token -> log probability map
     for one step; it may include EOS. Tokens outside the map score the
-    model's floor. Implementations must be deterministic for identical
+    model's floor. A search refuses a score or floor that is not finite or
+    is above 0 with a DecodeError. Implementations must be deterministic for identical
     inputs. A returned map must not change afterwards: a search may rank it
     once and reuse that ranking whenever the same map comes back.
     """
@@ -439,6 +452,19 @@ def _lattice_moves(lattice: HypothesisLattice) -> _Moves:
     return moves
 
 
+def _not_logprob(source_id: int, prefix: Sequence[str], token: str, lp: float) -> DecodeError:
+    return DecodeError(f"source {source_id}: step score {lp!r} for token {token!r} after prefix "
+                       f"{prefix!r} is not a finite log probability <= 0")
+
+
+def _check_step(scores: Mapping[str, float], source_id: int, prefix: Sequence[str]) -> None:
+    """Raise for the first entry of a step map, in map order, that is not a
+    finite log probability <= 0."""
+    for token, lp in scores.items():
+        if not -math.inf < lp <= 0:
+            raise _not_logprob(source_id, prefix, token, lp)
+
+
 def _search(
     model: ScoringModel,
     source: Sequence[str],
@@ -457,6 +483,9 @@ def _search(
     if not source:
         raise DecodeError(f"source {source_id}: source sentence is empty")
     width, max_len, floor = cfg.beam_width, cfg.max_len, model.floor
+    low = -math.inf
+    if not low < floor <= 0:
+        raise DecodeError(f"source {source_id}: model floor {floor!r} is not a finite log probability <= 0")
     final = -1 if moves is None else len(moves) - 1
     # this search's step maps by id. A map seen once is held in seen, the
     # width latest of them; one that comes back moves to ranked, held with
@@ -479,24 +508,54 @@ def _search(
             # else mid-lattice at the length cap: cannot become a complete path
         if len(candidates) == len(beam):
             break  # every item is carried: nothing is left to expand or drop
-        # the scores of the width best candidates built so far: a plain list
-        # with no threshold until it holds width of them (the carried items
-        # are at most width), then a min-heap whose root is the threshold; a
-        # child strictly below it is never built
+        # the width best scores among the carried items, the seeds and the
+        # children built so far: a plain list with no threshold until it
+        # holds width of them (the carried items and seeds, one at most per
+        # beam item, are at most width), then a min-heap whose root is the
+        # threshold; a child strictly below it is never built
         best = [-neg for neg, _, _, _ in candidates]
+        # each unconstrained item's (-score, tokens, children, ordered); an
+        # ordered item's first child is seeded: its score is in best already
+        walks = []
+        if moves is None:
+            for neg, tokens, _, _ in expand:
+                scores = model.next_scores(source, tokens)
+                key = id(scores)
+                entry = ranked.get(key)
+                if entry is None and seen.pop(key, None) is not None:
+                    children = sorted(scores.items(), key=operator.itemgetter(1), reverse=True)
+                    # checked whole, since a NaN would leave the sort out of order
+                    if children and not (children[0][1] <= 0 and math.isfinite(sum(scores.values()))):
+                        _check_step(scores, source_id, tokens)
+                    entry = ranked[key] = (scores, children)
+                if entry is None:
+                    # first sight: walk in map order, since a map that never
+                    # comes back is not worth a sort
+                    if len(seen) == width:
+                        del seen[next(iter(seen))]
+                    seen[key] = scores
+                    walks.append((neg, tokens, scores.items(), False))
+                else:
+                    children = entry[1]
+                    if children:
+                        best.append(-neg + children[0][1])
+                    walks.append((neg, tokens, children, True))
         room = width - len(best)
-        threshold = -math.inf
+        threshold = low
         if not room:
             heapq.heapify(best)
             threshold = best[0]
-        for neg, tokens, _, state in expand:
-            scores = model.next_scores(source, tokens)
-            base = -neg
-            if moves is not None:
+        if moves is not None:
+            for neg, tokens, _, state in expand:
+                scores = model.next_scores(source, tokens)
+                base = -neg
                 for token, to_state in moves[state]:
-                    score = base + scores.get(token, floor)
+                    lp = scores.get(token, floor)
+                    score = base + lp
                     if score < threshold:
                         continue
+                    if not low < lp <= 0:
+                        raise _not_logprob(source_id, tokens, token, lp)
                     if state == final:
                         candidates.append((-score, tokens, False, state))
                     else:
@@ -510,48 +569,45 @@ def _search(
                     else:
                         heapq.heappushpop(best, score)
                     threshold = best[0]
-                continue
-            key = id(scores)
-            entry = ranked.get(key)
-            ordered = entry is not None or seen.pop(key, None) is not None
-            if ordered:
-                if entry is None:
-                    entry = ranked[key] = (
-                        scores, sorted(scores.items(), key=operator.itemgetter(1), reverse=True))
-                children = entry[1]
-            else:
-                # first sight: walk in map order, since a map that never
-                # comes back is not worth a sort
-                if len(seen) == width:
-                    del seen[next(iter(seen))]
-                seen[key] = scores
-                children = scores.items()
-            for token, lp in children:
-                score = base + lp
-                if score < threshold:
-                    if ordered:
-                        break  # every later child scores no more
-                    continue
-                if token == EOS:
-                    candidates.append((-score, tokens, False, 0))
-                else:
-                    candidates.append((-score, tokens + (token,), True, 0))
-                if room:
-                    best.append(score)
-                    room -= 1
-                    if room:
+        else:
+            for neg, tokens, children, ordered in walks:
+                base = -neg
+                seeded = ordered
+                for token, lp in children:
+                    score = base + lp
+                    if score < threshold:
+                        if ordered:
+                            break  # every later child scores no more
                         continue
-                    heapq.heapify(best)
-                else:
-                    heapq.heappushpop(best, score)
-                threshold = best[0]
+                    if not (ordered or low < lp <= 0):  # a ranked map was checked whole
+                        raise _not_logprob(source_id, tokens, token, lp)
+                    if token == EOS:
+                        candidates.append((-score, tokens, False, 0))
+                    else:
+                        candidates.append((-score, tokens + (token,), True, 0))
+                    if seeded:  # its score is in best already
+                        seeded = False
+                        continue
+                    if room:
+                        best.append(score)
+                        room -= 1
+                        if room:
+                            continue
+                        heapq.heapify(best)
+                    else:
+                        heapq.heappushpop(best, score)
+                    threshold = best[0]
         candidates.sort()
         beam = candidates[:width]
-    finished = sorted(
-        (-(-neg + model.next_scores(source, tokens).get(EOS, floor)), tokens, False, state) if is_open
-        else (neg, tokens, False, state)
-        for neg, tokens, is_open, state in beam
-    )
+    finished = []
+    for neg, tokens, is_open, state in beam:
+        if is_open:
+            lp = model.next_scores(source, tokens).get(EOS, floor)
+            if not low < lp <= 0:
+                raise _not_logprob(source_id, tokens, EOS, lp)
+            neg = -(-neg + lp)
+        finished.append((neg, tokens, False, state))
+    finished.sort()
     if not finished:
         if moves is not None:
             raise DecodeError(

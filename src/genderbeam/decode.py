@@ -133,9 +133,10 @@ class ScoringModel(ABC):
     else. next_scores returns a finite token -> log probability map
     for one step; it may include EOS. Tokens outside the map score the
     model's floor. A search refuses a score or floor that is not finite or
-    is above 0 with a DecodeError. Implementations must be deterministic for identical
-    inputs. A returned map must not change afterwards: a search may rank it
-    once and reuse that ranking whenever the same map comes back.
+    is above 0 with a DecodeError. Implementations must be deterministic
+    for identical inputs. A returned map must not change afterwards: a
+    search may rank it once and reuse that ranking whenever the same map
+    comes back.
     """
 
     floor: float = DEFAULT_FLOOR

@@ -5,10 +5,10 @@ import itertools
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from genderbeam.decode import EOS, Hypothesis, NBestList, ScoringModel
+from genderbeam.decode import EOS, Hypothesis, NBestList, ScoringModel, TableModel
 from genderbeam.errors import DecodeError, LatticeError, RerankError
-from genderbeam.evaluation import run_pipeline, score_records
-from genderbeam.lattice import TOKEN_JOINER, HypothesisLattice, LatticeArc
+from genderbeam.evaluation import EvalRecord, run_pipeline, score_records
+from genderbeam.lattice import TOKEN_JOINER, HypothesisLattice, LatticeArc, compose_lattice
 from genderbeam.morpho import (
     FEMININE,
     MASCULINE,
@@ -18,7 +18,7 @@ from genderbeam.morpho import (
     ReinflectionPairSet,
     analyze_gender,
 )
-from genderbeam.rerank import AlignmentMap
+from genderbeam.rerank import AlignmentMap, EntitySpec
 
 TOY_PAIRS = ReinflectionPairSet(
     [
@@ -57,6 +57,15 @@ class HashScorer(ScoringModel):
         source, prefix = tuple(source), tuple(prefix)
         tokens = self.vocab + ((EOS,) if self.include_eos else ())
         return {token: self._logprob(source, prefix, token) for token in tokens}
+
+
+class LastTokenTable(TableModel):
+    """A TableModel keyed by the source and the prefix's last token alone, as
+    NoisyChannelToy keys its steps: prefixes that end alike get one map
+    back, so a search ranks that map when it comes back."""
+
+    def next_scores(self, source, prefix):
+        return super().next_scores(source, prefix[-1:])
 
 
 MAX_ENUMERATED_PATHS = 10**6
@@ -311,6 +320,40 @@ def reference_rerank(nbest, alignments, entities, lexicon):
               for hyp, alignment in zip(nbest, alignments)]
     selected = max(range(len(nbest)), key=lambda i: (scores[i], nbest[i].loglik, -i))
     return selected, tuple(scores)
+
+
+def reference_pipeline(testset, model, pairs, lexicon, *, constrain, rerank_mode, cfg,
+                       pronoun_table=None, nouns=()):
+    """run_pipeline composed from the references: (record, n-best, selected
+    index) per sentence. The lattice is composed from the first pass's
+    1-best with whole-word tokens, each hypothesis is aligned on the
+    diagonal, and inferred entities pair each pronoun with the nearest
+    preceding noun."""
+    outcomes = []
+    for sentence in testset:
+        source, sent_id = sentence.source, sentence.sent_id
+        nbest = reference_beam_search(model, source, cfg, sent_id)
+        if constrain:
+            if not nbest[0].tokens:
+                raise DecodeError(f"source {sent_id}: first-pass 1-best is empty")
+            lattice = compose_lattice(pairs, nbest[0].tokens)
+            nbest = reference_constrained_beam_search(model, source, lattice, cfg, sent_id)
+        alignments = [AlignmentMap((i, i) for i in range(min(len(source), len(hyp.tokens))))
+                      for hyp in nbest]
+        entities = []
+        if rerank_mode == "oracle":
+            entities = [EntitySpec(sentence.trigger_index, sentence.gold_gender, sentence.entity_indices)]
+        elif rerank_mode == "inferred":
+            for index, token in enumerate(source):
+                if token in pronoun_table:
+                    nearest = [i for i in range(index) if source[i] in nouns][-1:]
+                    if nearest:
+                        entities.append(EntitySpec(index, pronoun_table[token], frozenset(nearest)))
+        selected, _ = reference_rerank(nbest, alignments, entities, lexicon)
+        predicted = reference_extract_predicted_gender(
+            nbest[selected].tokens, alignments[selected], sentence.entity_indices, lexicon)
+        outcomes.append((EvalRecord(sent_id, sentence.gold_gender, predicted), nbest, selected))
+    return outcomes
 
 
 class SubwordTable:

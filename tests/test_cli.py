@@ -1,6 +1,9 @@
 """End-to-end command-line tests, mostly in-process through main()."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -507,3 +510,14 @@ class TestGoldenOutputs:
         committed = dict(line.split()[::-1] for line in
                          self.DIGESTS.read_text(encoding="utf-8").splitlines())
         assert digests == committed
+
+    def test_digests_hold_under_another_hash_seed(self, tmp_path):
+        # set and frozenset orders move with PYTHONHASHSEED, so the commands
+        # run again in a child process under another seed
+        test = f"{Path(__file__).resolve()}::TestGoldenOutputs::test_seed0_outputs_match_committed_digests"
+        child = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--basetemp", str(tmp_path), test],
+            capture_output=True, text=True, cwd=Path(__file__).resolve().parent.parent, timeout=600,
+            env={**os.environ, "PYTHONHASHSEED": "7"})
+        assert child.returncode == 0, child.stdout + child.stderr
+        assert "1 passed" in child.stdout

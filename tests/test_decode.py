@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import tracemalloc
 import unicodedata
 import weakref
@@ -16,6 +17,7 @@ from helpers import (
     MEDIC_TABLE,
     TOY_PAIRS,
     HashScorer,
+    LastTokenTable,
     bigram_fields,
     oracle_nbest,
     random_lattice,
@@ -382,6 +384,132 @@ class TestBeamSearchMatchesReference:
         result = beam_search(model, ("s",), cfg)
         assert result == reference_beam_search(model, ("s",), cfg)
         assert result[0] == expected
+
+
+class TestSeededThreshold:
+    """Hand-built steps where an item's step map comes back, so the search
+    has ranked it and puts its best child's score among the step's k-th best
+    scores before it builds any child."""
+
+    def check(self, entries, cfg, expected):
+        model = LastTokenTable(entries)
+        result = beam_search(model, ("s",), cfg)
+        assert result == reference_beam_search(model, ("s",), cfg)
+        assert [h.tokens for h in result] == expected
+
+    def test_seeded_child_counts_once(self):
+        # step 3: ("x", "z") walks a first-sight map and puts -2.5 beside the
+        # seed -2.1 of ("x", "y"), whose map ("y") step 2 walked. Counting
+        # the seeded child "p" again would make the threshold -2.1 and prune
+        # "q" at -2.3, which is among the true best two
+        self.check({
+            ("s", BOS): {"x": -1.0, "y": -2.0},
+            ("s", "x"): {"z": -0.5, "y": -1.0},
+            ("s", "y"): {"p": -0.1, "q": -0.3},
+            ("s", "z"): {EOS: -1.0},
+            ("s", "p"): {EOS: -0.1},
+            ("s", "q"): {EOS: -0.1},
+        }, BeamConfig(2, 2, 8), [("x", "y", "p"), ("x", "y", "q")])
+
+    def test_carried_items_and_seeds_fill_the_width(self):
+        # step 3: the closed ("x",) is carried and ("x", "y") seeds -3.1, so
+        # the threshold is -3.1 before any child is built; the carried items
+        # and seeds, one at most per beam item, never exceed the width
+        self.check({
+            ("s", BOS): {"y": -0.5, "x": -0.6},
+            ("s", "y"): {EOS: -2.0, "y": -3.0},
+            ("s", "x"): {"y": -0.5, EOS: -0.1},
+        }, BeamConfig(2, 2, 8), [("x",), ("x", "y")])
+
+    def test_ranked_empty_map_seeds_nothing(self):
+        # step 3: ("w", "z") gets back the empty map ("z") that ("z",)
+        # walked at step 2; it has no child, so no seed
+        self.check({
+            ("s", BOS): {"z": -1.0, "w": -1.5},
+            ("s", "w"): {"z": -0.5, EOS: -3.0},
+            ("s", "z"): {},
+        }, BeamConfig(2, 2, 8), [("w",)])
+
+
+class UncheckedMaps(ScoringModel):
+    """Step maps keyed by the prefix's last token, BOS for the empty prefix,
+    handed back as given: an in-process scorer's scores are not checked
+    before a search reads them."""
+
+    def __init__(self, maps, floor=-20.0):
+        self.maps, self.floor = maps, floor
+
+    def next_scores(self, source, prefix):
+        return self.maps.get(prefix[-1] if prefix else BOS, {})
+
+
+def not_logprob(source_id, lp, token, prefix):
+    return re.escape(f"source {source_id}: step score {lp!r} for token {token!r} after prefix "
+                     f"{prefix!r} is not a finite log probability <= 0")
+
+
+def bad_first_step(bad):
+    # with "b" at -9.0 the best is ("c",) at -0.6
+    return {BOS: {"a": -1.0, "b": bad, "c": -0.5, "d": -3.0},
+            **{token: {EOS: -0.1} for token in "abcd"}}
+
+
+ABCD_LATTICE = HypothesisLattice([[LatticeArc(token, (token,)) for token in "abcd"]])
+# a NaN is never pruned, and neither is +inf; a positive score that is kept
+BAD_SCORES = [math.nan, math.inf, 0.5]
+
+
+class TestStepScores:
+    """A step score that is not a finite log probability <= 0 is refused,
+    naming the source, the prefix and the token, instead of being ranked or
+    carried into a hypothesis."""
+
+    @pytest.mark.parametrize("bad", BAD_SCORES)
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_first_pass_refuses_a_kept_score(self, bad, width):
+        with pytest.raises(DecodeError, match=not_logprob(5, bad, "b", ())):
+            beam_search(UncheckedMaps(bad_first_step(bad)), ("s",), BeamConfig(width, 1, 4), source_id=5)
+
+    @pytest.mark.parametrize("bad", BAD_SCORES)
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_constrained_pass_refuses_a_kept_score(self, bad, width):
+        model = UncheckedMaps(bad_first_step(bad))
+        with pytest.raises(DecodeError, match=not_logprob(5, bad, "b", ())):
+            constrained_beam_search(model, ("s",), ABCD_LATTICE, BeamConfig(width, 1, 4), source_id=5)
+
+    @pytest.mark.parametrize("bad", [0.5, -math.inf])
+    def test_a_map_is_checked_whole_before_it_is_ranked(self, bad):
+        # step 2 prunes ("y", "b") at -30 + bad unchecked; step 3 gets the
+        # map ("y") back for ("x", "y"), and ranking it reads every score
+        model = UncheckedMaps({
+            BOS: {"x": -0.1, "y": -30.0},
+            "x": {"y": -0.1, EOS: -0.2},
+            "y": {EOS: -1.0, "b": bad},
+        })
+        with pytest.raises(DecodeError, match=not_logprob(2, bad, "b", ("x", "y"))):
+            beam_search(model, ("s",), BeamConfig(2, 1, 4), source_id=2)
+
+    @pytest.mark.parametrize("bad", BAD_SCORES)
+    def test_forced_close_refuses_its_eos_score(self, bad):
+        model = UncheckedMaps({BOS: {"a": -1.0}, "a": {EOS: bad}})
+        with pytest.raises(DecodeError, match=not_logprob(1, bad, EOS, ("a",))):
+            beam_search(model, ("s",), BeamConfig(1, 1, 1), source_id=1)
+
+    @pytest.mark.parametrize("floor", [*BAD_SCORES, -math.inf])
+    def test_floor_is_checked_once_per_search(self, floor):
+        model = UncheckedMaps(bad_first_step(-9.0), floor=floor)
+        message = re.escape(f"source 4: model floor {floor!r} is not a finite log probability <= 0")
+        with pytest.raises(DecodeError, match=message):
+            beam_search(model, ("s",), BeamConfig(2), source_id=4)
+        with pytest.raises(DecodeError, match=message):
+            constrained_beam_search(model, ("s",), ABCD_LATTICE, BeamConfig(2), source_id=4)
+
+    def test_finite_scores_decode_as_before(self):
+        model = UncheckedMaps(bad_first_step(-9.0))
+        for width in (1, 2, 4):
+            cfg = BeamConfig(width, 1, 4)
+            assert beam_search(model, ("s",), cfg)[0] == Hypothesis(("c",), -0.5 + -0.1)
+            assert constrained_beam_search(model, ("s",), ABCD_LATTICE, cfg)[0] == Hypothesis(("c",), -0.5 + -0.1)
 
 
 SOURCES = ("s1", "s2", "s3")

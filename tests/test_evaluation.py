@@ -1,13 +1,15 @@
 """Metric arithmetic and end-to-end pipeline behavior."""
 
 import random
+import zlib
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genderbeam.decode import BeamConfig, EOS, Hypothesis, NBestList, TableModel
+from genderbeam.decode import BOS, EOS, BeamConfig, Hypothesis, NBestList, TableModel
+from genderbeam.errors import DecodeError
 from genderbeam.evaluation import (
     EvalRecord,
     MetricReport,
@@ -37,7 +39,14 @@ from genderbeam.rerank import (
     rerank,
 )
 from genderbeam.synth import build_benchmark
-from helpers import agreement_score, pipeline_report, reference_extract_predicted_gender
+from helpers import (
+    HashScorer,
+    LastTokenTable,
+    agreement_score,
+    pipeline_report,
+    reference_extract_predicted_gender,
+    reference_pipeline,
+)
 
 
 def record(sent_id, gold, predicted):
@@ -446,3 +455,97 @@ class TestLabelF1:
         b = score_records([record(9, MASCULINE, MASCULINE)])
         assert a == b
         assert isinstance(a, MetricReport)
+
+
+# The reference pipeline's inputs: source words, of which "doctor" and "man"
+# are nouns and "she" and "he" pronouns; target words, every one of them a
+# lexicon entry, in groups that some draws leave out; and a grid of step
+# scores, where None leaves the token out of the map
+PIPE_SOURCE = ("doctor", "man", "says", "she", "he")
+PIPE_NOUNS = ("doctor", "man")
+PIPE_PRONOUNS = {"she": FEMININE, "he": MASCULINE}
+PIPE_GROUPS = (
+    (LexiconEntry("doktoro", "doktoro", "NOUN.sg", MASCULINE),
+     LexiconEntry("doktora", "doktoro", "NOUN.sg", FEMININE)),
+    (LexiconEntry("viro", "viro", "NOUN.sg", MASCULINE),
+     LexiconEntry("virino", "viro", "NOUN.sg", FEMININE)),
+    (LexiconEntry("li", "li", "PRON", MASCULINE), LexiconEntry("sxi", "li", "PRON", FEMININE)),
+    (LexiconEntry("diras", "diri", "VERB", NONE),),
+)
+PIPE_ENTRIES = tuple(entry for group in PIPE_GROUPS for entry in group)
+PIPE_GRID = (None, -0.0, -0.1, -0.5, -1.0, -3.0)
+
+
+@st.composite
+def pipeline_sentences(draw, sent_id):
+    source = tuple(draw(st.lists(st.sampled_from(PIPE_SOURCE), min_size=1, max_size=4)))
+    indices = st.integers(0, len(source) - 1)
+    return TestSentence(sent_id, draw(st.sampled_from((MASCULINE, FEMININE))), source,
+                        draw(st.none() | indices), frozenset(draw(st.sets(indices, min_size=1))))
+
+
+@st.composite
+def pipeline_models(draw, testset):
+    """A HashScorer, or a LastTokenTable whose maps come back for prefixes
+    that end alike, over a drawn target vocabulary. The table never closes
+    the empty prefix, whose 1-best the constrained pass could not reinflect."""
+    vocab = tuple(draw(st.lists(st.sampled_from([e.surface for e in PIPE_ENTRIES]),
+                                min_size=1, max_size=4, unique=True)))
+    if draw(st.booleans()):
+        return HashScorer(vocab, include_eos=draw(st.booleans()))
+    values = draw(st.lists(st.sampled_from(PIPE_GRID), min_size=2, max_size=6))
+    salt = draw(st.integers(0, 2**16))
+    entries = {}
+    for source in {" ".join(sentence.source) for sentence in testset}:
+        for prev in (BOS, *vocab):
+            picks = {token: values[zlib.crc32(f"{salt}|{source}|{prev}|{token}".encode()) % len(values)]
+                     for token in (vocab if prev == BOS else (*vocab, EOS))}
+            # None leaves a word out, so a lattice reads it at the floor; it
+            # scores -3.0 instead for EOS and the first word, so no beam dies
+            entries[(source, prev)] = {token: -3.0 if lp is None else lp for token, lp in picks.items()
+                                       if lp is not None or token == EOS or prev == BOS}
+    return LastTokenTable(entries)
+
+
+def pipeline_or_error(run):
+    try:
+        return [(record, [(h.tokens, repr(h.loglik)) for h in nbest], selected)
+                for record, nbest, selected in run()]
+    except DecodeError as exc:
+        return str(exc)
+
+
+class TestReferencePipeline:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_equals_reference_composition(self, data):
+        testset = [data.draw(pipeline_sentences(sent_id)) for sent_id in range(data.draw(st.integers(1, 3)))]
+        model = data.draw(pipeline_models(testset))
+        # whole groups, so that a drawn word has its reinflection or no entry
+        groups = data.draw(st.lists(st.sampled_from(PIPE_GROUPS), unique=True))
+        lexicon = GenderLexicon(entry for group in groups for entry in group)
+        pairs = build_reinflection_pairs(lexicon)
+        width = data.draw(st.integers(1, 4))
+        cfg = BeamConfig(width, data.draw(st.integers(1, width)), data.draw(st.integers(1, 4)))
+        resolver = NearestPrecedingNounResolver(PIPE_NOUNS)
+        for constrain in (False, True):
+            for mode in ("off", "oracle", "inferred"):
+                got = pipeline_or_error(lambda: (
+                    (o.record, o.nbest, o.selected_index) for o in run_pipeline(
+                        testset, model, pairs, lexicon, constrain=constrain, rerank_mode=mode,
+                        cfg=cfg, pronoun_table=PIPE_PRONOUNS, resolver=resolver)))
+                want = pipeline_or_error(lambda: reference_pipeline(
+                    testset, model, pairs, lexicon, constrain=constrain, rerank_mode=mode,
+                    cfg=cfg, pronoun_table=PIPE_PRONOUNS, nouns=PIPE_NOUNS))
+                assert got == want
+        widths = sorted(data.draw(st.sets(st.integers(1, 4), min_size=1)))
+        try:
+            expected = [(w, pipeline_report(testset, model, pairs, lexicon, constrain=True,
+                                            rerank_mode="oracle",
+                                            cfg=BeamConfig(w, w, cfg.max_len)).accuracy)
+                        for w in widths]
+        except DecodeError:
+            with pytest.raises(DecodeError):
+                beam_sweep(testset, model, pairs, lexicon, widths, max_len=cfg.max_len)
+        else:
+            assert beam_sweep(testset, model, pairs, lexicon, widths, max_len=cfg.max_len) == expected

@@ -110,8 +110,8 @@ def _decode_file(args, decode) -> int:
 def _cmd_decode(args) -> int:
     if args.pairs is None and args.patterns is not None:
         raise ValueError("--patterns needs --pairs: decoding without a pair set reads no gender tag")
-    model = _load_model(args)
     cfg = _beam_config(args)
+    model = _load_model(args)
     if args.pairs is None:
         return _decode_file(args, lambda source, sent_id: beam_search(model, source, cfg, source_id=sent_id))
     pairs = _read_pairs(args, _read_patterns(args))
@@ -186,6 +186,7 @@ def _cmd_eval(args) -> int:
         raise ValueError("--pronouns and --nouns are required with --rerank inferred")
     if not inferred and (args.pronouns is not None or args.nouns is not None):
         raise ValueError(f"--pronouns and --nouns are read only with --rerank inferred, not {args.rerank}")
+    cfg = _beam_config(args)
     testset, model, pairs, lexicon, labels = _load_eval_inputs(args)
     extra = {}
     if inferred:
@@ -197,7 +198,7 @@ def _cmd_eval(args) -> int:
         testset, model, pairs, lexicon,
         constrain=pairs is not None,
         rerank_mode=args.rerank,
-        cfg=_beam_config(args),
+        cfg=cfg,
         **extra,
     )
     report = score_records([outcome.record for outcome in outcomes])
@@ -209,8 +210,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    try:
+        widths = [int(field) for field in args.widths.split(",") if field.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--widths: {exc}") from None
     testset, model, pairs, lexicon, _ = _load_eval_inputs(args)
-    widths = [int(field) for field in args.widths.split(",") if field.strip()]
     rows = beam_sweep(testset, model, pairs, lexicon, widths, max_len=args.max_len)
     lines = ["beam_width,accuracy"]
     lines.extend(f"{width},{_format_metric(accuracy)}" for width, accuracy in rows)

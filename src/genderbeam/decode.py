@@ -7,12 +7,14 @@ beam slot and compete with open ones on total score. Ties break
 lexicographically by token sequence so runs are reproducible everywhere.
 
 Both passes run one beam loop. The constrained pass compiles its lattice into
-a token automaton first and restricts each item's children to the moves of
-its automaton state; items with the same score and tokens then break ties by
-state. The loop prunes exactly: a child scoring strictly below the k-th best
-is never built; order and ties are unchanged. The comparison is on the same
-float sum the child would carry, so children that tie the k-th best after
-rounding are still built and ranked by tokens.
+a token automaton first and restricts each item's children to the moves of its
+automaton state; items with the same score and tokens then break ties by
+state. A finished item sits in state -1, the automaton's sink, and EOS is the
+only move into it, so both passes close a hypothesis by one rule; the first
+pass keeps its open items in state 0. The loop prunes exactly: a child scoring
+strictly below the k-th best is never built; order and ties are unchanged. The
+comparison is on the same float sum the child would carry, so children that
+tie the k-th best after rounding are still built and ranked by tokens.
 
 Until a step holds width candidates nothing can be pruned, so the k-th best
 scores are kept in a plain list and turned into a heap only once it is full.
@@ -418,8 +420,8 @@ def constrained_beam_search(
     """Beam search expanding only along lattice paths.
 
     Inside an arc each model token is forced but still scored by the model,
-    so constrained and unconstrained log likelihoods stay comparable. Items
-    reaching the final state close by the model's EOS score.
+    so constrained and unconstrained log likelihoods stay comparable. An
+    item closes by the final state's one move, EOS at the model's score.
     """
     return _search(model, source, cfg, source_id, _lattice_moves(lattice))
 
@@ -434,7 +436,7 @@ def _lattice_moves(lattice: HypothesisLattice) -> _Moves:
     Each lattice position starts an automaton state, followed by one state
     per token already emitted inside each of its multi-token arcs, so state
     ids increase in (position, arc index, offset) order. The last state is
-    the final one; its only move is EOS, back to itself.
+    the final one; its only move is EOS, into the finished sink state -1.
     """
     moves: _Moves = []
     for position in range(lattice.num_positions):
@@ -449,7 +451,7 @@ def _lattice_moves(lattice: HypothesisLattice) -> _Moves:
             for offset in range(1, len(tokens)):
                 moves.append(((tokens[offset], len(moves) + 1 if offset + 1 < len(tokens) else after),))
         moves[boundary] = tuple(first)
-    moves.append(((EOS, len(moves)),))
+    moves.append(((EOS, -1),))
     return moves
 
 
@@ -487,22 +489,22 @@ def _search(
     low = -math.inf
     if not low < floor <= 0:
         raise DecodeError(f"source {source_id}: model floor {floor!r} is not a finite log probability <= 0")
-    final = -1 if moves is None else len(moves) - 1
+    final = None if moves is None else len(moves) - 1
     # this search's step maps by id. A map seen once is held in seen, the
     # width latest of them; one that comes back moves to ranked, held with
     # its items by descending score for the rest of the search. Holding a
     # map keeps its id from being reused while the id is a key
     seen: dict[int, Mapping[str, float]] = {}
     ranked: dict[int, tuple[Mapping[str, float], list[tuple[str, float]]]] = {}
-    # an item is (-score, tokens, is_open, state), so tuple order is beam
-    # order: higher score first, ties lexicographic by tokens, closed before
-    # open, then by automaton state (always 0 without moves)
-    beam: list[tuple[float, tuple[str, ...], bool, int]] = [(-0.0, (), True, 0)]
+    # an item is (-score, tokens, state), so tuple order is beam order:
+    # higher score first, ties lexicographic by tokens, then by automaton
+    # state, so finished (-1) before open (always 0 without moves)
+    beam: list[tuple[float, tuple[str, ...], int]] = [(-0.0, (), 0)]
     while True:
         candidates, expand = [], []
         for item in beam:
-            _, tokens, is_open, state = item
-            if not is_open or (moves is None and len(tokens) >= max_len):
+            _, tokens, state = item
+            if state < 0 or (moves is None and len(tokens) >= max_len):
                 candidates.append(item)
             elif len(tokens) < max_len or state == final:
                 expand.append(item)
@@ -514,12 +516,12 @@ def _search(
         # holds width of them (the carried items and seeds, one at most per
         # beam item, are at most width), then a min-heap whose root is the
         # threshold; a child strictly below it is never built
-        best = [-neg for neg, _, _, _ in candidates]
+        best = [-neg for neg, _, _ in candidates]
         # each unconstrained item's (-score, tokens, children, ordered); an
         # ordered item's first child is seeded: its score is in best already
         walks = []
         if moves is None:
-            for neg, tokens, _, _ in expand:
+            for neg, tokens, _ in expand:
                 scores = model.next_scores(source, tokens)
                 key = id(scores)
                 entry = ranked.get(key)
@@ -547,7 +549,7 @@ def _search(
             heapq.heapify(best)
             threshold = best[0]
         if moves is not None:
-            for neg, tokens, _, state in expand:
+            for neg, tokens, state in expand:
                 scores = model.next_scores(source, tokens)
                 base = -neg
                 for token, to_state in moves[state]:
@@ -557,10 +559,7 @@ def _search(
                         continue
                     if not low < lp <= 0:
                         raise _not_logprob(source_id, tokens, token, lp)
-                    if state == final:
-                        candidates.append((-score, tokens, False, state))
-                    else:
-                        candidates.append((-score, tokens + (token,), True, to_state))
+                    candidates.append((-score, tokens if to_state < 0 else tokens + (token,), to_state))
                     if room:
                         best.append(score)
                         room -= 1
@@ -582,10 +581,7 @@ def _search(
                         continue
                     if not (ordered or low < lp <= 0):  # a ranked map was checked whole
                         raise _not_logprob(source_id, tokens, token, lp)
-                    if token == EOS:
-                        candidates.append((-score, tokens, False, 0))
-                    else:
-                        candidates.append((-score, tokens + (token,), True, 0))
+                    candidates.append((-score, tokens, -1) if token == EOS else (-score, tokens + (token,), 0))
                     if seeded:  # its score is in best already
                         seeded = False
                         continue
@@ -601,21 +597,20 @@ def _search(
         candidates.sort()
         beam = candidates[:width]
     finished = []
-    for neg, tokens, is_open, state in beam:
-        if is_open:
+    for neg, tokens, state in beam:
+        if state >= 0:
             lp = model.next_scores(source, tokens).get(EOS, floor)
             if not low < lp <= 0:
                 raise _not_logprob(source_id, tokens, EOS, lp)
             neg = -(-neg + lp)
-        finished.append((neg, tokens, False, state))
+        finished.append((neg, tokens))
     finished.sort()
     if not finished:
         if moves is not None:
-            raise DecodeError(
-                f"source {source_id}: constrained beam exhausted before reaching the final lattice state"
-            )
+            raise DecodeError(f"source {source_id}: constrained beam exhausted "
+                              "before reaching the final lattice state")
         raise DecodeError(f"source {source_id}: no completed hypothesis within max_len {cfg.max_len}")
-    return NBestList(source_id, [Hypothesis(tokens, -neg) for neg, tokens, _, _ in finished[: cfg.nbest]])
+    return NBestList(source_id, [Hypothesis(tokens, -neg) for neg, tokens in finished[: cfg.nbest]])
 
 
 def two_pass_decode(

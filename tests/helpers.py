@@ -322,6 +322,17 @@ def reference_rerank(nbest, alignments, entities, lexicon):
     return selected, tuple(scores)
 
 
+def reference_two_pass(model, source, pairs, cfg_first, cfg_second, source_id=0):
+    """two_pass_decode composed from the references, with whole-word tokens:
+    the first pass at cfg_first, the lattice of its 1-best, then the
+    constrained pass at cfg_second."""
+    first = reference_beam_search(model, source, cfg_first, source_id)
+    if not first[0].tokens:
+        raise DecodeError(f"source {source_id}: first-pass 1-best is empty")
+    lattice = compose_lattice(pairs, first[0].tokens)
+    return reference_constrained_beam_search(model, source, lattice, cfg_second, source_id)
+
+
 def reference_pipeline(testset, model, pairs, lexicon, *, constrain, rerank_mode, cfg,
                        pronoun_table=None, nouns=()):
     """run_pipeline composed from the references: (record, n-best, selected
@@ -332,12 +343,10 @@ def reference_pipeline(testset, model, pairs, lexicon, *, constrain, rerank_mode
     outcomes = []
     for sentence in testset:
         source, sent_id = sentence.source, sentence.sent_id
-        nbest = reference_beam_search(model, source, cfg, sent_id)
         if constrain:
-            if not nbest[0].tokens:
-                raise DecodeError(f"source {sent_id}: first-pass 1-best is empty")
-            lattice = compose_lattice(pairs, nbest[0].tokens)
-            nbest = reference_constrained_beam_search(model, source, lattice, cfg, sent_id)
+            nbest = reference_two_pass(model, source, pairs, cfg, cfg, sent_id)
+        else:
+            nbest = reference_beam_search(model, source, cfg, sent_id)
         alignments = [AlignmentMap((i, i) for i in range(min(len(source), len(hyp.tokens))))
                       for hyp in nbest]
         entities = []

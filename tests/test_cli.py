@@ -91,6 +91,15 @@ class TestDecodeCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("genderbeam: ")
 
+    @pytest.mark.parametrize("command", [
+        ["decode", "--src", "absent.txt", "--out", "x"],
+        ["eval", "--testset", "absent.tsv", "--lexicon", "absent.tsv", "--rerank", "off", "--report", "x"],
+    ], ids=["decode", "eval"])
+    def test_bad_width_is_named_before_any_file_is_read(self, tmp_path, capsys, command):
+        code = main([*command, "--model", str(tmp_path / "absent.tsv"), "--beam", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "genderbeam: beam_width must be >= 1, got 0\n"
+
     @pytest.mark.parametrize("two_pass", [False, True], ids=["decode", "two-pass"])
     def test_ids_are_line_numbers(self, bench_dir, tmp_path, capsys, two_pass):
         # a blank line gets no row and shifts no id; plain text has no comments
@@ -410,6 +419,15 @@ class TestSweepCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("genderbeam: ")
 
+    def test_width_that_is_no_integer_is_named_before_any_file_is_read(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent")
+        code = main([
+            "sweep", "--testset", absent, "--model", absent, "--pairs", absent, "--lexicon", absent,
+            "--widths", "4,x", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "genderbeam: --widths: invalid literal for int() with base 10: 'x'\n")
 
     def test_gold_tags_are_checked(self, bench_dir, tmp_path, capsys):
         testset = tmp_path / "testset.tsv"

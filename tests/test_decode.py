@@ -10,7 +10,7 @@ import zlib
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -24,6 +24,7 @@ from helpers import (
     realizations,
     reference_beam_search,
     reference_constrained_beam_search,
+    reference_two_pass,
     rescore,
 )
 
@@ -938,6 +939,12 @@ class TestConstrainedSearchMatchesReference:
             assert result == reference_constrained_beam_search(model, ("s",), lattice, cfg)
 
 
+@st.composite
+def beam_configs(draw):
+    width = draw(st.integers(1, 4))
+    return BeamConfig(width, draw(st.integers(1, width)), draw(st.integers(1, 4)))
+
+
 class TestTwoPass:
     def toy_model(self):
         entries = {
@@ -985,3 +992,20 @@ class TestTwoPass:
             ("la", "médico"),
             ("la", "médica"),
         }
+
+    @settings(max_examples=300)
+    @given(
+        vocab=st.lists(st.sampled_from(("el", "la", "médico", "médica", "x")), min_size=1, max_size=4, unique=True),
+        values=st.lists(st.sampled_from(SCORE_GRID), min_size=1, max_size=6),
+        salt=st.integers(0, 2**16),
+        by_last=st.booleans(),
+        cfg_first=beam_configs(),
+        cfg_second=beam_configs(),
+    )
+    def test_two_configs_equal_reference_composition(self, vocab, values, salt, by_last, cfg_first, cfg_second):
+        # the first pass runs at cfg_first only, and the constrained pass
+        # over its 1-best's lattice at cfg_second only
+        assume(cfg_first != cfg_second)
+        model = GridScorer(values, salt, tuple(vocab), by_last=by_last)
+        assert (run_or_error(two_pass_decode, model, TOY_PAIRS, cfg_first, cfg_second)
+                == run_or_error(reference_two_pass, model, TOY_PAIRS, cfg_first, cfg_second))

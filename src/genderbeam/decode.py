@@ -607,8 +607,9 @@ def _search(
     finished.sort()
     if not finished:
         if moves is not None:
-            raise DecodeError(f"source {source_id}: constrained beam exhausted "
-                              "before reaching the final lattice state")
+            raise DecodeError(
+                f"source {source_id}: constrained beam exhausted before reaching the final lattice state"
+            )
         raise DecodeError(f"source {source_id}: no completed hypothesis within max_len {cfg.max_len}")
     return NBestList(source_id, [Hypothesis(tokens, -neg) for neg, tokens in finished[: cfg.nbest]])
 

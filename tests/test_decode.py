@@ -995,7 +995,8 @@ class TestTwoPass:
 
     @settings(max_examples=300)
     @given(
-        vocab=st.lists(st.sampled_from(("el", "la", "médico", "médica", "x")), min_size=1, max_size=4, unique=True),
+        vocab=st.lists(st.sampled_from(("el", "la", "médico", "médica", "x")),
+                       min_size=1, max_size=4, unique=True),
         values=st.lists(st.sampled_from(SCORE_GRID), min_size=1, max_size=6),
         salt=st.integers(0, 2**16),
         by_last=st.booleans(),

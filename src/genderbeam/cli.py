@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import unicodedata
 from pathlib import Path
 
 from .decode import BeamConfig, NBestList, NoisyChannelToy, TableModel, beam_search, two_pass_decode
 from .errors import FormatError, GenderBeamError
-from .evaluation import RERANK_MODES, MetricReport, beam_sweep, run_pipeline, score_records
+from .evaluation import RERANK_MODES, MetricReport, _sweep_configs, beam_sweep, run_pipeline, score_records
 from .formats import (
     parse_alignments,
     parse_nbest,
@@ -87,7 +88,8 @@ def _cmd_lattice(args) -> int:
     patterns = _read_patterns(args)
     pairs = _read_pairs(args, patterns)
     lexicon = None if args.lexicon is None else _load_lexicon(args, patterns)
-    lattice = compose_lattice(pairs, tuple(args.hyp.split()), lexicon=lexicon)
+    words = unicodedata.normalize("NFC", args.hyp).split()
+    lattice = compose_lattice(pairs, tuple(words), lexicon=lexicon)
     Path(args.out).write_text(serialize_lattice(lattice), encoding="utf-8")
     print(f"wrote lattice with {lattice.path_count} paths to {args.out}")
     return 0
@@ -214,6 +216,7 @@ def _cmd_sweep(args) -> int:
         widths = [int(field) for field in args.widths.split(",") if field.strip()]
     except ValueError as exc:
         raise ValueError(f"--widths: {exc}") from None
+    _sweep_configs(widths, args.max_len)
     testset, model, pairs, lexicon, _ = _load_eval_inputs(args)
     rows = beam_sweep(testset, model, pairs, lexicon, widths, max_len=args.max_len)
     lines = ["beam_width,accuracy"]

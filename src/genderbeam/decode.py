@@ -18,26 +18,28 @@ tie the k-th best after rounding are still built and ranked by tokens.
 
 Until a step holds width candidates nothing can be pruned, so the k-th best
 scores are kept in a plain list and turned into a heap only once it is full.
-The unconstrained pass ranks a step map by descending score when it comes
-back within a search, and from then on walks an item's children in that
-order, stopping at the first one below the k-th best: float addition is
-monotone and the threshold only rises, so no later child could be kept. It
-asks for every item's step map before it builds any child, and each item
-whose map is ranked puts its best child's score, the same float that child
-will carry, among the k-th best scores. So a step's threshold starts from
-the carried items and the best child of every ranked item, not from the
-first width children built. That child is still built in its item's walk,
-but its score is not counted again: counting one child twice could raise
-the threshold above the true k-th best. A map seen for the first time is
-walked in map order, unsorted and unseeded; the search holds the width
-latest of those to notice one coming back. So a scorer that builds a new
-map on every call pays for no sort. The constrained pass walks its moves in
-lattice order.
+The unconstrained pass ranks a StepMap by descending score the first time
+any search meets it and stores that ranking on the map, so later steps and
+later searches reuse it. It walks a ranked map's children in that order,
+stopping at the first one below the k-th best: float addition is monotone
+and the threshold only rises, so no later child could be kept. It asks for
+every item's step map before it builds any child, and each item whose map
+is ranked puts its best child's score, the same float that child will
+carry, among the k-th best scores. So a step's threshold starts from the
+carried items and the best child of every ranked item, not from the first
+width children built. That child is still built in its item's walk, but its
+score is not counted again: counting one child twice could raise the
+threshold above the true k-th best. Any other map is walked in map order,
+unsorted and unseeded, every time the search meets it: a scorer that builds
+a new map on every call pays for no sort, and one that hands back the same
+plain map is never sorted either. Both bundled models hand back StepMaps.
+The constrained pass walks its moves in lattice order.
 
 A step score must be a finite log probability, at most 0, and so must the
-model's floor. A map is checked whole before it is ranked, and any other
-child once it is kept; a score that fails raises DecodeError naming the
-source, the prefix and the token.
+model's floor. A StepMap is checked whole when it is ranked, and a child of
+any other map once it is kept, so a bad score in a pruned child of a plain
+map is never read; a score that fails raises DecodeError naming the source,
+the prefix and the token.
 """
 
 from __future__ import annotations
@@ -128,6 +130,18 @@ def _read_logprobs(path, sep: str, count: int, tokens: int,
     return {key: lp for key, (lp, _) in logprobs.items()}
 
 
+class StepMap(dict):
+    """A step map that keeps its own ranking: ranked is None until a search
+    ranks the map, then its items by descending score, which every later
+    search reuses."""
+
+    __slots__ = ("ranked",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.ranked: list[tuple[str, float]] | None = None
+
+
 class ScoringModel(ABC):
     """Pluggable per-step scorer.
 
@@ -136,9 +150,11 @@ class ScoringModel(ABC):
     for one step; it may include EOS. Tokens outside the map score the
     model's floor. A search refuses a score or floor that is not finite or
     is above 0 with a DecodeError. Implementations must be deterministic
-    for identical inputs. A returned map must not change afterwards: a
-    search may rank it once and reuse that ranking whenever the same map
-    comes back.
+    for identical inputs. A returned map must not change afterwards. A
+    StepMap is ranked once, by the first search that meets it, and every
+    later step and search walks that ranking; a scorer that hands back the
+    same map for a step that comes back returns a StepMap to be sorted only
+    once. Any other map is walked in map order each time.
     """
 
     floor: float = DEFAULT_FLOOR
@@ -162,17 +178,16 @@ class TableModel(ScoringModel):
     """
 
     def __init__(self, entries: Mapping[tuple[str, str], Mapping[str, float]]) -> None:
-        table: dict[tuple[str, str], dict[str, float]] = {}
+        table: dict[tuple[str, str], StepMap] = {}
         for (source_key, prefix_key), scores in entries.items():
             reason = _refused_key((source_key, prefix_key), (), ())
             if reason is not None:
                 raise ValueError(f"table entry ({source_key!r}, {prefix_key!r}): {reason}")
-            checked = {
-                token: _check_entry((token,), lp, (BOS,),
-                                    f"table entry ({source_key!r}, {prefix_key!r}, {token!r})")
+            table[(source_key, prefix_key)] = StepMap(
+                (token, _check_entry((token,), lp, (BOS,),
+                                     f"table entry ({source_key!r}, {prefix_key!r}, {token!r})"))
                 for token, lp in scores.items()
-            }
-            table[(source_key, prefix_key)] = checked
+            )
         self._table = table
 
     @classmethod
@@ -278,7 +293,7 @@ class NoisyChannelToy(ScoringModel):
         # all a step depends on
         self._step_source: tuple[str, ...] | None = None
         self._best: dict[str, float] = {}
-        self._step_cache: dict[object, dict[str, float]] = {}
+        self._step_cache: dict[object, StepMap] = {}
 
     def _set_bigrams(self, followers: dict[object, dict[str, int]]) -> None:
         self._followers = followers
@@ -328,7 +343,7 @@ class NoisyChannelToy(ScoringModel):
             cached = self._step_cache[prev] = self._build_step(prev)
         return cached
 
-    def _build_step(self, prev: object) -> dict[str, float]:
+    def _build_step(self, prev: object) -> StepMap:
         """The current source's step map after prev: each target's best
         lexical logprob plus log((count + 1) / (context + V)), the smoothed
         bigram term, with the context's denominator and the unseen-bigram log
@@ -337,7 +352,8 @@ class NoisyChannelToy(ScoringModel):
         row = self._followers.get(prev, {})
         denom = self._contexts.get(prev, 0) + self._smoothing_vocab
         unseen = math.log(1 / denom)
-        step = {target: lp + unseen for target, lp in best.items()}
+        # built as a dict and copied once: a StepMap fed pairs builds slower
+        step = StepMap({target: lp + unseen for target, lp in best.items()})
         for target, count in row.items():
             if target in step:
                 step[target] = best[target] + math.log((count + 1) / denom)
@@ -390,6 +406,13 @@ class BeamConfig:
     max_len: int = 128
 
     def __post_init__(self) -> None:
+        for name in ("beam_width", "nbest", "max_len"):
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    object.__setattr__(self, name, operator.index(value))
+                except TypeError:
+                    raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.beam_width < 1:
             raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
         nbest = self.beam_width if self.nbest is None else self.nbest
@@ -490,12 +513,6 @@ def _search(
     if not low < floor <= 0:
         raise DecodeError(f"source {source_id}: model floor {floor!r} is not a finite log probability <= 0")
     final = None if moves is None else len(moves) - 1
-    # this search's step maps by id. A map seen once is held in seen, the
-    # width latest of them; one that comes back moves to ranked, held with
-    # its items by descending score for the rest of the search. Holding a
-    # map keeps its id from being reused while the id is a key
-    seen: dict[int, Mapping[str, float]] = {}
-    ranked: dict[int, tuple[Mapping[str, float], list[tuple[str, float]]]] = {}
     # an item is (-score, tokens, state), so tuple order is beam order:
     # higher score first, ties lexicographic by tokens, then by automaton
     # state, so finished (-1) before open (always 0 without moves)
@@ -523,26 +540,19 @@ def _search(
         if moves is None:
             for neg, tokens, _ in expand:
                 scores = model.next_scores(source, tokens)
-                key = id(scores)
-                entry = ranked.get(key)
-                if entry is None and seen.pop(key, None) is not None:
+                if not isinstance(scores, StepMap):
+                    walks.append((neg, tokens, scores.items(), False))
+                    continue
+                children = scores.ranked
+                if children is None:
                     children = sorted(scores.items(), key=operator.itemgetter(1), reverse=True)
                     # checked whole, since a NaN would leave the sort out of order
                     if children and not (children[0][1] <= 0 and math.isfinite(sum(scores.values()))):
                         _check_step(scores, source_id, tokens)
-                    entry = ranked[key] = (scores, children)
-                if entry is None:
-                    # first sight: walk in map order, since a map that never
-                    # comes back is not worth a sort
-                    if len(seen) == width:
-                        del seen[next(iter(seen))]
-                    seen[key] = scores
-                    walks.append((neg, tokens, scores.items(), False))
-                else:
-                    children = entry[1]
-                    if children:
-                        best.append(-neg + children[0][1])
-                    walks.append((neg, tokens, children, True))
+                    scores.ranked = children
+                if children:
+                    best.append(-neg + children[0][1])
+                walks.append((neg, tokens, children, True))
         room = width - len(best)
         threshold = low
         if not room:

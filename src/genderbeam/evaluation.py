@@ -219,6 +219,18 @@ def run_pipeline(
     return outcomes
 
 
+def _sweep_configs(widths: Sequence[int], max_len: int) -> list[BeamConfig]:
+    """beam_sweep's config for each width, each width also its list size;
+    widths must be nonempty and strictly ascending."""
+    configs = [BeamConfig(width, width, max_len) for width in widths]
+    if not configs:
+        raise ValueError("widths must be nonempty")
+    widths = [cfg.beam_width for cfg in configs]
+    if any(b <= a for a, b in zip(widths, widths[1:])):
+        raise ValueError(f"widths must be strictly ascending, got {widths}")
+    return configs
+
+
 def beam_sweep(
     testset: Sequence[TestSentence],
     model: ScoringModel,
@@ -233,14 +245,9 @@ def beam_sweep(
     Widths strictly ascending. Each sentence runs at every width before the
     next one starts, so a model's per-source step cache serves all widths.
     """
-    widths = [int(w) for w in widths]
-    if not widths:
-        raise ValueError("widths must be nonempty")
-    if any(b <= a for a, b in zip(widths, widths[1:])):
-        raise ValueError(f"widths must be strictly ascending, got {widths}")
-    records: dict[int, list[EvalRecord]] = {width: [] for width in widths}
+    records: dict[BeamConfig, list[EvalRecord]] = {cfg: [] for cfg in _sweep_configs(widths, max_len)}
     for sentence in testset:
-        for width in widths:
+        for cfg, kept in records.items():
             (outcome,) = run_pipeline(
                 [sentence],
                 model,
@@ -248,7 +255,7 @@ def beam_sweep(
                 lexicon,
                 constrain=True,
                 rerank_mode="oracle",
-                cfg=BeamConfig(width, width, max_len),
+                cfg=cfg,
             )
-            records[width].append(outcome.record)
-    return [(width, score_records(records[width]).accuracy) for width in widths]
+            kept.append(outcome.record)
+    return [(cfg.beam_width, score_records(kept).accuracy) for cfg, kept in records.items()]

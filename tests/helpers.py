@@ -61,8 +61,9 @@ class HashScorer(ScoringModel):
 
 class LastTokenTable(TableModel):
     """A TableModel keyed by the source and the prefix's last token alone, as
-    NoisyChannelToy keys its steps: prefixes that end alike get one map
-    back, so a search ranks that map when it comes back."""
+    NoisyChannelToy keys its steps: prefixes that end alike get one step map
+    back, so a search ranks that map once and walks its ranking each time
+    it comes back."""
 
     def next_scores(self, source, prefix):
         return super().next_scores(source, prefix[-1:])

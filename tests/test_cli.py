@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,16 @@ class TestPairsAndLattice:
         lexicon = load_lexicon(bench_dir / "lexicon.tsv")
         pairs = read_pairs(bench_dir / "pairs.tsv")
         expected = compose_lattice(pairs, ("pentristo", "pentras", "muro"), lexicon=lexicon)
+        assert out.read_text(encoding="utf-8") == serialize_lattice(expected)
+
+    def test_hypothesis_is_read_as_nfc(self, tmp_path, capsys):
+        # the pair file holds the composed médico, as every file is read
+        pairs, out = tmp_path / "pairs.tsv", tmp_path / "lat.txt"
+        pairs.write_text("médico\tmédica\tfeminine\nmédica\tmédico\tmasculine\n", encoding="utf-8")
+        hyp = unicodedata.normalize("NFD", "el médico")
+        assert main(["lattice", "--pairs", str(pairs), "--hyp", hyp, "--out", str(out)]) == 0
+        assert "wrote lattice with 2 paths" in capsys.readouterr().out
+        expected = compose_lattice(read_pairs(pairs), ("el", "médico"))
         assert out.read_text(encoding="utf-8") == serialize_lattice(expected)
 
 
@@ -428,6 +439,20 @@ class TestSweepCommand:
         assert code == 1
         assert capsys.readouterr().err == (
             "genderbeam: --widths: invalid literal for int() with base 10: 'x'\n")
+
+    @pytest.mark.parametrize("settings, message", [
+        (["--widths", "8,4"], "widths must be strictly ascending, got [8, 4]"),
+        (["--widths", "0"], "beam_width must be >= 1, got 0"),
+        (["--widths", "4", "--max-len", "0"], "max_len must be >= 1, got 0"),
+    ], ids=["descending", "zero-width", "zero-max-len"])
+    def test_bad_setting_is_named_before_any_file_is_read(self, tmp_path, capsys, settings, message):
+        absent = str(tmp_path / "absent")
+        code = main([
+            "sweep", "--testset", absent, "--model", absent, "--pairs", absent, "--lexicon", absent,
+            *settings, "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"genderbeam: {message}\n"
 
     def test_gold_tags_are_checked(self, bench_dir, tmp_path, capsys):
         testset = tmp_path / "testset.tsv"

@@ -36,6 +36,7 @@ from genderbeam.decode import (
     NBestList,
     NoisyChannelToy,
     ScoringModel,
+    StepMap,
     TableModel,
     beam_search,
     constrained_beam_search,
@@ -83,6 +84,19 @@ class TestBeamConfig:
     )
     def test_rejects_bad_configs(self, kwargs):
         with pytest.raises(ValueError):
+            BeamConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"beam_width": 2.5}, "beam_width"),
+            ({"beam_width": 4, "nbest": 2.0}, "nbest"),
+            ({"beam_width": 4, "max_len": "16"}, "max_len"),
+        ],
+    )
+    def test_rejects_a_field_that_is_no_integer(self, kwargs, name):
+        # a float width would reach the search and fail there as a slice index
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             BeamConfig(**kwargs)
 
 
@@ -366,7 +380,7 @@ class TestBeamSearchMatchesReference:
         model = FreshMaps(["a", "b", "c"], include_eos=False)  # every item runs to max_len
         cfg = BeamConfig(width, max_len=8)
         assert beam_search(model, ("s",), cfg) == reference_beam_search(model, ("s",), cfg)
-        assert most <= width + 1  # the width latest maps and the map last walked
+        assert most <= width + 1  # the maps one step walks and the map last asked for
 
     @pytest.mark.parametrize(
         "entries, max_len, expected",
@@ -432,6 +446,21 @@ class TestSeededThreshold:
         }, BeamConfig(2, 2, 8), [("w",)])
 
 
+class TestStepMap:
+    def test_a_ranking_outlives_its_search(self):
+        # a table's maps live as long as it does, so a later search, at
+        # another width too, walks the ranking the first one made
+        model = TableModel({("s", BOS): {"b": -0.5, "a": -0.2}, ("s", "a"): {EOS: -0.1},
+                            ("s", "b"): {EOS: -0.1}})
+        step = model.next_scores(("s",), ())
+        assert step.ranked is None
+        assert beam_search(model, ("s",), BeamConfig(1, 1, 4))[0] == Hypothesis(("a",), -0.2 + -0.1)
+        ranked = step.ranked
+        assert ranked == [("a", -0.2), ("b", -0.5)]
+        assert [h.tokens for h in beam_search(model, ("s",), BeamConfig(2, 2, 4))] == [("a",), ("b",)]
+        assert step.ranked is ranked
+
+
 class UncheckedMaps(ScoringModel):
     """Step maps keyed by the prefix's last token, BOS for the empty prefix,
     handed back as given: an in-process scorer's scores are not checked
@@ -478,16 +507,17 @@ class TestStepScores:
         with pytest.raises(DecodeError, match=not_logprob(5, bad, "b", ())):
             constrained_beam_search(model, ("s",), ABCD_LATTICE, BeamConfig(width, 1, 4), source_id=5)
 
-    @pytest.mark.parametrize("bad", [0.5, -math.inf])
+    @pytest.mark.parametrize("bad", [*BAD_SCORES, -math.inf])
     def test_a_map_is_checked_whole_before_it_is_ranked(self, bad):
-        # step 2 prunes ("y", "b") at -30 + bad unchecked; step 3 gets the
-        # map ("y") back for ("x", "y"), and ranking it reads every score
-        model = UncheckedMaps({
+        # the step map ("y") is ranked when ("y",) expands at step 2, and
+        # ranking it reads every score, even one whose child step 2 would
+        # prune, as ("y", "b") at -30 + -inf
+        model = UncheckedMaps({key: StepMap(scores) for key, scores in {
             BOS: {"x": -0.1, "y": -30.0},
             "x": {"y": -0.1, EOS: -0.2},
             "y": {EOS: -1.0, "b": bad},
-        })
-        with pytest.raises(DecodeError, match=not_logprob(2, bad, "b", ("x", "y"))):
+        }.items()})
+        with pytest.raises(DecodeError, match=not_logprob(2, bad, "b", ("y",))):
             beam_search(model, ("s",), BeamConfig(2, 1, 4), source_id=2)
 
     @pytest.mark.parametrize("bad", BAD_SCORES)

@@ -385,6 +385,12 @@ class TestBeamSweep:
         with pytest.raises(ValueError, match="nonempty"):
             beam_sweep(*args, [])
 
+    def test_widths_are_not_renumbered(self):
+        # int(4.7) would run the sweep at width 4 and label the row 4
+        args = ([fem_row()], doctor_model(), DOCTOR_PAIRS, DOCTOR_LEXICON)
+        with pytest.raises(ValueError, match=r"^beam_width must be an integer, got 4\.7$"):
+            beam_sweep(*args, [1, 4.7])
+
 
 # Oracle selection can only move toward agreement, so with one aligned,
 # unambiguously gendered token per hypothesis its accuracy dominates the

@@ -213,7 +213,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        widths = [int(field) for field in args.widths.split(",") if field.strip()]
+        widths = [int(field) for field in args.widths.split(",")]
     except ValueError as exc:
         raise ValueError(f"--widths: {exc}") from None
     _sweep_configs(widths, args.max_len)

@@ -1,20 +1,22 @@
 """Standard and lattice-constrained beam search over pluggable scoring models.
 
 Scoring is length-unnormalized: a hypothesis's log likelihood is the sum of
-its per-token scores plus one end-of-sequence score, whether the model closed
-it or the length cap forced it shut. Hypotheses that finish early keep their
-beam slot and compete with open ones on total score. Ties break
-lexicographically by token sequence so runs are reproducible everywhere.
+its per-token scores plus one end-of-sequence score. Hypotheses that finish
+early keep their beam slot and compete with open ones on total score. Ties
+break lexicographically by token sequence so runs are reproducible everywhere.
 
 Both passes run one beam loop. The constrained pass compiles its lattice into
 a token automaton first and restricts each item's children to the moves of its
 automaton state; items with the same score and tokens then break ties by
 state. A finished item sits in state -1, the automaton's sink, and EOS is the
 only move into it, so both passes close a hypothesis by one rule; the first
-pass keeps its open items in state 0. The loop prunes exactly: a child scoring
-strictly below the k-th best is never built; order and ties are unchanged. The
-comparison is on the same float sum the child would carry, so children that
-tie the k-th best after rounding are still built and ranked by tokens.
+pass keeps its open items in state 0. At the length cap EOS is an item's only
+move, and in the constrained pass only the final state has it, so an item
+elsewhere in the lattice is dropped there. The loop prunes exactly: a child
+scoring strictly below the k-th best is never built; order and ties are
+unchanged. The comparison is on the same float sum the child would carry, so
+children that tie the k-th best after rounding are still built and ranked by
+tokens.
 
 Until a step holds width candidates nothing can be pruned, so the k-th best
 scores are kept in a plain list and turned into a heap only once it is full.
@@ -133,13 +135,10 @@ def _read_logprobs(path, sep: str, count: int, tokens: int,
 class StepMap(dict):
     """A step map that keeps its own ranking: ranked is None until a search
     ranks the map, then its items by descending score, which every later
-    search reuses."""
+    search reuses. The default is a class attribute, so a map is built by
+    dict's own constructor."""
 
-    __slots__ = ("ranked",)
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.ranked: list[tuple[str, float]] | None = None
+    ranked: list[tuple[str, float]] | None = None
 
 
 class ScoringModel(ABC):
@@ -170,7 +169,8 @@ class TableModel(ScoringModel):
     Keys are tokens joined by single spaces; a key that is empty or spaced
     otherwise is refused, since no sequence joins to it. The empty prefix is
     keyed as BOS. Unknown (source, prefix) keys yield an empty map, so
-    unlisted continuations score the floor only through forced decoding.
+    unlisted continuations score the floor only through forced decoding or
+    an EOS at the length cap.
     BOS is no token: an entry scoring it is refused, and a prefix of BOS
     alone is unknown. EOS is scored as a token, and closes a hypothesis. A
     scored token must be nonempty and hold no whitespace, so that a
@@ -444,7 +444,9 @@ def constrained_beam_search(
 
     Inside an arc each model token is forced but still scored by the model,
     so constrained and unconstrained log likelihoods stay comparable. An
-    item closes by the final state's one move, EOS at the model's score.
+    item closes by the final state's one move, EOS at the model's score. At
+    max_len EOS is an item's only move, so an item that has not reached the
+    final state there is dropped.
     """
     return _search(model, source, cfg, source_id, _lattice_moves(lattice))
 
@@ -500,10 +502,11 @@ def _search(
 ) -> NBestList:
     """The beam loop of both passes.
 
-    Without moves every token of the step map is a child, and open items at
-    max_len are carried, then closed by their EOS score. With moves an item
+    Without moves every token of the step map is a child. With moves an item
     expands only by its state's moves, reading tokens outside the step map
-    at the floor; an item at max_len outside the final state is dropped.
+    at the floor. At max_len EOS is an item's only move, at its score or the
+    floor; with moves only the final state has it, so an item at max_len in
+    any other state is dropped.
     """
     source = tuple(source)
     if not source:
@@ -512,7 +515,8 @@ def _search(
     low = -math.inf
     if not low < floor <= 0:
         raise DecodeError(f"source {source_id}: model floor {floor!r} is not a finite log probability <= 0")
-    final = None if moves is None else len(moves) - 1
+    # the state that keeps its move at max_len: EOS, in either pass
+    final = 0 if moves is None else len(moves) - 1
     # an item is (-score, tokens, state), so tuple order is beam order:
     # higher score first, ties lexicographic by tokens, then by automaton
     # state, so finished (-1) before open (always 0 without moves)
@@ -521,13 +525,13 @@ def _search(
         candidates, expand = [], []
         for item in beam:
             _, tokens, state = item
-            if state < 0 or (moves is None and len(tokens) >= max_len):
+            if state < 0:
                 candidates.append(item)
             elif len(tokens) < max_len or state == final:
                 expand.append(item)
             # else mid-lattice at the length cap: cannot become a complete path
         if len(candidates) == len(beam):
-            break  # every item is carried: nothing is left to expand or drop
+            break  # every item is finished: nothing is left to expand or drop
         # the width best scores among the carried items, the seeds and the
         # children built so far: a plain list with no threshold until it
         # holds width of them (the carried items and seeds, one at most per
@@ -540,6 +544,8 @@ def _search(
         if moves is None:
             for neg, tokens, _ in expand:
                 scores = model.next_scores(source, tokens)
+                if len(tokens) == max_len:  # at the cap EOS is the only move
+                    scores = {EOS: scores.get(EOS, floor)}
                 if not isinstance(scores, StepMap):
                     walks.append((neg, tokens, scores.items(), False))
                     continue
@@ -606,22 +612,13 @@ def _search(
                     threshold = best[0]
         candidates.sort()
         beam = candidates[:width]
-    finished = []
-    for neg, tokens, state in beam:
-        if state >= 0:
-            lp = model.next_scores(source, tokens).get(EOS, floor)
-            if not low < lp <= 0:
-                raise _not_logprob(source_id, tokens, EOS, lp)
-            neg = -(-neg + lp)
-        finished.append((neg, tokens))
-    finished.sort()
-    if not finished:
+    if not beam:
         if moves is not None:
             raise DecodeError(
                 f"source {source_id}: constrained beam exhausted before reaching the final lattice state"
             )
         raise DecodeError(f"source {source_id}: no completed hypothesis within max_len {cfg.max_len}")
-    return NBestList(source_id, [Hypothesis(tokens, -neg) for neg, tokens in finished[: cfg.nbest]])
+    return NBestList(source_id, [Hypothesis(tokens, -neg) for neg, tokens, _ in beam[: cfg.nbest]])
 
 
 def two_pass_decode(

@@ -440,6 +440,18 @@ class TestSweepCommand:
         assert capsys.readouterr().err == (
             "genderbeam: --widths: invalid literal for int() with base 10: 'x'\n")
 
+    @pytest.mark.parametrize("widths, blank", [("4,,8", ""), ("4,8,", ""), ("4, ,8", " ")],
+                             ids=["inner", "trailing", "spaces"])
+    def test_blank_width_field_is_named_before_any_file_is_read(self, tmp_path, capsys, widths, blank):
+        absent = str(tmp_path / "absent")
+        code = main([
+            "sweep", "--testset", absent, "--model", absent, "--pairs", absent, "--lexicon", absent,
+            "--widths", widths, "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"genderbeam: --widths: invalid literal for int() with base 10: {blank!r}\n")
+
     @pytest.mark.parametrize("settings, message", [
         (["--widths", "8,4"], "widths must be strictly ascending, got [8, 4]"),
         (["--widths", "0"], "beam_width must be >= 1, got 0"),

@@ -303,6 +303,56 @@ class TestBeamSearch:
         assert first == second
 
 
+class CountingTable(TableModel):
+    """A TableModel that records every prefix it is asked to score."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.asked = []
+
+    def next_scores(self, source, prefix):
+        self.asked.append(tuple(prefix))
+        return super().next_scores(source, prefix)
+
+
+class TestLengthCap:
+    """At max_len EOS is an item's only move, and in the constrained pass
+    only the final state has it: an item there asks for its step map once
+    more and closes at its EOS score or the floor."""
+
+    def test_first_pass_items_close_at_the_cap(self):
+        entries = {
+            ("s", BOS): {"a": -0.5, "b": -1.0},
+            ("s", "a"): {"a": -0.5, "b": -0.6},
+            ("s", "b"): {"a": -0.6},
+            ("s", "a a"): {EOS: -2.0, "b": -0.1},  # "b" is no move at the cap
+            # ("s", "a b") lists no EOS, so that item closes at the floor
+        }
+        model, cfg = CountingTable(entries), BeamConfig(2, 2, 2)
+        result = beam_search(model, ("s",), cfg)
+        assert result == reference_beam_search(TableModel(entries), ("s",), cfg)
+        assert [(h.tokens, h.loglik) for h in result] == [(("a", "a"), -3.0), (("a", "b"), -1.1 - 20.0)]
+        # one call per expanded item, and one more per item at the cap
+        assert model.asked == [(), ("a",), ("b",), ("a", "a"), ("a", "b")]
+
+    def test_constrained_final_state_closes_at_the_cap(self):
+        lattice = HypothesisLattice([
+            [LatticeArc("a", ("a",))],
+            [LatticeArc("b", ("b",)), LatticeArc("cd", ("c", "d"))],
+        ])
+        entries = {
+            ("s", BOS): {"a": -0.5},
+            ("s", "a"): {"b": -1.0, "c": -0.1},
+            ("s", "a b"): {EOS: -0.2},
+        }
+        model, cfg = CountingTable(entries), BeamConfig(2, 2, 2)
+        result = constrained_beam_search(model, ("s",), lattice, cfg)
+        assert result == reference_constrained_beam_search(TableModel(entries), ("s",), lattice, cfg)
+        # ("a", "c") is inside the arc "cd" at the cap: dropped, never asked
+        assert [(h.tokens, h.loglik) for h in result] == [(("a", "b"), -0.5 + -1.0 + -0.2)]
+        assert model.asked == [(), ("a",), ("a", "b")]
+
+
 # Score grid for the reference property test. Sums tie exactly (0.0 and
 # -0.0), tie in the reals but not after rounding (-0.1 + -0.2 against -0.3),
 # and tie only after rounding (-1e16 + -0.5 against -1e16 + -1.0). None
@@ -350,10 +400,10 @@ class TestBeamSearchMatchesReference:
         data=st.data(),
     )
     def test_equals_full_sort_reference(self, vocab_size, values, salt, width, max_len, maps, data):
-        # the table's maps live as long as it does; GridScorer builds a new
-        # map on every call, and with by_last hands some back before it lets
-        # them go, so a search that did not hold them could meet their ids
-        # again on other maps
+        # the table hands back StepMaps, which a search ranks once and
+        # checks whole; GridScorer builds a plain map on every call, walked
+        # in map order, and with by_last hands one plain map back for the
+        # prefixes of one length that end alike
         vocab = ("a", "b", "c")[:vocab_size]
         cfg = BeamConfig(width, data.draw(st.integers(1, width)), max_len)
         if maps == "table":
@@ -402,9 +452,9 @@ class TestBeamSearchMatchesReference:
 
 
 class TestSeededThreshold:
-    """Hand-built steps where an item's step map comes back, so the search
-    has ranked it and puts its best child's score among the step's k-th best
-    scores before it builds any child."""
+    """Hand-built steps on LastTokenTable's StepMaps: the search ranks a
+    map when an item first asks for it, and puts each item's best child's
+    score among the step's k-th best scores before it builds any child."""
 
     def check(self, entries, cfg, expected):
         model = LastTokenTable(entries)
@@ -413,8 +463,8 @@ class TestSeededThreshold:
         assert [h.tokens for h in result] == expected
 
     def test_seeded_child_counts_once(self):
-        # step 3: ("x", "z") walks a first-sight map and puts -2.5 beside the
-        # seed -2.1 of ("x", "y"), whose map ("y") step 2 walked. Counting
+        # step 3: ("x", "z") ranks the map ("z") and seeds -2.5 beside the
+        # seed -2.1 of ("x", "y"), whose map ("y") step 2 ranked. Counting
         # the seeded child "p" again would make the threshold -2.1 and prune
         # "q" at -2.3, which is among the true best two
         self.check({

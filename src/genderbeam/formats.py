@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .decode import Hypothesis, NBestList
 from .errors import FormatError
 from .evaluation import TestSentence
-from .morpho import GenderLabel, _gender_parser, _is_token, _not_token, data_lines, read_rows, read_sentences
+from .morpho import GenderLabel, _gender_parser, _is_token, _not_token, data_lines, read_rows, read_sentences, write_rows
 from .rerank import AlignmentMap, EntitySpec
 
 NBEST_SEPARATOR = " ||| "
@@ -91,19 +91,16 @@ def write_nbest(lists: Iterable[NBestList], path) -> None:
     empty or holds str.split whitespace, raises ValueError naming its
     sent_id, 0-based rank and token before the file is opened.
     """
-    ordered = sorted(lists, key=lambda l: l.source_id)
-    for nbest in ordered:
+    rows = []
+    for nbest in sorted(lists, key=lambda l: l.source_id):
         for rank, hyp in enumerate(nbest):
-            if " ".join(hyp.tokens).split() != list(hyp.tokens):
+            tokens = " ".join(hyp.tokens)
+            if tokens.split() != list(hyp.tokens):
                 token = next(token for token in hyp.tokens if not _is_token(token))
                 raise ValueError(f"sent_id {nbest.source_id} rank {rank}: token {token!r} "
                                  f"would not read back as itself")
-    with open(path, "w", encoding="utf-8") as handle:
-        for nbest in ordered:
-            for hyp in nbest:
-                tokens = " ".join(hyp.tokens)
-                handle.write(f"{nbest.source_id}{NBEST_SEPARATOR}{tokens}"
-                             f"{NBEST_SEPARATOR}{hyp.loglik!r}\n")
+            rows.append((str(nbest.source_id), tokens, repr(hyp.loglik)))
+    write_rows(path, NBEST_SEPARATOR, rows)
 
 
 # a whole link field of ASCII `i-j` pairs, or empty; `\s` is the whitespace
@@ -169,10 +166,8 @@ def parse_alignments(path) -> dict[tuple[int, int], AlignmentMap]:
 
 
 def write_alignments(alignments: Mapping[tuple[int, int], AlignmentMap], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for (sent_id, rank), alignment in sorted(alignments.items()):
-            links = " ".join(f"{s}-{t}" for s, t in sorted(alignment))
-            handle.write(f"{sent_id}\t{rank}\t{links}\n")
+    write_rows(path, "\t", ((str(sent_id), str(rank), " ".join(f"{s}-{t}" for s, t in sorted(alignment)))
+                            for (sent_id, rank), alignment in sorted(alignments.items())))
 
 
 def _parse_anchor(trigger: str, indices: str) -> tuple[int | None, frozenset[int]]:
@@ -187,6 +182,12 @@ def _parse_anchor(trigger: str, indices: str) -> tuple[int | None, frozenset[int
             raise ValueError(f"malformed token index {part!r}")
         entity_indices.add(index)
     return trigger_index, frozenset(entity_indices)
+
+
+def _anchor_fields(row: EntitySpec | TestSentence) -> tuple[str, str]:
+    """The trigger and entity-index fields of row: the inverse of _parse_anchor."""
+    trigger = "-" if row.trigger_index is None else str(row.trigger_index)
+    return trigger, ",".join(map(str, sorted(row.entity_indices)))
 
 
 def read_entities(path, user_labels: Iterable[str] = ()) -> dict[int, list[EntitySpec]]:
@@ -210,12 +211,8 @@ def read_entities(path, user_labels: Iterable[str] = ()) -> dict[int, list[Entit
 
 
 def write_entities(entities: Mapping[int, Sequence[EntitySpec]], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for sent_id in sorted(entities):
-            for spec in entities[sent_id]:
-                trigger = "-" if spec.trigger_index is None else str(spec.trigger_index)
-                indices = ",".join(str(i) for i in sorted(spec.entity_indices))
-                handle.write(f"{sent_id}\t{spec.required_gender}\t{trigger}\t{indices}\n")
+    write_rows(path, "\t", ((str(sent_id), spec.required_gender.tag, *_anchor_fields(spec))
+                            for sent_id in sorted(entities) for spec in entities[sent_id]))
 
 
 def _pronoun_row(pronoun: str, gender: GenderLabel) -> tuple[str, GenderLabel]:
@@ -279,11 +276,5 @@ def read_testset(path, user_labels: Iterable[str] = ()) -> list[TestSentence]:
 
 
 def write_testset(sentences: Iterable[TestSentence], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for sentence in sorted(sentences, key=lambda s: s.sent_id):
-            trigger = "-" if sentence.trigger_index is None else str(sentence.trigger_index)
-            indices = ",".join(str(i) for i in sorted(sentence.entity_indices))
-            handle.write(
-                f"{sentence.sent_id}\t{sentence.gold_gender}\t{' '.join(sentence.source)}"
-                f"\t{trigger}\t{indices}\n"
-            )
+    write_rows(path, "\t", ((str(s.sent_id), s.gold_gender.tag, " ".join(s.source), *_anchor_fields(s))
+                            for s in sorted(sentences, key=lambda s: s.sent_id)))

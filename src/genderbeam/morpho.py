@@ -16,7 +16,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import FormatError, GenderBeamError, LexiconError, PairSetError, PatternError
 
@@ -342,6 +342,24 @@ def read_rows(path, sep: str, count: int, error: type[Exception],
         yield lineno, row
 
 
+def write_rows(path, sep: str, rows: Iterable[Sequence[str]]) -> None:
+    """The inverse of read_rows: each row's fields joined by sep, one line per
+    row. A row that read_rows would not give back as its fields raises
+    ValueError naming its 1-based line and why, before path is opened."""
+    lines = []
+    for lineno, row in enumerate(rows, 1):
+        line = sep.join(row)
+        reason = (f"a field holds {sep!r} or a line break"
+                  if line.split(sep) != list(row) or "\n" in line or "\r" in line
+                  else "text is not NFC" if not unicodedata.is_normalized("NFC", line)
+                  else "a blank or comment line" if not line.strip() or line.lstrip().startswith("#")
+                  else None)
+        if reason is not None:
+            raise ValueError(f"{path}:{lineno}: {reason}: {line!r}")
+        lines.append(line + "\n")
+    Path(path).write_bytes("".join(lines).encode("utf-8"))  # a lone surrogate fails here, before opening
+
+
 def read_sentences(path) -> Iterator[tuple[str, ...]]:
     """The whitespace tokens of each line of a plain-text sentence file, in
     line order, so a sentence's id is its 0-based line number; a blank line
@@ -376,9 +394,7 @@ def load_lexicon(path: str | Path, user_labels: Iterable[str] = ()) -> GenderLex
 
 def write_lexicon(lexicon: GenderLexicon, path: str | Path) -> None:
     """Write entries as the lexicon TSV format (patterns are not included)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for entry in lexicon.all_entries():
-            handle.write(f"{entry.surface}\t{entry.lemma}\t{entry.features}\t{entry.gender}\n")
+    write_rows(path, "\t", ((e.surface, e.lemma, e.features, e.gender.tag) for e in lexicon.all_entries()))
 
 
 def read_pairs(path: str | Path, user_labels: Iterable[str] = ()) -> ReinflectionPairSet:
@@ -405,9 +421,7 @@ def read_pairs(path: str | Path, user_labels: Iterable[str] = ()) -> Reinflectio
 
 
 def write_pairs(pairs: ReinflectionPairSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for source, target, gender in pairs:
-            handle.write(f"{source}\t{target}\t{gender}\n")
+    write_rows(path, "\t", ((source, target, gender.tag) for source, target, gender in pairs))
 
 
 def read_patterns(path: str | Path) -> tuple[PlaceholderPattern, ...]:

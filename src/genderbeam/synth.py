@@ -44,6 +44,7 @@ from .morpho import (
     build_reinflection_pairs,
     write_lexicon,
     write_pairs,
+    write_rows,
 )
 from .formats import write_testset
 
@@ -281,18 +282,12 @@ def write_benchmark(benchmark: SynthBenchmark, directory: str | Path) -> dict[st
     }
     write_lexicon(benchmark.lexicon, paths["lexicon"])
     write_pairs(benchmark.pairs, paths["pairs"])
-    with open(paths["lexical"], "w", encoding="utf-8") as handle:
-        for source in sorted(benchmark.lexical):
-            for target, lp in sorted(benchmark.lexical[source].items()):
-                handle.write(f"{source}\t{target}\t{lp!r}\n")
+    write_rows(paths["lexical"], "\t", ((source, target, repr(lp)) for source in sorted(benchmark.lexical)
+                                        for target, lp in sorted(benchmark.lexical[source].items())))
     with open(paths["corpus"], "w", encoding="utf-8") as handle:
         for line in benchmark.corpus:
             handle.write(" ".join(line) + "\n")
     write_testset(benchmark.testset, paths["testset"])
-    with open(paths["pronouns"], "w", encoding="utf-8") as handle:
-        for pronoun, gender in sorted(benchmark.pronoun_table.items()):
-            handle.write(f"{pronoun}\t{gender}\n")
-    with open(paths["nouns"], "w", encoding="utf-8") as handle:
-        for word in benchmark.noun_words:
-            handle.write(word + "\n")
+    write_rows(paths["pronouns"], "\t", sorted((p, g.tag) for p, g in benchmark.pronoun_table.items()))
+    write_rows(paths["nouns"], "\t", ((word,) for word in benchmark.noun_words))
     return paths

@@ -6,6 +6,8 @@ built-in stage. Every reader hands a row parser to `morpho.read_rows`,
 which applies the line rule (NFC, blank lines and `#` comments skipped) and
 names the path and 1-based line number of any error the parser raises. Only
 checks across rows, such as a duplicate alignment, name lines themselves.
+Every writer hands its rows to `morpho.write_rows`, the inverse, which
+refuses a row that would not read back as itself before the file is opened.
 Plain-text sentence files are read by `read_sentences`, which has no
 comment syntax.
 """
@@ -84,22 +86,41 @@ def parse_nbest(path) -> dict[int, NBestList]:
     return {sent_id: NBestList(sent_id, hyps) for sent_id, hyps in groups.items()}
 
 
+def _space_joined(tokens: Sequence[str], where: str) -> str:
+    """tokens joined by spaces, as the readers split them back. A token that
+    would read back otherwise, one that is empty or holds str.split
+    whitespace, raises ValueError naming where and the token."""
+    text = " ".join(tokens)
+    if text.split() != list(tokens):
+        token = next(token for token in tokens if not _is_token(token))
+        raise ValueError(f"{where}: token {token!r} would not read back as itself")
+    return text
+
+
 def write_nbest(lists: Iterable[NBestList], path) -> None:
     """Lines parse_nbest reads back, ordered by sent_id.
 
-    A hypothesis whose tokens would read back otherwise, a token that is
-    empty or holds str.split whitespace, raises ValueError naming its
-    sent_id, 0-based rank and token before the file is opened.
+    A list that would read back otherwise raises ValueError naming its
+    sent_id before the file is opened: an empty list, which has no line; a
+    sent_id given twice, whose lists would read back as one; and, naming
+    the 0-based rank too, an infinite loglik, which the reader refuses, or
+    a token that is empty or holds str.split whitespace. write_rows refuses
+    any other line that would read back otherwise, such as one whose tokens
+    hold the separator or are not NFC.
     """
     rows = []
+    previous = None
     for nbest in sorted(lists, key=lambda l: l.source_id):
+        if not nbest:
+            raise ValueError(f"sent_id {nbest.source_id}: an empty list has no line to read back")
+        if nbest.source_id == previous:
+            raise ValueError(f"sent_id {nbest.source_id}: given twice; its lists would read back as one")
+        previous = nbest.source_id
         for rank, hyp in enumerate(nbest):
-            tokens = " ".join(hyp.tokens)
-            if tokens.split() != list(hyp.tokens):
-                token = next(token for token in hyp.tokens if not _is_token(token))
-                raise ValueError(f"sent_id {nbest.source_id} rank {rank}: token {token!r} "
-                                 f"would not read back as itself")
-            rows.append((str(nbest.source_id), tokens, repr(hyp.loglik)))
+            where = f"sent_id {nbest.source_id} rank {rank}"
+            if not math.isfinite(hyp.loglik):
+                raise ValueError(f"{where}: loglik {hyp.loglik!r} is not finite")
+            rows.append((str(nbest.source_id), _space_joined(hyp.tokens, where), repr(hyp.loglik)))
     write_rows(path, NBEST_SEPARATOR, rows)
 
 
@@ -276,5 +297,15 @@ def read_testset(path, user_labels: Iterable[str] = ()) -> list[TestSentence]:
 
 
 def write_testset(sentences: Iterable[TestSentence], path) -> None:
-    write_rows(path, "\t", ((str(s.sent_id), s.gold_gender.tag, " ".join(s.source), *_anchor_fields(s))
-                            for s in sorted(sentences, key=lambda s: s.sent_id)))
+    """Rows read_testset reads back, ordered by sent_id. A sent_id given
+    twice, or a source token that is empty or holds str.split whitespace,
+    raises ValueError naming the sent_id before the file is opened."""
+    rows = []
+    previous = None
+    for s in sorted(sentences, key=lambda s: s.sent_id):
+        if s.sent_id == previous:
+            raise ValueError(f"sent_id {s.sent_id}: given twice")
+        previous = s.sent_id
+        source = _space_joined(s.source, f"sent_id {s.sent_id}")
+        rows.append((str(s.sent_id), s.gold_gender.tag, source, *_anchor_fields(s)))
+    write_rows(path, "\t", rows)

@@ -4,9 +4,11 @@ The lexicon is surface-form based: each entry ties one surface form to a
 lemma, an opaque feature string, and a gender label. Reinflection pairs are
 derived from entries that share (lemma, features) but differ in gender.
 Placeholder patterns extend gender lookup to tokens absent from the lexicon.
-The line readers that every file format shares are here too: a reader
-passes `read_rows` a parser for one row's fields, whose errors say what is
-wrong, and `read_rows` names the path and line.
+The line readers and the row writer that every file format shares are
+here too: a reader passes `read_rows` a parser for one row's fields, whose
+errors say what is wrong, and `read_rows` names the path and line. A writer
+hands `write_rows` the fields of each row, and `write_rows` refuses, naming
+the line, any row that `read_rows` would not give back as the same fields.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
-"""Shared test scaffolding: scorers, a fake segmenter, the lattice parser and oracles."""
+"""Shared test scaffolding: scorers, a fake segmenter, the lattice parser,
+oracles and the text that file writers are tried on."""
 
 import hashlib
 import itertools
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+from hypothesis import strategies as st
 
 from genderbeam.decode import EOS, Hypothesis, NBestList, ScoringModel, TableModel
 from genderbeam.errors import DecodeError, LatticeError, RerankError
@@ -19,6 +22,27 @@ from genderbeam.morpho import (
     analyze_gender,
 )
 from genderbeam.rerank import AlignmentMap, EntitySpec
+
+# pieces of the text a file writer must carry through or refuse: '#', both
+# field separators, line breaks, whitespace that breaks no line, and a
+# decomposed accent beside plain and composed letters
+TOKEN_PIECES = ("a", "é", "e\u0301", "#", "|||", ",")
+AWKWARD_TEXT = st.lists(st.sampled_from(TOKEN_PIECES + (" ", "\t", "\r", "\n", " ||| ", "\x0b", "\u2028")),
+                        max_size=4).map("".join)
+AWKWARD_TOKENS = st.lists(st.sampled_from(TOKEN_PIECES), min_size=1, max_size=3).map("".join)
+
+
+def written(write, value, path) -> bool:
+    """Whether write(value, path) wrote the file at path. A writer that
+    refuses value must raise ValueError and leave no file."""
+    path.unlink(missing_ok=True)
+    try:
+        write(value, path)
+    except ValueError:
+        assert not path.exists()
+        return False
+    return True
+
 
 TOY_PAIRS = ReinflectionPairSet(
     [

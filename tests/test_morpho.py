@@ -5,10 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genderbeam.errors import LexiconError, PairSetError, PatternError
+from genderbeam.errors import FormatError, LexiconError, PairSetError, PatternError
 from genderbeam.morpho import (
     BUILTIN_LABELS,
     FEMININE,
@@ -25,11 +25,13 @@ from genderbeam.morpho import (
     load_lexicon,
     read_pairs,
     read_patterns,
+    read_rows,
     register_placeholder_patterns,
     write_lexicon,
     write_pairs,
+    write_rows,
 )
-from helpers import reference_analyze_gender
+from helpers import AWKWARD_TEXT, AWKWARD_TOKENS, reference_analyze_gender, written
 
 NEUTRAL_NEW = GenderLabel("neutral-new")
 
@@ -414,6 +416,50 @@ class TestRoundTrips:
             write_pairs(pairs, path)
             assert read_pairs(path) == pairs
 
+    @given(entries=st.lists(st.builds(LexiconEntry, AWKWARD_TOKENS, AWKWARD_TOKENS | AWKWARD_TEXT,
+                                      AWKWARD_TOKENS | AWKWARD_TEXT,
+                                      st.sampled_from([MASCULINE, FEMININE, NEUTRAL_NEW])), max_size=3))
+    def test_fuzzed_lexicon_round_trip(self, scratch, entries):
+        # read back as written, or refused with no file
+        deduped = {}
+        for item in entries:  # one lemma per (surface, features, gender) key
+            deduped.setdefault((item.surface, item.features, item.gender), item)
+        lexicon = GenderLexicon(deduped.values())
+        path = scratch / "lex.tsv"
+        if written(write_lexicon, lexicon, path):
+            assert load_lexicon(path, user_labels={"neutral-new"}) == lexicon
+
+    @given(forms=st.lists(st.tuples(AWKWARD_TOKENS, AWKWARD_TOKENS).filter(lambda pair: pair[0] != pair[1]),
+                          max_size=3))
+    def test_fuzzed_pairs_round_trip(self, scratch, forms):
+        pairs = ReinflectionPairSet([(a, b, FEMININE) for a, b in forms] + [(b, a, MASCULINE) for a, b in forms])
+        path = scratch / "pairs.tsv"
+        if written(write_pairs, pairs, path):
+            assert read_pairs(path) == pairs
+
+    @pytest.mark.parametrize("entry, lineno, reason", [
+        (LexiconEntry("#la", "el", "ART.sg", FEMININE), 1, "a blank or comment line"),
+        (LexiconEntry("la", "e\tl", "ART.sg", FEMININE), 2, "a field holds '\\t' or a line break"),
+        (LexiconEntry("la", "el\r", "ART.sg", FEMININE), 2, "a field holds '\\t' or a line break"),
+        (LexiconEntry("me\u0301dica", "médico", "NOUN.sg", FEMININE), 2, "text is not NFC"),
+    ], ids=["comment-surface", "tab-lemma", "cr-lemma", "decomposed-surface"])
+    def test_lexicon_writer_refuses_what_reads_back_otherwise(self, tmp_path, entry, lineno, reason):
+        # a '#' surface would read as a comment, a tab as a fifth field, a
+        # '\r' as a line end, and a decomposed accent as the composed one
+        path = tmp_path / "lex.tsv"
+        with pytest.raises(ValueError) as info:
+            write_lexicon(GenderLexicon([entry, LexiconEntry("el", "el", "ART.sg", MASCULINE)]), path)
+        line = f"{entry.surface}\t{entry.lemma}\t{entry.features}\t{entry.gender}"
+        assert str(info.value) == f"{path}:{lineno}: {reason}: {line!r}"
+        assert not path.exists()
+
+    def test_pairs_writer_refuses_a_comment_form(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        with pytest.raises(ValueError) as info:
+            write_pairs(ReinflectionPairSet([("#el", "la", FEMININE), ("la", "#el", MASCULINE)]), path)
+        assert str(info.value) == f"{path}:1: a blank or comment line: '#el\\tla\\tfeminine'"
+        assert not path.exists()
+
     def test_patterns_file_rejects_a_repeated_pattern(self, tmp_path):
         path = tmp_path / "patterns.tsv"
         path.write_text("suffix\tNEND\tneutral-new\nprefix\tMx\tneutral-new\n"
@@ -452,3 +498,30 @@ class TestRoundTrips:
         path.write_text("el\tla\tmystery\nla\tel\tmystery\n", encoding="utf-8")
         with pytest.raises(PairSetError, match=r":1:"):
             read_pairs(path)
+
+
+class TestWriteRows:
+    @settings(max_examples=300)
+    @given(sep=st.sampled_from(["\t", " ||| "]), data=st.data())
+    def test_writes_exactly_the_rows_read_rows_gives_back(self, scratch, sep, data):
+        # a row is refused if and only if a plain join would read back otherwise
+        count = data.draw(st.integers(1, 3))
+        rows = data.draw(st.lists(st.tuples(*[AWKWARD_TEXT] * count), max_size=4))
+        plain = scratch / "plain.txt"
+        plain.write_text("".join(sep.join(row) + "\n" for row in rows), encoding="utf-8")
+        try:
+            plain_rows = [row for _, row in read_rows(plain, sep, count, FormatError, lambda *row: row)]
+        except FormatError:
+            plain_rows = None
+        path = scratch / "rows.txt"
+        if written(lambda rows, path: write_rows(path, sep, rows), rows, path):
+            assert path.read_bytes() == plain.read_bytes()
+            assert plain_rows == rows
+        else:
+            assert plain_rows != rows
+
+    def test_a_lone_surrogate_is_refused_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "rows.txt"
+        with pytest.raises(ValueError):
+            write_rows(path, "\t", [("a", "b"), ("\ud800", "c")])
+        assert not path.exists()

@@ -97,31 +97,42 @@ def _space_joined(tokens: Sequence[str], where: str) -> str:
     return text
 
 
+def _id_field(value: int, what: str) -> str:
+    """value as the id or rank field _parse_int reads back. A negative value
+    raises ValueError naming what, since the reader takes only digits."""
+    if value < 0:
+        raise ValueError(f"{what} {value} is negative; it would not read back")
+    return str(value)
+
+
 def write_nbest(lists: Iterable[NBestList], path) -> None:
     """Lines parse_nbest reads back, ordered by sent_id.
 
     A list that would read back otherwise raises ValueError naming its
-    sent_id before the file is opened: an empty list, which has no line; a
-    sent_id given twice, whose lists would read back as one; and, naming
-    the 0-based rank too, an infinite loglik, which the reader refuses, or
-    a token that is empty or holds str.split whitespace. write_rows refuses
+    sent_id before the file is opened: a negative sent_id, which the reader
+    refuses; an empty list, which has no line; a sent_id given twice, whose
+    lists would read back as one; and, naming the 0-based rank too, an
+    infinite loglik, which the reader refuses, or a token that is empty or
+    holds str.split whitespace. write_rows refuses
     any other line that would read back otherwise, such as one whose tokens
     hold the separator or are not NFC.
     """
-    rows = []
-    previous = None
-    for nbest in sorted(lists, key=lambda l: l.source_id):
-        if not nbest:
-            raise ValueError(f"sent_id {nbest.source_id}: an empty list has no line to read back")
-        if nbest.source_id == previous:
-            raise ValueError(f"sent_id {nbest.source_id}: given twice; its lists would read back as one")
-        previous = nbest.source_id
-        for rank, hyp in enumerate(nbest):
-            where = f"sent_id {nbest.source_id} rank {rank}"
-            if not math.isfinite(hyp.loglik):
-                raise ValueError(f"{where}: loglik {hyp.loglik!r} is not finite")
-            rows.append((str(nbest.source_id), _space_joined(hyp.tokens, where), repr(hyp.loglik)))
-    write_rows(path, NBEST_SEPARATOR, rows)
+    def rows():
+        previous = None
+        for nbest in sorted(lists, key=lambda l: l.source_id):
+            sent_id = _id_field(nbest.source_id, "sent_id")
+            if not nbest:
+                raise ValueError(f"sent_id {sent_id}: an empty list has no line to read back")
+            if nbest.source_id == previous:
+                raise ValueError(f"sent_id {sent_id}: given twice; its lists would read back as one")
+            previous = nbest.source_id
+            for rank, hyp in enumerate(nbest):
+                where = f"sent_id {sent_id} rank {rank}"
+                if not math.isfinite(hyp.loglik):
+                    raise ValueError(f"{where}: loglik {hyp.loglik!r} is not finite")
+                yield sent_id, _space_joined(hyp.tokens, where), repr(hyp.loglik)
+
+    write_rows(path, NBEST_SEPARATOR, rows())
 
 
 # a whole link field of ASCII `i-j` pairs, or empty; `\s` is the whitespace
@@ -187,7 +198,10 @@ def parse_alignments(path) -> dict[tuple[int, int], AlignmentMap]:
 
 
 def write_alignments(alignments: Mapping[tuple[int, int], AlignmentMap], path) -> None:
-    write_rows(path, "\t", ((str(sent_id), str(rank), " ".join(f"{s}-{t}" for s, t in sorted(alignment)))
+    """Rows parse_alignments reads back, ordered by key; a negative sent_id
+    or rank raises ValueError before the file is opened."""
+    write_rows(path, "\t", ((_id_field(sent_id, "sent_id"), _id_field(rank, f"sent_id {sent_id} rank"),
+                             " ".join(f"{s}-{t}" for s, t in sorted(alignment)))
                             for (sent_id, rank), alignment in sorted(alignments.items())))
 
 
@@ -232,8 +246,18 @@ def read_entities(path, user_labels: Iterable[str] = ()) -> dict[int, list[Entit
 
 
 def write_entities(entities: Mapping[int, Sequence[EntitySpec]], path) -> None:
-    write_rows(path, "\t", ((str(sent_id), spec.required_gender.tag, *_anchor_fields(spec))
-                            for sent_id in sorted(entities) for spec in entities[sent_id]))
+    """Rows read_entities reads back, ordered by sent_id. A negative sent_id,
+    or an empty list, which has no row, raises ValueError before the file
+    is opened."""
+    def rows():
+        for sent_id, specs in sorted(entities.items()):
+            field = _id_field(sent_id, "sent_id")
+            if not specs:
+                raise ValueError(f"sent_id {sent_id}: an empty list has no row to read back")
+            for spec in specs:
+                yield field, spec.required_gender.tag, *_anchor_fields(spec)
+
+    write_rows(path, "\t", rows())
 
 
 def _pronoun_row(pronoun: str, gender: GenderLabel) -> tuple[str, GenderLabel]:
@@ -297,15 +321,17 @@ def read_testset(path, user_labels: Iterable[str] = ()) -> list[TestSentence]:
 
 
 def write_testset(sentences: Iterable[TestSentence], path) -> None:
-    """Rows read_testset reads back, ordered by sent_id. A sent_id given
-    twice, or a source token that is empty or holds str.split whitespace,
-    raises ValueError naming the sent_id before the file is opened."""
-    rows = []
-    previous = None
-    for s in sorted(sentences, key=lambda s: s.sent_id):
-        if s.sent_id == previous:
-            raise ValueError(f"sent_id {s.sent_id}: given twice")
-        previous = s.sent_id
-        source = _space_joined(s.source, f"sent_id {s.sent_id}")
-        rows.append((str(s.sent_id), s.gold_gender.tag, source, *_anchor_fields(s)))
-    write_rows(path, "\t", rows)
+    """Rows read_testset reads back, ordered by sent_id. A negative sent_id,
+    one given twice, or a source token that is empty or holds str.split
+    whitespace raises ValueError naming the sent_id before the file is
+    opened."""
+    def rows():
+        previous = None
+        for s in sorted(sentences, key=lambda s: s.sent_id):
+            sent_id = _id_field(s.sent_id, "sent_id")
+            if s.sent_id == previous:
+                raise ValueError(f"sent_id {sent_id}: given twice")
+            previous = s.sent_id
+            yield sent_id, s.gold_gender.tag, _space_joined(s.source, f"sent_id {sent_id}"), *_anchor_fields(s)
+
+    write_rows(path, "\t", rows())

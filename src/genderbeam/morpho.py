@@ -347,7 +347,8 @@ def read_rows(path, sep: str, count: int, error: type[Exception],
 def write_rows(path, sep: str, rows: Iterable[Sequence[str]]) -> None:
     """The inverse of read_rows: each row's fields joined by sep, one line per
     row. A row that read_rows would not give back as its fields raises
-    ValueError naming its 1-based line and why, before path is opened."""
+    ValueError naming its 1-based line and why, before path is opened. The
+    lines are held encoded, a little over the file's size, until then."""
     lines = []
     for lineno, row in enumerate(rows, 1):
         line = sep.join(row)
@@ -356,10 +357,15 @@ def write_rows(path, sep: str, rows: Iterable[Sequence[str]]) -> None:
                   else "text is not NFC" if not unicodedata.is_normalized("NFC", line)
                   else "a blank or comment line" if not line.strip() or line.lstrip().startswith("#")
                   else None)
+        if reason is None:
+            try:
+                lines.append(f"{line}\n".encode("utf-8"))
+            except UnicodeEncodeError:  # a lone surrogate
+                reason = "text is not UTF-8-encodable"
         if reason is not None:
             raise ValueError(f"{path}:{lineno}: {reason}: {line!r}")
-        lines.append(line + "\n")
-    Path(path).write_bytes("".join(lines).encode("utf-8"))  # a lone surrogate fails here, before opening
+    with open(path, "wb") as f:
+        f.writelines(lines)
 
 
 def read_sentences(path) -> Iterator[tuple[str, ...]]:

@@ -6,6 +6,7 @@ import itertools
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from hypothesis import event
 from hypothesis import strategies as st
 
 from genderbeam.decode import EOS, Hypothesis, NBestList, ScoringModel, TableModel
@@ -34,13 +35,17 @@ AWKWARD_TOKENS = st.lists(st.sampled_from(TOKEN_PIECES), min_size=1, max_size=3)
 
 def written(write, value, path) -> bool:
     """Whether write(value, path) wrote the file at path. A writer that
-    refuses value must raise ValueError and leave no file."""
+    refuses value must raise ValueError and leave no file. Each outcome is
+    a hypothesis event, so `pytest --hypothesis-show-statistics` shows the
+    share of examples written."""
     path.unlink(missing_ok=True)
     try:
         write(value, path)
     except ValueError:
         assert not path.exists()
+        event("refused")
         return False
+    event("written")
     return True
 
 

@@ -42,33 +42,60 @@ from helpers import AWKWARD_TEXT, AWKWARD_TOKENS, reference_link_pairs, written
 NBEST_TOKENS = st.text(st.characters(whitelist_categories=("L", "N", "P", "S")),
                        min_size=1, max_size=5).filter(
     lambda t: "|" not in t and unicodedata.normalize("NFC", t) == t)
-# n-best lists as a writer may be handed them: an id may repeat, a loglik
-# be infinite and a token awkward
-NBEST_FILES = st.lists(
-    st.builds(NBestList, st.integers(0, 10**6),
+NBEST_FILES = st.dictionaries(
+    st.integers(0, 10**6),
+    st.lists(st.tuples(st.lists(NBEST_TOKENS, max_size=4),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+             min_size=1, max_size=4),
+    max_size=5,
+).map(lambda groups: {
+    sent_id: NBestList(sent_id, [Hypothesis(tuple(tokens), loglik) for tokens, loglik in hyps])
+    for sent_id, hyps in groups.items()
+})
+# n-best lists as a writer may be handed them: an id may repeat or be
+# negative, a list be empty, a loglik infinite and a token awkward
+AWKWARD_NBEST_LISTS = st.lists(
+    st.builds(NBestList, st.integers(-1, 3),
               st.lists(st.builds(Hypothesis, st.lists(NBEST_TOKENS | AWKWARD_TOKENS, max_size=4).map(tuple),
-                                 st.floats(allow_nan=False)), min_size=1, max_size=4)),
+                                 st.floats(allow_nan=False)), max_size=4)),
     max_size=3,
 )
 # logliks that tie, including 0.0 against -0.0
 TIED_LOGLIKS = (0.0, -0.0, -0.5, -1.0, -1e16)
 LINK_SETS = st.frozensets(st.tuples(st.integers(0, 300), st.integers(0, 300)), max_size=8)
-REQUIRED_GENDERS = (NBEST_TOKENS | AWKWARD_TOKENS).filter(lambda t: t != "none").map(GenderLabel)
-ENTITY_FILES = st.dictionaries(
-    st.integers(0, 10**6),
-    st.lists(st.builds(EntitySpec, st.none() | st.integers(0, 300), REQUIRED_GENDERS,
-                       st.frozensets(st.integers(0, 300), min_size=1, max_size=5)),
-             min_size=1, max_size=3),
-    max_size=5,
-)
+REQUIRED_GENDERS = NBEST_TOKENS.filter(lambda t: t != "none").map(GenderLabel)
+# tags with '#', '|||' and decomposed accents
+AWKWARD_GENDERS = (NBEST_TOKENS | AWKWARD_TOKENS).filter(lambda t: t != "none").map(GenderLabel)
+
+
+def entity_files(ids, genders, min_size):
+    return st.dictionaries(
+        ids,
+        st.lists(st.builds(EntitySpec, st.none() | st.integers(0, 300), genders,
+                           st.frozensets(st.integers(0, 300), min_size=1, max_size=5)),
+                 min_size=min_size, max_size=3),
+        max_size=5,
+    )
+
+
+ENTITY_FILES = entity_files(st.integers(0, 10**6), REQUIRED_GENDERS, min_size=1)
+# a negative id, an empty list or an awkward tag
+AWKWARD_ENTITY_FILES = entity_files(st.integers(-1, 10**6), AWKWARD_GENDERS, min_size=0)
 
 
 @st.composite
-def sentence_rows(draw):
-    source = tuple(draw(st.lists(NBEST_TOKENS | AWKWARD_TOKENS | AWKWARD_TEXT, min_size=1, max_size=4)))
+def sentence_rows(draw, ids=st.integers(0, 10**6), genders=REQUIRED_GENDERS, tokens=NBEST_TOKENS, max_size=6):
+    source = tuple(draw(st.lists(tokens, min_size=1, max_size=max_size)))
     index = st.integers(0, len(source) - 1)
-    return TestSentence(draw(st.integers(0, 10**6)), draw(REQUIRED_GENDERS), source,
+    return TestSentence(draw(ids), draw(genders), source,
                         draw(st.none() | index), draw(st.frozensets(index, min_size=1)))
+
+
+# rows whose id may repeat or be negative, and whose tag or tokens may be
+# awkward: few and short, so that a share of them is still written
+AWKWARD_SENTENCE_ROWS = st.lists(
+    sentence_rows(st.integers(-1, 5), AWKWARD_GENDERS, NBEST_TOKENS | AWKWARD_TOKENS | AWKWARD_TEXT, max_size=3),
+    max_size=3)
 
 
 class TestNBestFiles:
@@ -176,10 +203,12 @@ class TestNBestFiles:
          "sent_id 4 rank 1: loglik -inf is not finite"),
         ([NBestList(4, [Hypothesis(("a",), float("inf")), Hypothesis(("b",), -0.5)])],
          "sent_id 4 rank 0: loglik inf is not finite"),
-    ], ids=["empty", "repeated-id", "minus-inf", "plus-inf"])
+        ([NBestList(0, [Hypothesis(("ok",), -0.5)]), NBestList(-1, [Hypothesis(("a",), -0.5)])],
+         "sent_id -1 is negative; it would not read back"),
+    ], ids=["empty", "repeated-id", "minus-inf", "plus-inf", "negative-id"])
     def test_writer_refuses_a_list_that_reads_back_otherwise(self, tmp_path, lists, message):
         # an empty list would vanish, a repeated id merge into one list, and
-        # parse_nbest refuses an infinite loglik
+        # parse_nbest refuses an infinite loglik and a negative id
         path = tmp_path / "nbest.txt"
         with pytest.raises(ValueError) as info:
             write_nbest(lists, path)
@@ -195,7 +224,12 @@ class TestNBestFiles:
 
     @given(lists=NBEST_FILES)
     def test_fuzzed_round_trip(self, scratch, lists):
-        # read back as written, or refused with no file
+        path = scratch / "nbest.txt"
+        assert written(write_nbest, lists.values(), path)
+        assert parse_nbest(path) == lists
+
+    @given(lists=AWKWARD_NBEST_LISTS)
+    def test_awkward_lists_read_back_or_are_refused(self, scratch, lists):
         path = scratch / "nbest.txt"
         if written(write_nbest, lists, path):
             assert parse_nbest(path) == {nbest.source_id: nbest for nbest in lists}
@@ -270,6 +304,18 @@ class TestAlignmentFiles:
                            rf"sent_id 0 rank 1, first given on line {first}$"):
             parse_alignments(path)
 
+    @pytest.mark.parametrize("key, message", [
+        ((-1, 0), "sent_id -1 is negative; it would not read back"),
+        ((0, -2), "sent_id 0 rank -2 is negative; it would not read back"),
+    ], ids=["sent-id", "rank"])
+    def test_writer_refuses_a_negative_id(self, tmp_path, key, message):
+        # parse_alignments takes only digits, and would name the line's field as not an integer
+        path = tmp_path / "align.txt"
+        with pytest.raises(ValueError) as info:
+            write_alignments({(0, 0): AlignmentMap({(0, 0)}), key: AlignmentMap({(0, 0)})}, path)
+        assert str(info.value) == message
+        assert not path.exists()
+
     def test_field_count_checked(self, tmp_path):
         path = tmp_path / "align.txt"
         path.write_text("0\t0-0\n", encoding="utf-8")
@@ -280,8 +326,18 @@ class TestAlignmentFiles:
                                  LINK_SETS.map(AlignmentMap), max_size=8))
     def test_fuzzed_round_trip(self, scratch, table):
         path = scratch / "align.txt"
-        write_alignments(table, path)
+        assert written(write_alignments, table, path)
         assert parse_alignments(path) == table
+
+    @given(table=st.dictionaries(st.tuples(st.integers(-1, 3), st.integers(-1, 3)),
+                                 LINK_SETS.map(AlignmentMap), max_size=4))
+    def test_negative_ids_are_refused(self, scratch, table):
+        # the reader takes only digits
+        path = scratch / "align.txt"
+        if written(write_alignments, table, path):
+            assert parse_alignments(path) == table
+        else:
+            assert min(min(key) for key in table) < 0
 
 
 # six gendered words, so each sentence has 64 variants, as in an n-best list
@@ -362,6 +418,19 @@ class TestEntityFiles:
             read_entities(path, user_labels={"neutral-new"})
         assert read_entities(path, user_labels={"femenine"})[1][0].required_gender == GenderLabel("femenine")
 
+    @pytest.mark.parametrize("entities, message", [
+        ({0: [EntitySpec(0, FEMININE, {0})], 3: []}, "sent_id 3: an empty list has no row to read back"),
+        ({-1: [EntitySpec(0, FEMININE, {0})]}, "sent_id -1 is negative; it would not read back"),
+    ], ids=["empty", "negative-id"])
+    def test_writer_refuses_what_reads_back_otherwise(self, tmp_path, entities, message):
+        # an empty list would have no row, so its sentence would vanish, and
+        # the reader takes only digits
+        path = tmp_path / "ents.tsv"
+        with pytest.raises(ValueError) as info:
+            write_entities(entities, path)
+        assert str(info.value) == message
+        assert not path.exists()
+
     def test_rejects_none_gender(self, tmp_path):
         path = tmp_path / "ents.tsv"
         path.write_text("0\tnone\t0\t1\n", encoding="utf-8")
@@ -386,6 +455,13 @@ class TestEntityFiles:
 
     @given(entities=ENTITY_FILES)
     def test_fuzzed_round_trip(self, scratch, entities):
+        path = scratch / "ents.tsv"
+        assert written(write_entities, entities, path)
+        labels = {spec.required_gender.tag for specs in entities.values() for spec in specs}
+        assert read_entities(path, user_labels=labels) == entities
+
+    @given(entities=AWKWARD_ENTITY_FILES)
+    def test_awkward_entities_read_back_or_are_refused(self, scratch, entities):
         path = scratch / "ents.tsv"
         if written(write_entities, entities, path):
             labels = {spec.required_gender.tag for specs in entities.values() for spec in specs}
@@ -529,7 +605,8 @@ class TestTestsetFiles:
         ([TestSentence(0, FEMININE, ("she", "a\tb"), 0, {1})], "sent_id 0: token 'a\\tb' would not read back as itself"),
         ([TestSentence(5, FEMININE, ("a",), None, {0}), TestSentence(2, MASCULINE, ("b",), None, {0}),
           TestSentence(5, MASCULINE, ("c",), None, {0})], "sent_id 5: given twice"),
-    ], ids=["inner-space", "tab", "repeated-id"])
+        ([TestSentence(-1, FEMININE, ("a",), None, {0})], "sent_id -1 is negative; it would not read back"),
+    ], ids=["inner-space", "tab", "repeated-id", "negative-id"])
     def test_writer_refuses_rows_that_read_back_otherwise(self, tmp_path, rows, message):
         # 'a b' would read back as two tokens, moving the trigger onto 'b';
         # the reader refuses a repeated id
@@ -539,9 +616,16 @@ class TestTestsetFiles:
         assert str(info.value) == message
         assert not path.exists()
 
-    @given(rows=st.lists(sentence_rows(), max_size=3))
+    @given(rows=st.lists(sentence_rows(), max_size=5, unique_by=lambda row: row.sent_id))
     def test_fuzzed_round_trip(self, scratch, rows):
-        # the writer orders rows by id, and refuses an id given twice
+        # the writer orders rows by id; an id is given once
+        path = scratch / "test.tsv"
+        assert written(write_testset, rows, path)
+        labels = {row.gold_gender.tag for row in rows}
+        assert read_testset(path, user_labels=labels) == sorted(rows, key=lambda row: row.sent_id)
+
+    @given(rows=AWKWARD_SENTENCE_ROWS)
+    def test_awkward_rows_read_back_or_are_refused(self, scratch, rows):
         path = scratch / "test.tsv"
         if written(write_testset, rows, path):
             labels = {row.gold_gender.tag for row in rows}

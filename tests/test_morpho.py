@@ -522,6 +522,7 @@ class TestWriteRows:
 
     def test_a_lone_surrogate_is_refused_before_the_file_is_opened(self, tmp_path):
         path = tmp_path / "rows.txt"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             write_rows(path, "\t", [("a", "b"), ("\ud800", "c")])
+        assert str(info.value) == f"{path}:2: text is not UTF-8-encodable: '\\ud800\\tc'"
         assert not path.exists()

@@ -12,12 +12,12 @@ import sys
 import unicodedata
 from pathlib import Path
 
-from .decode import BeamConfig, NBestList, NoisyChannelToy, TableModel, beam_search, two_pass_decode
+from .decode import BeamConfig, Hypothesis, NBestList, NoisyChannelToy, TableModel, beam_search, two_pass_decode
 from .errors import FormatError, GenderBeamError
 from .evaluation import RERANK_MODES, MetricReport, _sweep_configs, beam_sweep, run_pipeline, score_records
 from .formats import (
+    _nbest_runs,
     parse_alignments,
-    parse_nbest,
     read_entities,
     read_pronoun_table,
     read_sentences,
@@ -136,25 +136,34 @@ def _alignment_for(alignments, path, sent_id: int, rank: int, tokens) -> Alignme
 
 
 def _cmd_rerank(args) -> int:
-    lists = parse_nbest(args.nbest)
+    """Rerank the n-best file one run of lines at a time: a run is a stretch
+    of consecutive lines with one sent_id. Only the alignment map, the
+    entities, the lexicon and one pick per sent_id are held between runs, and
+    the output is written after the last run."""
     alignments = parse_alignments(args.align)
     patterns = _read_patterns(args)
     entities = read_entities(args.entities, user_labels=_user_labels(patterns))
     lexicon = _load_lexicon(args, patterns)
     no_links = AlignmentMap(())
-    selected: list[NBestList] = []
-    for sent_id in sorted(lists):
-        nbest = lists[sent_id]
+    # sent_id -> (best agreement, its earliest hypothesis, hypotheses read)
+    picks: dict[int, tuple[int, Hypothesis, int]] = {}
+    for sent_id, run in _nbest_runs(args.nbest, lambda field: tuple(field.split())):
+        best, pick, seen = picks.get(sent_id, (-1, None, 0))
         specs = entities.get(sent_id, [])
         # with no entities every agreement score is 0, so no alignment is read
-        aligns = ([_alignment_for(alignments, args.align, sent_id, rank, hyp.tokens)
-                   for rank, hyp in enumerate(nbest)] if specs
-                  else [no_links] * len(nbest))
-        result = rerank(nbest, aligns, specs, lexicon)
-        selected.append(NBestList(sent_id, [result.selected_hypothesis]))
-    write_nbest(selected, args.out)
-    unlisted = len(entities.keys() - lists.keys())
-    print(f"selected 1 hypothesis for each of {len(selected)} sentences to {args.out}, "
+        aligns = ([_alignment_for(alignments, args.align, sent_id, seen + rank, hyp.tokens)
+                   for rank, hyp in enumerate(run)] if specs
+                  else [no_links] * len(run))
+        result = rerank(NBestList(sent_id, run), aligns, specs, lexicon)
+        # a later run has no higher loglik and later ranks, so it wins only on
+        # strictly higher agreement
+        agreement = result.agreement_scores[result.selected_index]
+        if agreement > best:
+            best, pick = agreement, result.selected_hypothesis
+        picks[sent_id] = best, pick, seen + len(run)
+    write_nbest([NBestList(sent_id, [pick]) for sent_id, (_, pick, _) in picks.items()], args.out)
+    unlisted = len(entities.keys() - picks.keys())
+    print(f"selected 1 hypothesis for each of {len(picks)} sentences to {args.out}, "
           f"skipped entities for {unlisted} sentences with no n-best list")
     return 0
 

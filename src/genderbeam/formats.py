@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .decode import Hypothesis, NBestList
 from .errors import FormatError
@@ -48,19 +48,20 @@ def _parse_int(text: str, what: str) -> int:
     return value
 
 
-def parse_nbest(path) -> dict[int, NBestList]:
-    """Moses-style lines `sent_id ||| token sequence ||| loglik`, grouped by id.
+def _nbest_runs(path, tokens_of: Callable[[str], tuple[str, ...]]) -> Iterator[tuple[int, list[Hypothesis]]]:
+    """(sent_id, hypotheses) for each run of consecutive n-best lines with one
+    sent_id, in file order; tokens_of builds a hypothesis's token tuple from
+    its token field.
 
-    File order within a group is rank order, so a group must be listed best
-    first: a loglik above the one before it in its group is an error naming
-    its line. Equal logliks keep file order. Each distinct id field is
-    parsed once, and each distinct token is held once: every hypothesis the
-    call returns shares one string per distinct token, since the variants of
-    one translation repeat almost all of their tokens.
+    An id's lines are its ranks in file order, across all of its runs, so
+    they must be listed best first: a loglik above the one before it for its
+    id is an error naming its line. Equal logliks keep file order. What is
+    held between runs is the run being read and, for each id seen, its id
+    field parsed once and the loglik of its last line.
     """
-    groups: dict[int, list[Hypothesis]] = {}
     ids: dict[str, int] = {}  # id field -> id, this call only
-    words: dict[str, str] = {}  # token -> the one string held for it, this call only
+    last: dict[int, float] = {}  # id -> loglik of its last line in the runs before this one
+    run_id, run, before = None, [], math.inf
 
     def parse(sent_id: str, tokens: str, loglik: str) -> tuple[int, Hypothesis]:
         key = ids.get(sent_id)
@@ -72,17 +73,46 @@ def parse_nbest(path) -> dict[int, NBestList]:
             raise ValueError(f"loglik must be a number, got {loglik!r}") from None
         if not math.isfinite(value):
             raise ValueError(f"loglik must be finite, got {loglik!r}")
-        parts = tokens.split()
-        return key, Hypothesis(tuple(map(words.setdefault, parts, parts)), value)
+        return key, Hypothesis(tokens_of(tokens), value)
 
     for lineno, (sent_id, hyp) in read_rows(path, NBEST_SEPARATOR, 3, FormatError, parse):
-        group = groups.setdefault(sent_id, [])
-        if group and hyp.loglik > group[-1].loglik:
+        if sent_id != run_id:
+            if run:
+                last[run_id] = before
+                yield run_id, run
+            run_id, run, before = sent_id, [], last.get(sent_id, math.inf)
+        if hyp.loglik > before:
             raise FormatError(
-                f"{path}:{lineno}: loglik {hyp.loglik!r} is above the {group[-1].loglik!r} before it "
+                f"{path}:{lineno}: loglik {hyp.loglik!r} is above the {before!r} before it "
                 f"for sent_id {sent_id}; hypotheses must be listed best first"
             )
-        group.append(hyp)
+        before = hyp.loglik
+        run.append(hyp)
+    if run:
+        yield run_id, run
+
+
+def parse_nbest(path) -> dict[int, NBestList]:
+    """Moses-style lines `sent_id ||| token sequence ||| loglik`, grouped by id.
+
+    File order within a group is rank order, so a group must be listed best
+    first: a loglik above the one before it in its group is an error naming
+    its line. Equal logliks keep file order. Each distinct id field is
+    parsed once, and each distinct token is held once: every hypothesis the
+    call returns shares one string per distinct token, since the variants of
+    one translation repeat almost all of their tokens.
+    """
+    groups: dict[int, list[Hypothesis]] = {}
+    words: dict[str, str] = {}  # token -> the one string held for it, this call only
+
+    def interned(field: str) -> tuple[str, ...]:
+        parts = field.split()
+        return tuple(map(words.setdefault, parts, parts))
+
+    for sent_id, run in _nbest_runs(path, interned):
+        group = groups.setdefault(sent_id, run)
+        if group is not run:
+            group.extend(run)
     return {sent_id: NBestList(sent_id, hyps) for sent_id, hyps in groups.items()}
 
 

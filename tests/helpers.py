@@ -3,6 +3,7 @@ oracles and the text that file writers are tried on."""
 
 import hashlib
 import itertools
+import tracemalloc
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -57,6 +58,21 @@ TOY_PAIRS = ReinflectionPairSet(
         ("médica", "médico", MASCULINE),
     ]
 )
+
+
+def traced_peak(read, path, lines=1):
+    """Peak bytes traced by tracemalloc during read(path), result included,
+    per line. The result must be truthy, so a call that failed or read
+    nothing is not measured as small."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result
+    return (peak - start) / lines
 
 
 def bigram_fields(model):

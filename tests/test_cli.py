@@ -1,24 +1,34 @@
 """End-to-end command-line tests, mostly in-process through main()."""
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
 import unicodedata
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import genderbeam.cli
 from genderbeam.cli import main
 from genderbeam.decode import BeamConfig
 from genderbeam.evaluation import run_pipeline
-from genderbeam.formats import parse_nbest, read_testset
+from genderbeam.formats import parse_alignments, parse_nbest, read_entities, read_testset
 from genderbeam.lattice import compose_lattice, serialize_lattice
 from genderbeam.morpho import build_reinflection_pairs, load_lexicon, read_pairs, read_patterns
+from genderbeam.rerank import AlignmentMap
 from genderbeam.synth import build_benchmark, write_benchmark
 
+from helpers import reference_rerank, traced_peak
+
 DATA = Path(__file__).parent / "data"
+# two gendered pairs of the benchmark lexicon, and a word it does not list
+RUN_WORDS = ("elo", "ela", "juno", "juna", "kaj")
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +328,94 @@ class TestRerankCommand:
         assert capsys.readouterr().err == (
             f"genderbeam: {align}: sent_id {sent_id} rank 5: link 1-{length} is past "
             f"the hypothesis of {length} tokens\n")
+
+    @given(lines=st.lists(st.tuples(st.integers(0, 3),
+                                    st.lists(st.sampled_from(RUN_WORDS), min_size=1, max_size=3),
+                                    st.sampled_from((-1.0, -2.0, -3.0))), min_size=1, max_size=12),
+           entities=st.dictionaries(st.integers(0, 4), st.lists(st.tuples(
+               st.sampled_from(("feminine", "masculine")), st.sets(st.integers(0, 2), min_size=1)),
+               min_size=1, max_size=2), max_size=4))
+    def test_split_runs_select_as_whole_lists(self, bench_dir, scratch, lines, entities):
+        # an id's lines may be split into runs between other ids' lines; its
+        # logliks are sorted in file order, so each id stays best first, with ties
+        ordered = {sent_id: iter(sorted((loglik for i, _, loglik in lines if i == sent_id), reverse=True))
+                   for sent_id, _, _ in lines}
+        rows = [(sent_id, tokens, next(ordered[sent_id])) for sent_id, tokens, _ in lines]
+        ranks = Counter()
+        nbest, align = scratch / "runs.nbest", scratch / "runs.align"
+        nbest.write_text("".join(f"{i} ||| {' '.join(tokens)} ||| {loglik!r}\n" for i, tokens, loglik in rows),
+                         encoding="utf-8")
+        align_lines = []
+        for i, tokens, _ in rows:
+            align_lines.append(f"{i}\t{ranks[i]}\t{' '.join(f'{k}-{k}' for k in range(len(tokens)))}\n")
+            ranks[i] += 1
+        align.write_text("".join(align_lines), encoding="utf-8")
+        ents = scratch / "runs.tsv"
+        ents.write_text("".join(f"{i}\t{gender}\t-\t{','.join(map(str, sorted(indices)))}\n"
+                                for i, specs in entities.items() for gender, indices in specs),
+                        encoding="utf-8")
+        out = scratch / "runs.sel"
+        out.unlink(missing_ok=True)
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(["rerank", "--nbest", str(nbest), "--align", str(align), "--entities", str(ents),
+                         "--lexicon", str(bench_dir / "lexicon.tsv"), "--out", str(out)]) == 0
+
+        lexicon = load_lexicon(bench_dir / "lexicon.tsv")
+        lists, specs = parse_nbest(nbest), read_entities(ents)
+        expected = {}
+        for sent_id, hyps in lists.items():
+            diagonal = [AlignmentMap((k, k) for k in range(len(hyp.tokens))) for hyp in hyps]
+            selected, _ = reference_rerank(hyps, diagonal, specs.get(sent_id, []), lexicon)
+            expected[sent_id] = (hyps[selected],)
+        assert {i: chosen.hypotheses for i, chosen in parse_nbest(out).items()} == expected
+        assert stdout.getvalue() == (
+            f"selected 1 hypothesis for each of {len(lists)} sentences to {out}, "
+            f"skipped entities for {len(specs.keys() - lists.keys())} sentences with no n-best list\n")
+
+    def test_holds_the_alignment_map_and_one_list(self, bench_dir, variant_files, tmp_path):
+        # the n-best file is reranked one run at a time, so the command's peak
+        # stays near the alignment reader's own; holding every list measured
+        # 4.28 MiB here against parse_alignments' 1.45 MiB
+        directory, lines = variant_files
+        entities = tmp_path / "entities.tsv"
+        entities.write_text("".join(f"{sent_id}\tfeminine\t-\t1\n" for sent_id in range(lines // 64)),
+                            encoding="utf-8")
+        args = ["rerank", "--nbest", str(directory / "variants.nbest"), "--align", str(directory / "variants.align"),
+                "--entities", str(entities), "--lexicon", str(bench_dir / "lexicon.tsv"), "--out"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            peak = traced_peak(lambda out: main([*args, str(out)]) == 0, tmp_path / "sel.nbest")
+        assert peak < traced_peak(parse_alignments, directory / "variants.align") + 2**19
+
+    def test_bad_last_line_writes_nothing(self, bench_dir, tmp_path, capsys):
+        # the lists before the bad line are reranked, but the output is written
+        # only after the last one
+        nbest = tmp_path / "tp.nbest"
+        nbest.write_text("0 ||| ela ||| -1.0\n1 ||| elo ||| -1.0\n1 ||| ela ||| -1,5\n", encoding="utf-8")
+        align = tmp_path / "align.txt"
+        align.write_text("0\t0\t0-0\n1\t0\t0-0\n1\t1\t0-0\n", encoding="utf-8")
+        entities = tmp_path / "entities.tsv"
+        entities.write_text("0\tfeminine\t-\t0\n1\tfeminine\t-\t0\n", encoding="utf-8")
+        out = tmp_path / "sel.nbest"
+        assert main(["rerank", "--nbest", str(nbest), "--align", str(align), "--entities", str(entities),
+                     "--lexicon", str(bench_dir / "lexicon.tsv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"genderbeam: {nbest}:3: loglik must be a number, got '-1,5'\n"
+        assert not out.exists()
+
+    def test_out_may_name_the_nbest_file(self, bench_dir, tmp_path):
+        # the n-best file is read to its end before the output is opened
+        testset, tp = self.write_two_pass(bench_dir, tmp_path, range(3))
+        align = tmp_path / "align.txt"
+        align.write_text("".join(f"{s.sent_id}\t{rank}\t0-0 1-1\n" for s in testset for rank in range(20)),
+                         encoding="utf-8")
+        entities = tmp_path / "entities.tsv"
+        entities.write_text("".join(f"{s.sent_id}\t{s.gold_gender}\t-\t0,1\n" for s in testset),
+                            encoding="utf-8")
+        args = ["rerank", "--align", str(align), "--entities", str(entities),
+                "--lexicon", str(bench_dir / "lexicon.tsv")]
+        elsewhere = tmp_path / "sel.nbest"
+        assert main([*args, "--nbest", str(tp), "--out", str(elsewhere)]) == 0
+        assert main([*args, "--nbest", str(tp), "--out", str(tp)]) == 0
+        assert tp.read_bytes() == elsewhere.read_bytes()
 
 
 class TestEvalCommand:

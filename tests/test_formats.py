@@ -2,7 +2,6 @@
 
 import functools
 import re
-import tracemalloc
 import unicodedata
 
 import pytest
@@ -36,7 +35,7 @@ from genderbeam.morpho import (
 )
 from genderbeam.rerank import AlignmentMap, EntitySpec
 
-from helpers import AWKWARD_TEXT, AWKWARD_TOKENS, reference_link_pairs, written
+from helpers import AWKWARD_TEXT, AWKWARD_TOKENS, reference_link_pairs, traced_peak, written
 
 
 NBEST_TOKENS = st.text(st.characters(whitelist_categories=("L", "N", "P", "S")),
@@ -340,57 +339,21 @@ class TestAlignmentFiles:
             assert min(min(key) for key in table) < 0
 
 
-# six gendered words, so each sentence has 64 variants, as in an n-best list
-# of gendered variants of one translation
-GENDERED_FORMS = (("elo", "ela"), ("muro", "mura"), ("lernanto", "lernantino"),
-                  ("alto", "alta"), ("juno", "juna"), ("lerto", "lerta"))
-
-
-@pytest.fixture(scope="module")
-def variant_files(tmp_path_factory):
-    """An n-best file of 64 eleven-token variants for each of 200 sentences,
-    and an alignment file with one diagonal line per variant."""
-    directory = tmp_path_factory.mktemp("variants")
-    links = " ".join(f"{i}-{i}" for i in range(11))
-    nbest, align = [], []
-    for sent_id in range(200):
-        for rank in range(64):
-            w = [forms[(rank >> bit) & 1] for bit, forms in enumerate(GENDERED_FORMS)]
-            tokens = (f"s{sent_id % 10}", w[0], w[1], "cxar", w[2], "estis", w[3], "sed", w[4], "kaj", w[5])
-            nbest.append(f"{sent_id} ||| {' '.join(tokens)} ||| {-1.0 - rank / 64!r}\n")
-            align.append(f"{sent_id}\t{rank}\t{links}\n")
-    (directory / "variants.nbest").write_text("".join(nbest), encoding="utf-8")
-    (directory / "variants.align").write_text("".join(align), encoding="utf-8")
-    return directory, len(nbest)
-
-
-def _traced_peak_per_line(read, path, lines):
-    """Peak bytes traced by tracemalloc during read(path), result included, per line."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = read(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result
-    return (peak - start) / lines
-
-
 class TestReaderMemory:
-    """The rerank command's readers hold each distinct token and link set
-    once per call. On CPython 3.11, holding every token of every line on its
-    own measured 822 bytes per line for parse_nbest, and a parse_alignments
-    that also kept each key's line number 189; holding each once measured
-    238 and 120."""
+    """The n-best and alignment readers hold each distinct token and link set
+    once per call; the rerank command reads the n-best file one run at a time
+    instead (tests/test_cli.py). On CPython 3.11, holding every token of
+    every line on its own measured 822 bytes per line for parse_nbest, and a
+    parse_alignments that also kept each key's line number 189; holding each
+    once measured 238 and 120."""
 
     def test_nbest_reader_peak_per_line(self, variant_files):
         directory, lines = variant_files
-        assert _traced_peak_per_line(parse_nbest, directory / "variants.nbest", lines) < 500
+        assert traced_peak(parse_nbest, directory / "variants.nbest", lines) < 500
 
     def test_alignment_reader_peak_per_line(self, variant_files):
         directory, lines = variant_files
-        assert _traced_peak_per_line(parse_alignments, directory / "variants.align", lines) < 150
+        assert traced_peak(parse_alignments, directory / "variants.align", lines) < 150
 
 
 class TestEntityFiles:

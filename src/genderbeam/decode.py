@@ -16,7 +16,11 @@ elsewhere in the lattice is dropped there. The loop prunes exactly: a child
 scoring strictly below the k-th best is never built; order and ties are
 unchanged. The comparison is on the same float sum the child would carry, so
 children that tie the k-th best after rounding are still built and ranked by
-tokens.
+tokens. A search asked for fewer hypotheses than its width bounds itself too:
+once the beam holds nbest finished items, the nbest-th finished score is a
+bar. Scores only fall as tokens are added, so an item strictly below the bar
+is not expanded, a child strictly below it is not built, and the loop ends
+when no open item reaches it; the top nbest and their order are unchanged.
 
 Until a step holds width candidates nothing can be pruned, so the k-th best
 scores are kept in a plain list and turned into a heap only once it is full.
@@ -40,8 +44,9 @@ The constrained pass walks its moves in lattice order.
 A step score must be a finite log probability, at most 0, and so must the
 model's floor. A StepMap is checked whole when it is ranked, and a child of
 any other map once it is kept, so a bad score in a pruned child of a plain
-map is never read; a score that fails raises DecodeError naming the source,
-the prefix and the token.
+map is never read, and neither is the step map of an item below the bar,
+which is never asked for; a score that fails raises DecodeError naming the
+source, the prefix and the token.
 """
 
 from __future__ import annotations
@@ -148,7 +153,9 @@ class ScoringModel(ABC):
     else. next_scores returns a finite token -> log probability map
     for one step; it may include EOS. Tokens outside the map score the
     model's floor. A search refuses a score or floor that is not finite or
-    is above 0 with a DecodeError. Implementations must be deterministic
+    is above 0 with a DecodeError, when it reads it: a search asked for
+    fewer hypotheses than its width does not ask for the step map of an
+    item that can no longer reach them. Implementations must be deterministic
     for identical inputs. A returned map must not change afterwards. A
     StepMap is ranked once, by the first search that meets it, and every
     later step and search walks that ranking; a scorer that hands back the
@@ -401,6 +408,15 @@ class NBestList:
 
 @dataclass(frozen=True)
 class BeamConfig:
+    """A search's width, list size and length cap.
+
+    nbest, the width when None, is how many finished hypotheses a search
+    returns, and it also bounds the search: once the beam holds nbest
+    finished items, an item scoring strictly below the nbest-th of them is
+    not expanded, since no continuation of it could enter the list. At
+    nbest == width that needs a wholly finished beam, so nothing is cut.
+    """
+
     beam_width: int
     nbest: int | None = None
     max_len: int = 128
@@ -507,11 +523,16 @@ def _search(
     at the floor. At max_len EOS is an item's only move, at its score or the
     floor; with moves only the final state has it, so an item at max_len in
     any other state is dropped.
+
+    Once the beam holds nbest finished items, the nbest-th finished score is
+    the bar: an item strictly below it is not expanded, so its step map is
+    never asked for and a bad score in it is never read, the threshold
+    starts at the bar, and the loop ends when no open item reaches it.
     """
     source = tuple(source)
     if not source:
         raise DecodeError(f"source {source_id}: source sentence is empty")
-    width, max_len, floor = cfg.beam_width, cfg.max_len, model.floor
+    width, nbest, max_len, floor = cfg.beam_width, cfg.nbest, cfg.max_len, model.floor
     low = -math.inf
     if not low < floor <= 0:
         raise DecodeError(f"source {source_id}: model floor {floor!r} is not a finite log probability <= 0")
@@ -522,21 +543,29 @@ def _search(
     # state, so finished (-1) before open (always 0 without moves)
     beam: list[tuple[float, tuple[str, ...], int]] = [(-0.0, (), 0)]
     while True:
-        candidates, expand = [], []
+        # the bar is the nbest-th finished score once the beam holds nbest
+        # finished items: scores only fall, so nothing below it can reach
+        # the top nbest, and the beam is sorted, so neither can a later item
+        candidates, expand, bar = [], [], low
         for item in beam:
-            _, tokens, state = item
+            neg, tokens, state = item
+            if -neg < bar:
+                break
             if state < 0:
                 candidates.append(item)
+                if len(candidates) == nbest:
+                    bar = -neg
             elif len(tokens) < max_len or state == final:
                 expand.append(item)
             # else mid-lattice at the length cap: cannot become a complete path
-        if len(candidates) == len(beam):
-            break  # every item is finished: nothing is left to expand or drop
+        if not expand:
+            break  # nothing is left to expand that could reach the top nbest
         # the width best scores among the carried items, the seeds and the
-        # children built so far: a plain list with no threshold until it
-        # holds width of them (the carried items and seeds, one at most per
-        # beam item, are at most width), then a min-heap whose root is the
-        # threshold; a child strictly below it is never built
+        # children built so far, none below the bar: a plain list with the
+        # bar as threshold until it holds width of them (the carried items
+        # and seeds, one at most per beam item, are at most width), then a
+        # min-heap whose root is the threshold; a child strictly below it is
+        # never built
         best = [-neg for neg, _, _ in candidates]
         # each unconstrained item's (-score, tokens, children, ordered); an
         # ordered item's first child is seeded: its score is in best already
@@ -556,11 +585,11 @@ def _search(
                     if children and not (children[0][1] <= 0 and math.isfinite(sum(scores.values()))):
                         _check_step(scores, source_id, tokens)
                     scores.ranked = children
-                if children:
+                if children and -neg + children[0][1] >= bar:  # else no child is built
                     best.append(-neg + children[0][1])
                 walks.append((neg, tokens, children, True))
         room = width - len(best)
-        threshold = low
+        threshold = bar
         if not room:
             heapq.heapify(best)
             threshold = best[0]
@@ -612,13 +641,13 @@ def _search(
                     threshold = best[0]
         candidates.sort()
         beam = candidates[:width]
-    if not beam:
+    if not candidates:
         if moves is not None:
             raise DecodeError(
                 f"source {source_id}: constrained beam exhausted before reaching the final lattice state"
             )
         raise DecodeError(f"source {source_id}: no completed hypothesis within max_len {cfg.max_len}")
-    return NBestList(source_id, [Hypothesis(tokens, -neg) for neg, tokens, _ in beam[: cfg.nbest]])
+    return NBestList(source_id, [Hypothesis(tokens, -neg) for neg, tokens, _ in candidates[:nbest]])
 
 
 def two_pass_decode(
@@ -631,9 +660,15 @@ def two_pass_decode(
     *,
     segmenter: Segmenter | None = None,
 ) -> NBestList:
-    """First pass 1-best -> lattice of its gendered variants -> constrained pass."""
+    """First pass 1-best -> lattice of its gendered variants -> constrained pass.
+
+    The first pass runs at cfg_first's width and max_len for its 1-best
+    alone, so cfg_first.nbest is ignored: a search asked for fewer
+    hypotheses than its width stops expanding items that cannot reach them.
+    """
     segmenter = segmenter if segmenter is not None else WholeWordSegmenter()
-    first = beam_search(model, source, cfg_first, source_id=source_id)
+    first = beam_search(model, source, BeamConfig(cfg_first.beam_width, 1, cfg_first.max_len),
+                        source_id=source_id)
     if not first[0].tokens:
         raise DecodeError(f"source {source_id}: first-pass 1-best is empty")
     words = segmenter.words(first[0].tokens)

@@ -51,6 +51,7 @@ source, the prefix and the token.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import operator
@@ -68,6 +69,8 @@ DEFAULT_FLOOR = -20.0
 # the sentence start as NoisyChannelToy keys it in its bigram rows and step
 # cache: no str equals it, so a forced BOS token is an unseen context there
 _START = object()
+# a beam item's first field, its score negated: the key beam order sorts first
+_negated_score = operator.itemgetter(0)
 
 
 def _check_logprob(value: float, where: str) -> float:
@@ -543,21 +546,21 @@ def _search(
     # state, so finished (-1) before open (always 0 without moves)
     beam: list[tuple[float, tuple[str, ...], int]] = [(-0.0, (), 0)]
     while True:
-        # the bar is the nbest-th finished score once the beam holds nbest
-        # finished items: scores only fall, so nothing below it can reach
-        # the top nbest, and the beam is sorted, so neither can a later item
         candidates, expand, bar = [], [], low
         for item in beam:
-            neg, tokens, state = item
-            if -neg < bar:
-                break
+            _, tokens, state = item
             if state < 0:
                 candidates.append(item)
-                if len(candidates) == nbest:
-                    bar = -neg
             elif len(tokens) < max_len or state == final:
                 expand.append(item)
             # else mid-lattice at the length cap: cannot become a complete path
+        if len(candidates) >= nbest:
+            # both lists keep the beam's order, so the items below the bar
+            # are a tail of each, cut without a test per item
+            cut = candidates[nbest - 1][0]
+            bar = -cut
+            del candidates[bisect.bisect_right(candidates, cut, key=_negated_score):]
+            del expand[bisect.bisect_right(expand, cut, key=_negated_score):]
         if not expand:
             break  # nothing is left to expand that could reach the top nbest
         # the width best scores among the carried items, the seeds and the

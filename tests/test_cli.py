@@ -143,6 +143,26 @@ class TestDecodeCommands:
         alone, _ = decode(f"{first}\n", "first")
         assert lists[0].hypotheses == alone[0].hypotheses
 
+    @pytest.mark.parametrize("two_pass", [False, True], ids=["decode", "two-pass"])
+    def test_nbest_one_is_the_first_line_of_the_full_list(self, bench_dir, tmp_path, two_pass):
+        # a search asked for one hypothesis stops expanding items that cannot
+        # become it, and still returns the full list's first
+        src = tmp_path / "src.txt"
+        src.write_text("".join(" ".join(s.source) + "\n" for s in read_testset(bench_dir / "testset.tsv")[:20]),
+                       encoding="utf-8")
+        extra = ["--pairs", str(bench_dir / "pairs.tsv")] if two_pass else []
+        lines = {}
+        for nbest in ("1", "20"):
+            out = tmp_path / f"{nbest}.nbest"
+            assert main(["decode", *bench_args(bench_dir), *extra, "--src", str(src), "--beam", "20",
+                         "--nbest", nbest, "--max-len", "16", "--out", str(out)]) == 0
+            lines[nbest] = out.read_text(encoding="utf-8").splitlines()
+        firsts = {}
+        for line in lines["20"]:
+            firsts.setdefault(line.split(" ||| ")[0], line)
+        assert len(lines["1"]) == 20
+        assert lines["1"] == list(firsts.values())
+
     def test_empty_first_best_names_the_sentence(self, bench_dir, tmp_path, capsys):
         # at "empty" the BOS step prefers EOS, so the first-pass 1-best is empty
         model, src = tmp_path / "model.txt", tmp_path / "src.txt"

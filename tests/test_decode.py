@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ import unicodedata
 import weakref
 import zlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -43,9 +45,12 @@ from genderbeam.decode import (
     two_pass_decode,
 )
 from genderbeam.errors import DecodeError, FormatError
+from genderbeam.formats import read_testset, write_nbest
 from genderbeam.lattice import HypothesisLattice, LatticeArc, compose_lattice
-from genderbeam.morpho import MASCULINE, ReinflectionPairSet
+from genderbeam.morpho import MASCULINE, ReinflectionPairSet, read_pairs
+from genderbeam.synth import build_benchmark, write_benchmark
 
+GOLDEN_DIGESTS = Path(__file__).parent / "data" / "golden_seed0_sha256.txt"
 SRC = ("the", "doctor")
 SRC_KEY = "the doctor"
 # values that are not tokens: each would be written as other tokens, or none
@@ -360,10 +365,10 @@ class TestLengthCap:
 SCORE_GRID = (None, 0.0, -0.0, -0.1, -0.2, -0.3, -0.5, -1.0, -1e16)
 
 
-def grid_table(vocab, values, salt, max_len):
-    """TableModel over every prefix up to max_len, so that forced closes at
-    max_len read a listed EOS score or the floor alike. Each entry is a
-    deterministic pick from values."""
+def grid_table(vocab, values, salt, max_len, table=TableModel):
+    """A table (TableModel or a subclass) over every prefix up to max_len,
+    so that forced closes at max_len read a listed EOS score or the floor
+    alike. Each entry is a deterministic pick from values."""
     entries = {}
     for length in range(max_len + 1):
         for prefix in itertools.product(vocab, repeat=length):
@@ -374,7 +379,7 @@ def grid_table(vocab, values, salt, max_len):
                 if values[pick] is not None:
                     scores[token] = values[pick]
             entries[("s", prefix_key)] = scores
-    return TableModel(entries)
+    return table(entries)
 
 
 class WeakMap(dict):
@@ -511,6 +516,70 @@ class TestStepMap:
         assert step.ranked is ranked
 
 
+# step 2 holds the closed () at -0.5, ("b",) at -0.2 and ("a",) at -1.0:
+# at nbest 1 the closed item is the bar, and ("a",) is below it
+BAR_ENTRIES = {
+    ("s", BOS): {EOS: -0.5, "a": -1.0, "b": -0.2},
+    ("s", "b"): {EOS: -0.1, "c": -2.0},
+    ("s", "a"): {EOS: -0.1},
+}
+
+
+class TestNBestBound:
+    """Once the beam holds nbest finished items, the nbest-th finished score
+    is a bar: an item strictly below it is not expanded and a child below
+    it is not built, since scores only fall. The top nbest are unchanged."""
+
+    def test_an_item_below_a_finished_one_is_never_asked(self):
+        model, cfg = CountingTable(BAR_ENTRIES), BeamConfig(3, 1, 4)
+        result = beam_search(model, ("s",), cfg)
+        assert result == reference_beam_search(TableModel(BAR_ENTRIES), ("s",), cfg)
+        assert result.hypotheses == (Hypothesis(("b",), -0.2 + -0.1),)
+        # ("a",) is never asked, and ("b", "c") at -2.2 is never built
+        assert model.asked == [(), ("b",)]
+
+    def test_nbest_at_width_asks_every_kept_item(self):
+        # the bar needs a wholly finished beam, so nothing is cut
+        model, cfg = CountingTable(BAR_ENTRIES), BeamConfig(3, 3, 4)
+        result = beam_search(model, ("s",), cfg)
+        assert result == reference_beam_search(TableModel(BAR_ENTRIES), ("s",), cfg)
+        assert [h.tokens for h in result] == [("b",), (), ("a",)]
+        assert model.asked == [(), ("b",), ("a",)]
+
+    def test_constrained_pass_stops_below_the_bar(self):
+        # ("x",) closes at step 2 at -1.2; ("y", "z") is inside its arc at
+        # -1.5 then, so at nbest 1 its EOS step is never asked
+        lattice = HypothesisLattice([[LatticeArc("x", ("x",)), LatticeArc("yz", ("y", "z"))]])
+        entries = {("s", BOS): {"x": -1.0, "y": -0.5}, ("s", "x"): {EOS: -0.2},
+                   ("s", "y"): {"z": -1.0}, ("s", "y z"): {EOS: -0.1}}
+        asked = {}
+        for nbest in (1, 2):
+            model, cfg = CountingTable(entries), BeamConfig(2, nbest, 4)
+            result = constrained_beam_search(model, ("s",), lattice, cfg)
+            assert result == reference_constrained_beam_search(TableModel(entries), ("s",), lattice, cfg)
+            asked[nbest] = model.asked
+        assert asked == {1: [(), ("y",), ("x",)], 2: [(), ("y",), ("x",), ("y", "z")]}
+
+    @settings(max_examples=400)
+    @given(
+        vocab_size=st.integers(1, 3),
+        values=st.lists(st.sampled_from(SCORE_GRID), min_size=1, max_size=10),
+        salt=st.integers(0, 2**16),
+        width=st.integers(1, 6),
+        max_len=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_asks_a_subset_and_keeps_the_top_nbest(self, vocab_size, values, salt, width, max_len, data):
+        vocab = ("a", "b", "c")[:vocab_size]
+        nbest = data.draw(st.integers(1, width))
+        bounded, full = (grid_table(vocab, values, salt, max_len, CountingTable) for _ in range(2))
+        cfg = BeamConfig(width, nbest, max_len)
+        expected = run_or_error(reference_beam_search, grid_table(vocab, values, salt, max_len), cfg)
+        assert run_or_error(beam_search, bounded, cfg) == expected
+        run_or_error(beam_search, full, BeamConfig(width, width, max_len))
+        assert set(bounded.asked) <= set(full.asked)
+
+
 class UncheckedMaps(ScoringModel):
     """Step maps keyed by the prefix's last token, BOS for the empty prefix,
     handed back as given: an in-process scorer's scores are not checked
@@ -575,6 +644,17 @@ class TestStepScores:
         model = UncheckedMaps({BOS: {"a": -1.0}, "a": {EOS: bad}})
         with pytest.raises(DecodeError, match=not_logprob(1, bad, EOS, ("a",))):
             beam_search(model, ("s",), BeamConfig(1, 1, 1), source_id=1)
+
+    @pytest.mark.parametrize("bad", BAD_SCORES)
+    def test_a_map_below_the_bar_is_not_read(self, bad):
+        # BAR_ENTRIES with a bad score after ("a",): at nbest 1 that item is
+        # below the closed () when step 2 starts, so its map is never asked
+        # for; at nbest 3 it is expanded and the score refused
+        model = UncheckedMaps({BOS: {EOS: -0.5, "a": -1.0, "b": -0.2},
+                               "b": {EOS: -0.1}, "a": {"c": bad, EOS: -0.1}})
+        assert beam_search(model, ("s",), BeamConfig(3, 1, 4))[0] == Hypothesis(("b",), -0.2 + -0.1)
+        with pytest.raises(DecodeError, match=not_logprob(3, bad, "c", ("a",))):
+            beam_search(model, ("s",), BeamConfig(3, 3, 4), source_id=3)
 
     @pytest.mark.parametrize("floor", [*BAD_SCORES, -math.inf])
     def test_floor_is_checked_once_per_search(self, floor):
@@ -1090,3 +1170,48 @@ class TestTwoPass:
         model = GridScorer(values, salt, tuple(vocab), by_last=by_last)
         assert (run_or_error(two_pass_decode, model, TOY_PAIRS, cfg_first, cfg_second)
                 == run_or_error(reference_two_pass, model, TOY_PAIRS, cfg_first, cfg_second))
+
+    @settings(max_examples=200)
+    @given(
+        vocab=st.lists(st.sampled_from(("el", "la", "médico", "médica", "x")),
+                       min_size=1, max_size=4, unique=True),
+        values=st.lists(st.sampled_from(SCORE_GRID), min_size=1, max_size=6),
+        salt=st.integers(0, 2**16),
+        by_last=st.booleans(),
+        cfg_first=beam_configs(),
+        cfg_second=beam_configs(),
+    )
+    def test_first_nbest_is_ignored(self, vocab, values, salt, by_last, cfg_first, cfg_second):
+        # the first pass is read for its 1-best alone, so every list size
+        # at cfg_first's width gives the reference's output at full size
+        model = GridScorer(values, salt, tuple(vocab), by_last=by_last)
+        width, max_len = cfg_first.beam_width, cfg_first.max_len
+        expected = run_or_error(reference_two_pass, model, TOY_PAIRS, BeamConfig(width, width, max_len), cfg_second)
+        for nbest in range(1, width + 1):
+            first = BeamConfig(width, nbest, max_len)
+            assert run_or_error(two_pass_decode, model, TOY_PAIRS, first, cfg_second) == expected
+
+    def test_seed0_step_calls_and_lists(self, tmp_path):
+        # the 200 bundled sentences as `decode --pairs --beam 20 --max-len
+        # 16` runs them: the lists keep the bytes of the committed golden
+        # digest, and the first pass, run for its 1-best, asks for fewer
+        # steps (63,097 in all when it ran to a full list)
+        write_benchmark(build_benchmark(0), tmp_path)
+        model = NoisyChannelToy.from_files(tmp_path / "model.lexical.tsv", tmp_path / "corpus.txt")
+        calls = 0
+
+        class Counted(ScoringModel):
+            floor = model.floor
+
+            def next_scores(self, source, prefix):
+                nonlocal calls
+                calls += 1
+                return model.next_scores(source, prefix)
+
+        pairs, cfg = read_pairs(tmp_path / "pairs.tsv"), BeamConfig(20, 20, 16)
+        lists = [two_pass_decode(Counted(), sentence.source, pairs, cfg, cfg, source_id=sent_id)
+                 for sent_id, sentence in enumerate(read_testset(tmp_path / "testset.tsv"))]
+        assert calls == 54640
+        write_nbest(lists, tmp_path / "two_pass.nbest")
+        digests = dict(line.split()[::-1] for line in GOLDEN_DIGESTS.read_text(encoding="utf-8").splitlines())
+        assert hashlib.sha256((tmp_path / "two_pass.nbest").read_bytes()).hexdigest() == digests["two_pass.out"]

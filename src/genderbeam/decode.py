@@ -588,8 +588,8 @@ def _search(
                     if children and not (children[0][1] <= 0 and math.isfinite(sum(scores.values()))):
                         _check_step(scores, source_id, tokens)
                     scores.ranked = children
-                if children and -neg + children[0][1] >= bar:  # else no child is built
-                    best.append(-neg + children[0][1])
+                if children and (seed := -neg + children[0][1]) >= bar:  # else no child is built
+                    best.append(seed)
                 walks.append((neg, tokens, children, True))
         room = width - len(best)
         threshold = bar

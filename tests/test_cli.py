@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import genderbeam.cli
 from genderbeam.cli import main
-from genderbeam.decode import BeamConfig
+from genderbeam.decode import BeamConfig, NoisyChannelToy, ScoringModel, two_pass_decode
 from genderbeam.evaluation import run_pipeline
-from genderbeam.formats import parse_alignments, parse_nbest, read_entities, read_testset
+from genderbeam.formats import parse_alignments, parse_nbest, read_entities, read_testset, write_nbest
 from genderbeam.lattice import compose_lattice, serialize_lattice
 from genderbeam.morpho import build_reinflection_pairs, load_lexicon, read_pairs, read_patterns
 from genderbeam.rerank import AlignmentMap
@@ -680,9 +680,34 @@ class TestGoldenOutputs:
     def test_seed0_outputs_match_committed_digests(self, bench_dir, tmp_path, capsys):
         digests = {name: hashlib.sha256(data).hexdigest()
                    for name, data in self.outputs(bench_dir, tmp_path, capsys).items()}
-        committed = dict(line.split()[::-1] for line in
-                         self.DIGESTS.read_text(encoding="utf-8").splitlines())
-        assert digests == committed
+        assert digests == self.committed()
+
+    def committed(self) -> dict[str, str]:
+        return dict(line.split()[::-1] for line in self.DIGESTS.read_text(encoding="utf-8").splitlines())
+
+    def test_two_pass_asks_fewer_steps_for_the_same_lists(self, bench_dir, tmp_path):
+        # the 200 sentences as `decode --pairs --beam 20 --max-len 16` runs
+        # them: the lists keep two_pass.out's bytes, and the first pass, run
+        # for its 1-best, asks for fewer steps (63,097 in all when it ran to a
+        # full list)
+        model = NoisyChannelToy.from_files(bench_dir / "model.lexical.tsv", bench_dir / "corpus.txt")
+        calls = 0
+
+        class Counted(ScoringModel):
+            floor = model.floor
+
+            def next_scores(self, source, prefix):
+                nonlocal calls
+                calls += 1
+                return model.next_scores(source, prefix)
+
+        pairs, cfg = read_pairs(bench_dir / "pairs.tsv"), BeamConfig(20, 20, 16)
+        lists = [two_pass_decode(Counted(), sentence.source, pairs, cfg, cfg, source_id=sent_id)
+                 for sent_id, sentence in enumerate(read_testset(bench_dir / "testset.tsv"))]
+        assert calls == 54640
+        write_nbest(lists, tmp_path / "two_pass.nbest")
+        digest = hashlib.sha256((tmp_path / "two_pass.nbest").read_bytes()).hexdigest()
+        assert digest == self.committed()["two_pass.out"]
 
     def test_digests_hold_under_another_hash_seed(self, tmp_path):
         # set and frozenset orders move with PYTHONHASHSEED, so the commands

@@ -95,30 +95,25 @@ def _cmd_lattice(args) -> int:
     return 0
 
 
-def _decode_file(args, decode) -> int:
-    """Run decode(source, sent_id) on each sentence of --src; ids are 0-based
-    line numbers and blank lines get no row."""
-    lists, blank = [], 0
-    for sent_id, source in enumerate(read_sentences(args.src)):
-        if source:
-            lists.append(decode(source, sent_id))
-        else:
-            blank += 1
-    write_nbest(lists, args.out)
-    print(f"decoded {len(lists)} sentences to {args.out}, skipped {blank} blank lines")
-    return 0
-
-
 def _cmd_decode(args) -> int:
+    """Decode each sentence of --src, with a constrained second pass under
+    --pairs; ids are 0-based line numbers and blank lines get no row."""
     if args.pairs is None and args.patterns is not None:
         raise ValueError("--patterns needs --pairs: decoding without a pair set reads no gender tag")
     cfg = _beam_config(args)
     model = _load_model(args)
-    if args.pairs is None:
-        return _decode_file(args, lambda source, sent_id: beam_search(model, source, cfg, source_id=sent_id))
-    pairs = _read_pairs(args, _read_patterns(args))
-    return _decode_file(args, lambda source, sent_id: two_pass_decode(
-        model, source, pairs, cfg, cfg, source_id=sent_id))
+    pairs = None if args.pairs is None else _read_pairs(args, _read_patterns(args))
+    lists, blank = [], 0
+    for sent_id, source in enumerate(read_sentences(args.src)):
+        if not source:
+            blank += 1
+        elif pairs is None:
+            lists.append(beam_search(model, source, cfg, source_id=sent_id))
+        else:
+            lists.append(two_pass_decode(model, source, pairs, cfg, cfg, source_id=sent_id))
+    write_nbest(lists, args.out)
+    print(f"decoded {len(lists)} sentences to {args.out}, skipped {blank} blank lines")
+    return 0
 
 
 def _alignment_for(alignments, path, sent_id: int, rank: int, tokens) -> AlignmentMap:
@@ -168,13 +163,16 @@ def _cmd_rerank(args) -> int:
     return 0
 
 
+_REPORT_METRICS = ("accuracy", "f1_masculine", "f1_feminine", "delta_g")
+
+
 def _format_metric(value: float) -> str:
     return f"{value:.12g}"
 
 
 def _write_report(report: MetricReport, path) -> None:
     lines = ["metric,value"]
-    for name in ("accuracy", "f1_masculine", "f1_feminine", "delta_g"):
+    for name in _REPORT_METRICS:
         lines.append(f"{name},{_format_metric(getattr(report, name))}")
     for label, count in report.gold_counts:
         lines.append(f"gold_{label},{count}")
@@ -215,7 +213,7 @@ def _cmd_eval(args) -> int:
     report = score_records([outcome.record for outcome in outcomes])
     _write_report(report, args.report)
     print(f"sentences: {len(testset)}")
-    for name in ("accuracy", "f1_masculine", "f1_feminine", "delta_g"):
+    for name in _REPORT_METRICS:
         print(f"{name}: {_format_metric(getattr(report, name))}")
     return 0
 

@@ -208,15 +208,20 @@ def run_pipeline(
             nbest = two_pass_decode(model, sentence.source, pairs, cfg, cfg, source_id=sentence.sent_id)
         else:
             nbest = beam_search(model, sentence.source, cfg, source_id=sentence.sent_id)
-        alignments = [diagonal_aligner(sentence.source, hyp.tokens) for hyp in nbest]
         entities = _entities_for(sentence, rerank_mode, pronoun_table, resolver)
-        selected = rerank(nbest, alignments, entities, lexicon).selected_index
-        predicted = extract_predicted_gender(
-            nbest[selected].tokens, alignments[selected], sentence.entity_indices, lexicon
-        )
-        record = EvalRecord(sentence.sent_id, sentence.gold_gender, predicted)
-        outcomes.append(PipelineOutcome(record, nbest, selected))
+        outcomes.append(_select(sentence, nbest, entities, lexicon))
     return outcomes
+
+
+def _select(sentence: TestSentence, nbest: NBestList, entities: Sequence[EntitySpec],
+            lexicon: GenderLexicon) -> PipelineOutcome:
+    """Align each hypothesis of the sentence's list, rerank on the given
+    entities, and predict on the row's own entity indices."""
+    alignments = [diagonal_aligner(sentence.source, hyp.tokens) for hyp in nbest]
+    selected = rerank(nbest, alignments, entities, lexicon).selected_index
+    predicted = extract_predicted_gender(nbest[selected].tokens, alignments[selected],
+                                         sentence.entity_indices, lexicon)
+    return PipelineOutcome(EvalRecord(sentence.sent_id, sentence.gold_gender, predicted), nbest, selected)
 
 
 def _sweep_configs(widths: Sequence[int], max_len: int) -> list[BeamConfig]:
@@ -247,15 +252,8 @@ def beam_sweep(
     """
     records: dict[BeamConfig, list[EvalRecord]] = {cfg: [] for cfg in _sweep_configs(widths, max_len)}
     for sentence in testset:
+        entities = _entities_for(sentence, "oracle", None, None)
         for cfg, kept in records.items():
-            (outcome,) = run_pipeline(
-                [sentence],
-                model,
-                pairs,
-                lexicon,
-                constrain=True,
-                rerank_mode="oracle",
-                cfg=cfg,
-            )
-            kept.append(outcome.record)
+            nbest = two_pass_decode(model, sentence.source, pairs, cfg, cfg, source_id=sentence.sent_id)
+            kept.append(_select(sentence, nbest, entities, lexicon).record)
     return [(cfg.beam_width, score_records(kept).accuracy) for cfg, kept in records.items()]

@@ -222,6 +222,8 @@ class TestTestSentence:
             TestSentence(0, FEMININE, (), None, frozenset({0}))
         with pytest.raises(ValueError, match="nonempty"):
             TestSentence(0, FEMININE, ("a",), None, frozenset())
+        with pytest.raises(ValueError, match="sentence 0: gold gender must be concrete"):
+            TestSentence(0, NONE, ("a",), None, frozenset({0}))
 
 
 DOCTOR_SOURCE = ("doctor", "says", "she")

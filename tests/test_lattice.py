@@ -134,6 +134,13 @@ class TestCompose:
         by_word = {a.word: a.model_tokens for a in lattice.arcs_at(0)}
         assert by_word == {"médico": ("médic", "o"), "médica": ("médic", "a")}
 
+    def test_repeated_target_keeps_first_arc(self):
+        # a -> b under two genders: the first pair in sort order gives the arc
+        pairs = ReinflectionPairSet([("a", "b", FEMININE), ("a", "b", MASCULINE), ("b", "a", MASCULINE)])
+        lattice = compose_lattice(pairs, ("a", "c"))
+        assert [(arc.word, arc.gender) for arc in lattice.arcs_at(0)] == [("a", NONE), ("b", FEMININE)]
+        assert lattice.path_count == 2
+
 
 class TestEnumerate:
     def test_identity_path_always_present(self):

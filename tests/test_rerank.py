@@ -435,6 +435,14 @@ class TestSpecValidation:
         with pytest.raises(RerankError):
             EntitySpec(None, FEMININE, frozenset())
 
+    def test_negative_entity_index_rejected(self):
+        with pytest.raises(RerankError, match="entity indices must be non-negative"):
+            EntitySpec(None, FEMININE, {-1})
+
+    def test_negative_trigger_rejected(self):
+        with pytest.raises(RerankError, match="trigger index must be non-negative"):
+            EntitySpec(-2, FEMININE, {0})
+
     def test_negative_alignment_rejected(self):
         with pytest.raises(RerankError):
             AlignmentMap([(-1, 0)])

@@ -170,12 +170,20 @@ def _format_metric(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _other_label_metrics(report: MetricReport) -> list[tuple[str, str]]:
+    """f1_<label> and pred_<label> for each label beyond the binary pair;
+    none on a binary run, so its report keeps its bytes."""
+    return [metric for label, f1, predicted in report.other_labels
+            for metric in ((f"f1_{label}", _format_metric(f1)), (f"pred_{label}", str(predicted)))]
+
+
 def _write_report(report: MetricReport, path) -> None:
     lines = ["metric,value"]
     for name in _REPORT_METRICS:
         lines.append(f"{name},{_format_metric(getattr(report, name))}")
     for label, count in report.gold_counts:
         lines.append(f"gold_{label},{count}")
+    lines.extend(f"{name},{value}" for name, value in _other_label_metrics(report))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -215,6 +223,8 @@ def _cmd_eval(args) -> int:
     print(f"sentences: {len(testset)}")
     for name in _REPORT_METRICS:
         print(f"{name}: {_format_metric(getattr(report, name))}")
+    for name, value in _other_label_metrics(report):
+        print(f"{name}: {value}")
     return 0
 
 

@@ -243,6 +243,13 @@ def _counted_reserved(followers: Mapping[object, Mapping[str, int]]) -> bool:
     return EOS in followers or any(BOS in row for row in followers.values())
 
 
+def _context_terms(row: Mapping[str, int], denom: int) -> tuple[float, dict[str, float], float]:
+    """A context's smoothed bigram terms over denom: the unseen log, the log
+    of each seen follower other than EOS, in row order, and the EOS log."""
+    seen = {target: math.log((count + 1) / denom) for target, count in row.items() if target != EOS}
+    return math.log(1 / denom), seen, math.log((row.get(EOS, 0) + 1) / denom)
+
+
 def _first_refused(lines: Iterable[tuple[int, Sequence[str]]]) -> str:
     """`number: reason` for the first numbered line holding BOS or EOS, or a
     token that is empty or holds whitespace. BOS and EOS mark the sentence
@@ -277,6 +284,14 @@ class NoisyChannelToy(ScoringModel):
     BOS or another token, so the vocabulary is read off the bigram rows.
     Only the empty prefix reads the sentence-start row: a prefix ending in a
     forced BOS token is a context the corpus never holds.
+
+    Add-one smoothing gives every unseen follower of a context the same
+    term, log(1 / denom), and contexts share few denominators. So each
+    context's terms are taken once, at load, and each step map is a copy of
+    the source's base for its context's unseen term with the context's seen
+    followers and EOS written over it. The values and their key order are
+    those of scoring each target one at a time, and each (source, prefix's
+    last token) still builds one map.
     """
 
     def __init__(
@@ -299,19 +314,27 @@ class NoisyChannelToy(ScoringModel):
             raise ValueError(f"corpus line {_first_refused(enumerate(corpus))}")
         self._set_bigrams(followers)
         # only the current source is cached: its best lexical logprob per
-        # target, and its step maps keyed by the last prefix token, which is
-        # all a step depends on
+        # target, its bases (best shifted by one unseen term each, keyed by
+        # that term) and its step maps keyed by the last prefix token, which
+        # is all a step depends on
         self._step_source: tuple[str, ...] | None = None
         self._best: dict[str, float] = {}
+        self._bases: dict[float, dict[str, float]] = {}
         self._step_cache: dict[object, StepMap] = {}
 
     def _set_bigrams(self, followers: dict[object, dict[str, int]]) -> None:
+        """Count the contexts and take each one's terms once, over its count
+        plus V. A context the corpus never holds reads the shared default
+        terms, those of a count of 0."""
         self._followers = followers
         self._contexts = {prev: sum(row.values()) for prev, row in followers.items()}
         vocab = set().union(*followers.values())
         vocab.discard(EOS)
         # +1 for the EOS event, which shares the smoothing mass
         self._smoothing_vocab = len(vocab) + 1
+        self._terms = {prev: _context_terms(row, self._contexts[prev] + self._smoothing_vocab)
+                       for prev, row in followers.items()}
+        self._default_terms = _context_terms({}, self._smoothing_vocab)
 
     @classmethod
     def from_files(cls, lexical_path: str | Path, corpus_path: str | Path) -> "NoisyChannelToy":
@@ -345,7 +368,7 @@ class NoisyChannelToy(ScoringModel):
                     for target, lp in self._lexical.get(token, {}).items():
                         if target not in best or lp > best[target]:
                             best[target] = lp
-                self._best, self._step_cache = best, {}
+                self._best, self._bases, self._step_cache = best, {}, {}
             self._step_source = source
         prev = prefix[-1] if prefix else _START
         cached = self._step_cache.get(prev)
@@ -356,18 +379,20 @@ class NoisyChannelToy(ScoringModel):
     def _build_step(self, prev: object) -> StepMap:
         """The current source's step map after prev: each target's best
         lexical logprob plus log((count + 1) / (context + V)), the smoothed
-        bigram term, with the context's denominator and the unseen-bigram log
-        taken once."""
+        bigram term. Every unseen follower of a context gets the same term,
+        so the map starts as a copy of the source's base for that term, and
+        only the context's seen followers and EOS are written over it. The
+        copy is the map handed out; the base is never changed."""
+        unseen, seen, eos = self._terms.get(prev, self._default_terms)
         best = self._best
-        row = self._followers.get(prev, {})
-        denom = self._contexts.get(prev, 0) + self._smoothing_vocab
-        unseen = math.log(1 / denom)
-        # built as a dict and copied once: a StepMap fed pairs builds slower
-        step = StepMap({target: lp + unseen for target, lp in best.items()})
-        for target, count in row.items():
+        base = self._bases.get(unseen)
+        if base is None:
+            base = self._bases[unseen] = {target: lp + unseen for target, lp in best.items()}
+        step = StepMap(base)
+        for target, lp in seen.items():
             if target in step:
-                step[target] = best[target] + math.log((count + 1) / denom)
-        step[EOS] = math.log((row.get(EOS, 0) + 1) / denom)
+                step[target] = best[target] + lp
+        step[EOS] = eos
         return step
 
 

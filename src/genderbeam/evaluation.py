@@ -3,6 +3,9 @@
 Accuracy is record-level. Per-gender F1 is one-vs-rest with the
 0-when-undefined convention, and the gap statistic delta_g is
 f1_masculine - f1_feminine; closer to zero means more balanced output.
+A label outside masculine and feminine, such as a pattern file's, gets its
+own F1 and predicted count once it occurs in the gold labels or the
+predictions.
 """
 
 from __future__ import annotations
@@ -49,11 +52,16 @@ class EvalRecord:
 
 @dataclass(frozen=True)
 class MetricReport:
+    """Scores of one record list. other_labels holds (label, F1, predicted
+    count) for each label outside masculine and feminine that occurs in the
+    gold labels or the predictions, by label; it is empty on a binary run."""
+
     accuracy: float
     f1_masculine: float
     f1_feminine: float
     delta_g: float
     gold_counts: tuple[tuple[str, int], ...]
+    other_labels: tuple[tuple[str, float, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,10 @@ def score_records(records: Sequence[EvalRecord]) -> MetricReport:
     f1_masc = label_f1(records, MASCULINE)
     f1_fem = label_f1(records, FEMININE)
     counts = Counter(str(r.gold_gender) for r in records)
-    return MetricReport(accuracy, f1_masc, f1_fem, f1_masc - f1_fem, tuple(sorted(counts.items())))
+    predicted = Counter(r.predicted_gender for r in records)
+    others = sorted((predicted.keys() | {r.gold_gender for r in records}) - {None, MASCULINE, FEMININE})
+    return MetricReport(accuracy, f1_masc, f1_fem, f1_masc - f1_fem, tuple(sorted(counts.items())),
+                        tuple((str(label), label_f1(records, label), predicted[label]) for label in others))
 
 
 def extract_predicted_gender(

@@ -498,6 +498,40 @@ class TestEvalCommand:
         assert main([*args, "--patterns", str(patterns)]) == 0
         assert "gold_feminin,1" in report.read_text(encoding="utf-8").splitlines()
 
+    def test_reports_a_label_beyond_the_binary(self, tmp_path, capsys):
+        # a pattern label was counted under gold_ but never scored, so the
+        # report could not say whether it was ever predicted
+        files = {
+            "patterns.tsv": "suffix\tx\tnb\n",
+            "lexicon.tsv": "médico\tmédico\tN\tmasculine\nmédica\tmédico\tN\tfeminine\n"
+                           "enfermero\tenfermero\tN\tmasculine\n",
+            "pairs.tsv": "médico\tmédica\tfeminine\nmédica\tmédico\tmasculine\n"
+                         "médico\tmédicx\tnb\nmédicx\tmédico\tmasculine\n",
+            "model.txt": "".join(f"{source} ||| {prefix} ||| {token} ||| {lp}\n" for source, prefix, token, lp in [
+                ("the doctor", "<s>", "el", -0.1), ("the doctor", "el", "médico", -0.2),
+                ("the doctor", "el", "médica", -1.0), ("the doctor", "el médico", "</s>", -0.1),
+                ("the nurse", "<s>", "el", -0.1), ("the nurse", "el", "enfermero", -0.2),
+                ("the nurse", "el enfermero", "</s>", -0.1)]),
+            # the nurse's list offers no nb form, so row 3 keeps enfermero
+            "testset.tsv": "0\tmasculine\tthe doctor\t-\t1\n1\tnb\tthe doctor\t-\t1\n"
+                           "2\tfeminine\tthe doctor\t-\t1\n3\tnb\tthe nurse\t-\t1\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        report = tmp_path / "report.csv"
+        assert main(["eval", "--testset", str(tmp_path / "testset.tsv"), "--model", str(tmp_path / "model.txt"),
+                     "--pairs", str(tmp_path / "pairs.tsv"), "--lexicon", str(tmp_path / "lexicon.tsv"),
+                     "--patterns", str(tmp_path / "patterns.tsv"), "--rerank", "oracle", "--beam", "4",
+                     "--max-len", "4", "--report", str(report)]) == 0
+        # predictions masculine, nb, feminine, masculine: nb has 1 true
+        # positive of 1 predicted and 2 gold, so precision 1, recall 1/2
+        # and F1 2/3; masculine 1 of 2 predicted and 1 gold, also 2/3
+        assert report.read_text(encoding="utf-8").splitlines() == [
+            "metric,value", "accuracy,0.75", "f1_masculine,0.666666666667", "f1_feminine,1",
+            "delta_g,-0.333333333333", "gold_feminine,1", "gold_masculine,1", "gold_nb,2",
+            "f1_nb,0.666666666667", "pred_nb,1"]
+        assert capsys.readouterr().out.splitlines()[-2:] == ["f1_nb: 0.666666666667", "pred_nb: 1"]
+
     def test_inferred_requires_tables(self, bench_dir, tmp_path, capsys):
         report = tmp_path / "report.csv"
         code = main(self.eval_args(bench_dir, report, rerank="inferred"))

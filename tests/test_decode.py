@@ -816,6 +816,22 @@ class TestNoisyChannelToy:
         assert model._step_source == SRC
         assert model._step_cache.keys() == fresh._step_cache.keys()
 
+    def test_bases_hold_only_current_source(self):
+        """A base is the current source's best lexical logprob per target
+        shifted by one unseen term: one per distinct term among the contexts
+        asked. The first source's bases go with its step maps."""
+        lexical = {"the": {"la": -0.2}, "doctor": {"médica": -0.3, "la": -5.0, "doctora": -0.4}}
+        # V = 3; the denominator is 5 after BOS and la, 4 after médica, and
+        # 3 after doctora, a context the corpus never holds
+        model = NoisyChannelToy(lexical, [("la", "médica"), ("la",)])
+        beam_search(model, ("doctor",), BeamConfig(4, max_len=3))
+        beam_search(model, SRC, BeamConfig(4, max_len=3))
+        assert len(model._step_cache) == 4
+        assert model._bases.keys() == {math.log(1 / 5), math.log(1 / 4), math.log(1 / 3)}
+        best = {"la": -0.2, "médica": -0.3, "doctora": -0.4}
+        for term, base in model._bases.items():
+            assert list(base.items()) == [(target, lp + term) for target, lp in best.items()]
+
     @settings(max_examples=300)
     @given(
         corpus=st.lists(st.lists(st.sampled_from(TARGETS), max_size=5), max_size=6),
@@ -838,7 +854,7 @@ class TestNoisyChannelToy:
         and passed as the held tuple, an equal copy or a list. Each answer
         equals, value by value and in order, best lexical plus
         log((count + 1) / (context + V)) counted straight from the corpus for
-        that source."""
+        that source, and still does after the last query."""
         bigrams, contexts, vocab = {}, {}, set()
         for line in corpus:
             vocab.update(line)
@@ -847,6 +863,7 @@ class TestNoisyChannelToy:
                 contexts[pair[0]] = contexts.get(pair[0], 0) + 1
         held = [tuple(source) for source in sources]
         model = NoisyChannelToy(lexical, corpus)
+        answers = []
         for index, form, prev in queries:
             source = held[index % len(held)]
             denom = contexts.get(prev, 0) + len(vocab) + 1
@@ -860,6 +877,13 @@ class TestNoisyChannelToy:
             asked = {"held": source, "copy": tuple(list(source)), "list": list(source)}[form]
             scores = model.next_scores(asked, () if prev == BOS else ("x", prev))
             assert [(t, repr(lp)) for t, lp in scores.items()] == [(t, repr(lp)) for t, lp in naive.items()]
+            answers.append((source, prev, scores, naive))
+        # a returned map never changes, and no two contexts share one
+        for _, _, scores, naive in answers:
+            assert [(t, repr(lp)) for t, lp in scores.items()] == [(t, repr(lp)) for t, lp in naive.items()]
+        for (source, prev, scores, _), (other, other_prev, other_scores, _) in itertools.combinations(answers, 2):
+            if source == other and prev != other_prev:
+                assert scores is not other_scores
 
 
 CORPUS_WORDS = ("la", "m\u00e9dica", "me\u0301dica", "el", "x")

@@ -86,6 +86,20 @@ class TestScoreRecords:
         assert report.f1_feminine == 0.0
         assert report.delta_g == 0.0
 
+    def test_labels_beyond_the_binary(self):
+        # neuter is only predicted, neutral-new is gold and predicted
+        records = [
+            record(0, MASCULINE, NEUTER),
+            record(1, NEUTRAL_NEW, NEUTRAL_NEW),
+            record(2, NEUTRAL_NEW, FEMININE),
+            record(3, FEMININE, FEMININE),
+        ]
+        report = score_records(records)
+        assert report.other_labels == (("neuter", 0.0, 1), ("neutral-new", pytest.approx(2 / 3), 1))
+        assert report.delta_g == report.f1_masculine - report.f1_feminine == pytest.approx(-2 / 3)
+        binary = [record(0, MASCULINE, MASCULINE), record(1, FEMININE, None)]
+        assert score_records(binary).other_labels == ()
+
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             score_records([])

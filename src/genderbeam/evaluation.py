@@ -61,7 +61,7 @@ class MetricReport:
     f1_feminine: float
     delta_g: float
     gold_counts: tuple[tuple[str, int], ...]
-    other_labels: tuple[tuple[str, float, int], ...] = ()
+    other_labels: tuple[tuple[str, float, int], ...]
 
 
 @dataclass(frozen=True)
